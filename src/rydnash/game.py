@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._bits import index_of, node_mask, to_bitstring
+from ._bits import index_of, node_mask, popcount_map, to_bitstring
 from .errors import InvalidAgent, InvalidInput, TooLarge
 from .geometry import EmbeddedGraph
 
@@ -167,24 +167,26 @@ def enumerate_specialized_nash(
 ) -> tuple[StrategyProfile, ...]:
     """Every specialized Nash profile, found by sweeping all 2**n supports.
 
-    Vectorized over basis indices; an agent's payoff difference between
-    contributing and abstaining depends only on its contributing-neighbor
-    count. Profiles come back in canonical bitstring order.
+    An agent's payoffs for abstaining and contributing depend only on its
+    contributing-neighbor count, so both are tabulated once per count, and
+    each agent's best-response check over all supports is a lookup by its
+    own effort and that count. Profiles come back in canonical bitstring
+    order.
     """
     n = graph.n
     if n > limit:
         raise TooLarge(n, limit)
-    z = np.arange(1 << n, dtype=np.uint64)
-    keep = np.ones(z.shape, dtype=bool)
     e = params.e_star
+    k = np.arange(n + 1, dtype=np.float64)
+    u0 = params.b(e * k)
+    u1 = params.b(e * (k + 1.0)) - params.c * e
+    # is_best[own, k]: with k contributing neighbors, effort own * e* is a best response
+    is_best = np.stack([u0 >= u1, u1 >= u0])
+    keep = np.ones(1 << n, dtype=bool)
+    verdict = np.empty_like(keep)
     for agent in range(n):
-        mask = np.uint64(node_mask(agent, n))
-        nbr = np.uint64(index_of(graph.neighbors[agent], n))
-        k = np.bitwise_count(z & nbr).astype(np.float64)
-        u0 = params.b(e * k)
-        u1 = params.b(e * (k + 1.0)) - params.c * e
-        contributes = (z & mask) != 0
-        keep &= np.where(contributes, u1 >= u0, u0 >= u1)
+        masks = (index_of(graph.neighbors[agent], n), node_mask(agent, n))
+        keep &= popcount_map(lambda nbrs, own: is_best[own, nbrs], masks, n, out=verdict)
     return tuple(
-        StrategyProfile.from_bitstring(to_bitstring(int(i), n), e) for i in np.nonzero(keep)[0]
+        StrategyProfile.from_bitstring(to_bitstring(int(i), n), e) for i in np.flatnonzero(keep)
     )

@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._bits import index_of, node_mask, to_bitstring
+from ._bits import index_of, node_mask, popcount_map, to_bitstring
 from .errors import InvalidSet, NotIndependent, TooLarge
 from .game import DEFAULT_EXHAUSTIVE_LIMIT, GameParams, enumerate_specialized_nash
 from .geometry import EmbeddedGraph
@@ -71,31 +71,43 @@ def is_maximal(graph: EmbeddedGraph, s: NodeSet | Iterable[int]) -> bool:
 def enumerate_mis(graph: EmbeddedGraph, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> tuple[NodeSet, ...]:
     """Every maximal independent set, in canonical bitstring order.
 
-    Exhaustive scan of all 2**n subsets, vectorized on bit masks: a subset
-    qualifies when no edge lies inside it and every node's closed
-    neighborhood meets it.
+    Exhaustive scan of all 2**n subsets, vectorized on bit masks one node
+    at a time. A member with a neighbor inside the subset breaks
+    independence and a non-member without one breaks maximality, so a
+    subset qualifies when, at every node, membership and having a neighbor
+    inside differ.
     """
     n = graph.n
     if n > limit:
         raise TooLarge(n, limit)
-    z = np.arange(1 << n, dtype=np.uint64)
-    ok = np.ones(z.shape, dtype=bool)
-    for i, j in graph.edges:
-        pair = np.uint64(node_mask(i, n) | node_mask(j, n))
-        ok &= (z & pair) != pair
+    ok = np.ones(1 << n, dtype=bool)
+    verdict = np.empty_like(ok)
     for v in range(n):
-        cover = np.uint64(node_mask(v, n) | index_of(graph.neighbors[v], n))
-        ok &= (z & cover) != 0
-    return tuple(NodeSet.from_bitstring(to_bitstring(int(i), n)) for i in np.nonzero(ok)[0])
+        masks = (index_of(graph.neighbors[v], n), node_mask(v, n))
+        ok &= popcount_map(lambda nbrs, member: (nbrs > 0) != (member > 0), masks, n, out=verdict)
+    return tuple(NodeSet.from_bitstring(to_bitstring(int(i), n)) for i in np.flatnonzero(ok))
+
+
+def largest(sets: tuple[NodeSet, ...]) -> tuple[NodeSet, ...]:
+    """The sets of largest cardinality, in their given order."""
+    best = max(len(s) for s in sets)
+    return tuple(s for s in sets if len(s) == best)
 
 
 def maximum_independent_sets(
     graph: EmbeddedGraph, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
 ) -> tuple[NodeSet, ...]:
     """The maximal independent sets of largest cardinality."""
-    mis = enumerate_mis(graph, limit)
-    best = max(len(s) for s in mis)
-    return tuple(s for s in mis if len(s) == best)
+    return largest(enumerate_mis(graph, limit))
+
+
+def correspondence_witnesses(nash: Iterable[str], mis: Iterable[str]) -> tuple[tuple[str, str], ...]:
+    """The symmetric difference of Nash supports and maximal independent
+    sets (both as bitstrings), as sorted ``(bitstring, side)`` pairs with
+    ``side`` naming the family the set appears in (``"nash_only"`` or
+    ``"mis_only"``)."""
+    nash, mis = set(nash), set(mis)
+    return tuple(sorted([(b, "nash_only") for b in nash - mis] + [(b, "mis_only") for b in mis - nash]))
 
 
 def verify_correspondence(
@@ -103,13 +115,11 @@ def verify_correspondence(
 ) -> tuple[bool, tuple[tuple[str, str], ...]]:
     """Check that Nash supports and maximal independent sets coincide.
 
-    Returns ``(ok, witnesses)``; each witness is a ``(bitstring, side)``
-    pair from the symmetric difference, ``side`` naming the family the set
-    appears in (``"nash_only"`` or ``"mis_only"``).
+    Returns ``(ok, witnesses)``, the witnesses as in
+    :func:`correspondence_witnesses`.
     """
-    nash = {p.bitstring for p in enumerate_specialized_nash(graph, params, limit)}
-    mis = {s.bitstring for s in enumerate_mis(graph, limit)}
-    witnesses = tuple(
-        sorted([(b, "nash_only") for b in nash - mis] + [(b, "mis_only") for b in mis - nash])
+    witnesses = correspondence_witnesses(
+        (p.bitstring for p in enumerate_specialized_nash(graph, params, limit)),
+        (s.bitstring for s in enumerate_mis(graph, limit)),
     )
     return (not witnesses, witnesses)

@@ -31,7 +31,7 @@ from .geometry import (
     ambiguity_warnings,
     validate_embedding,
 )
-from .indsets import enumerate_mis, is_independent, maximum_independent_sets, verify_correspondence
+from .indsets import correspondence_witnesses, enumerate_mis, is_independent, largest
 from .schedule import Schedule, default_schedule, validate_schedule
 
 #: Documented default sampling seed; reports quote it so reruns reproduce.
@@ -57,6 +57,8 @@ class RunConfig:
     def __post_init__(self):
         if self.shots < 1:
             raise InvalidInput(f"shots must be >= 1, got {self.shots!r}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed!r}")
 
 
 def graph_fingerprint(graph: EmbeddedGraph) -> str:
@@ -223,16 +225,16 @@ def run_classical(config: RunConfig) -> ClassicalResult:
     """Enumerate equilibria and independent sets; verdict their agreement."""
     graph = load_graph(config.graph_path)
     nash = tuple(p.bitstring for p in enumerate_specialized_nash(graph, config.game, config.limit))
-    maximal = tuple(s.bitstring for s in enumerate_mis(graph, config.limit))
-    maximum = tuple(s.bitstring for s in maximum_independent_sets(graph, config.limit))
-    ok, witnesses = verify_correspondence(graph, config.game, config.limit)
+    mis = enumerate_mis(graph, config.limit)
+    maximal = tuple(s.bitstring for s in mis)
+    witnesses = correspondence_witnesses(nash, maximal)
     return ClassicalResult(
         graph_hash=graph_fingerprint(graph),
         n=graph.n,
         nash=nash,
         maximal_sets=maximal,
-        maximum_sets=maximum,
-        nash_equals_mis=ok,
+        maximum_sets=tuple(s.bitstring for s in largest(mis)),
+        nash_equals_mis=not witnesses,
         witnesses=witnesses,
     )
 
@@ -251,7 +253,8 @@ def run_quantum(config: RunConfig) -> QuantumResult:
     """Anneal, sample, and classify every observed bitstring.
 
     Refuses (ConstraintViolation carrying the validation report) when the
-    layout or schedule breaks hardware limits. Deterministic for a fixed
+    layout or schedule breaks hardware limits, and raises TooLarge above
+    the exhaustive limit, both before annealing. Deterministic for a fixed
     (config, seed).
     """
     graph, schedule, report = validate_run(config)
@@ -259,12 +262,13 @@ def run_quantum(config: RunConfig) -> QuantumResult:
         raise ConstraintViolation(
             f"hardware validation failed with {len(report.violations)} violation(s)", report=report
         )
+    mis = enumerate_mis(graph, config.limit)
+    maximal = {s.bitstring for s in mis}
+    maximum = tuple(s.bitstring for s in largest(mis))
     system = RydbergSystem(graph, config.c6)
     state = evolve(system, schedule)
     histogram = sample(state, config.shots, config.seed)
     delta_final = schedule.delta_at(schedule.duration)
-    maximal = {s.bitstring for s in enumerate_mis(graph, config.limit)}
-    maximum = tuple(s.bitstring for s in maximum_independent_sets(graph, config.limit))
     probs = state.probabilities()
     rows = tuple(
         BitstringRow(

@@ -12,6 +12,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import strategies as st
 
 from rydnash.geometry import build_unit_disk_graph
 
@@ -51,6 +52,16 @@ def random_unit_disk(rng, n_max=8, box=10.0):
     n = int(rng.integers(1, n_max + 1))
     positions = [(float(rng.uniform(0, box)), float(rng.uniform(0, box))) for _ in range(n)]
     radius = float(rng.uniform(1.0, 1.5 * box))
+    return build_unit_disk_graph(positions, radius)
+
+
+@st.composite
+def unit_disk_layouts(draw, n_max=10, box=10.0):
+    """Hypothesis strategy: distinct points in a box and a radius drawn to
+    range from an empty graph to a complete one."""
+    coord = st.floats(0.0, box, allow_nan=False, allow_infinity=False)
+    positions = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=n_max, unique=True))
+    radius = draw(st.floats(0.1, 1.5 * box))
     return build_unit_disk_graph(positions, radius)
 
 

@@ -1,10 +1,15 @@
 import os
+import runpy
 import shutil
+import sys
 
 import pytest
 import yaml
 
 from conftest import C_A, GRAPH_A_MIS_FAMILY
+import rydnash.game
+import rydnash.indsets
+import rydnash.pipeline
 from rydnash.cli import (
     ANNEAL_REPORT,
     CLASSICAL_REPORT,
@@ -17,6 +22,7 @@ from rydnash.cli import (
     VALIDATION_REPORT,
     main,
 )
+from rydnash.errors import InvalidInput
 from rydnash.fileio import read_report, save_graph, save_schedule
 from rydnash.pipeline import ClassicalResult, RunConfig, compare, run_classical, run_quantum
 from rydnash.schedule import Schedule
@@ -157,6 +163,39 @@ class TestAnnealCommand:
         assert report["mis_in_topk"] is False
 
 
+class TestRefusedBeforeAnnealing:
+    @pytest.fixture(autouse=True)
+    def no_anneal(self, monkeypatch):
+        def evolve(*args, **kwargs):
+            raise AssertionError("evolve must not run for a refused input")
+
+        monkeypatch.setattr(rydnash.pipeline, "evolve", evolve)
+
+    @pytest.mark.parametrize("command", ["anneal", "all"])
+    def test_over_limit_graph(self, command, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        args = [command, "--graph", GRAPH_A_FILE, "--coupling-c", str(C_A), "--limit", "3", "--out", out]
+        assert main(args) == EXIT_ERROR
+        assert "exceeds the exhaustive limit of 3" in capsys.readouterr().err
+
+    def test_negative_seed(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        args = ["anneal", "--graph", GRAPH_A_FILE, "--coupling-c", str(C_A), "--seed", "-1", "--out", out]
+        assert main(args) == EXIT_ERROR
+        assert "seed must be >= 0" in capsys.readouterr().err
+        with pytest.raises(InvalidInput):
+            RunConfig(graph_path=GRAPH_A_FILE, seed=-1)
+
+
+class TestModuleEntryPoint:
+    def test_help(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["rydnash", "--help"])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("rydnash", run_name="__main__")
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rydnash")
+
+
 class TestCompareCommand:
     def test_pipeline_then_compare(self, pair_graph_file, tmp_path):
         out = str(tmp_path / "out")
@@ -222,6 +261,27 @@ class TestPipelineApi:
         assert report.nash_equals_mis == (set(report.nash) == set(report.maximal_sets))
         assert report.mis_in_topk == (set(report.maximum_sets) <= set(report.top_k))
         assert report.overall_pass == (report.nash_equals_mis and report.mis_in_topk)
+
+    def test_run_classical_sweeps_each_family_once(self, monkeypatch):
+        calls = {"nash": 0, "mis": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        nash = counting("nash", rydnash.game.enumerate_specialized_nash)
+        mis = counting("mis", rydnash.indsets.enumerate_mis)
+        for module in (rydnash.game, rydnash.indsets, rydnash.pipeline):
+            monkeypatch.setattr(module, "enumerate_specialized_nash", nash)
+        for module in (rydnash.indsets, rydnash.pipeline):
+            monkeypatch.setattr(module, "enumerate_mis", mis)
+        result = run_classical(RunConfig(graph_path=GRAPH_A_FILE))
+        assert calls == {"nash": 1, "mis": 1}
+        assert result.maximum_sets == ("100110",)
+        assert result.nash_equals_mis and result.witnesses == ()
 
     def test_classical_result_round_trip(self):
         config = RunConfig(graph_path=GRAPH_A_FILE)

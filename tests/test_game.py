@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import GRAPH_A_MIS_FAMILY, GRAPH_B_MIS_FAMILY, random_unit_disk
+from conftest import GRAPH_A_MIS_FAMILY, GRAPH_B_MIS_FAMILY, random_unit_disk, unit_disk_layouts
 from rydnash.errors import InvalidAgent, InvalidInput, TooLarge
 from rydnash.game import (
     GameParams,
@@ -207,6 +209,24 @@ class TestEnumerate:
                 bits = format(z, f"0{g.n}b")
                 profile = StrategyProfile.from_bitstring(bits, params.e_star)
                 assert (bits in found) == is_nash(g, params, profile)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        g=unit_disk_layouts(n_max=10),
+        e_star=st.floats(0.1, 10.0),
+        cost_share=st.floats(0.01, 0.99),
+    )
+    def test_property_matches_is_nash_on_every_profile(self, g, e_star, cost_share):
+        # The table-driven sweep against the scalar best-response check, over
+        # all 2**n profiles and a range of satiation levels and costs.
+        params = GameParams(e_star=e_star, c=cost_share * float(GameParams(e_star=e_star).b(e_star)) / e_star)
+        found = {p.bitstring for p in enumerate_specialized_nash(g, params)}
+        expected = set()
+        for z in range(1 << g.n):
+            bits = format(z, f"0{g.n}b")
+            if is_nash(g, params, StrategyProfile.from_bitstring(bits, params.e_star)):
+                expected.add(bits)
+        assert found == expected
 
     def test_closed_under_automorphism(self):
         # relabeling nodes permutes the equilibrium set

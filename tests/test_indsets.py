@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
     GRAPH_A_MAXIMUM,
@@ -7,12 +8,14 @@ from conftest import (
     GRAPH_B_MIS_FAMILY,
     brute_force_mis,
     random_unit_disk,
+    unit_disk_layouts,
 )
 from rydnash.errors import InvalidSet, NotIndependent, TooLarge
 from rydnash.game import GameParams
 from rydnash.geometry import build_unit_disk_graph
 from rydnash.indsets import (
     NodeSet,
+    correspondence_witnesses,
     enumerate_mis,
     is_independent,
     is_maximal,
@@ -115,6 +118,16 @@ class TestEnumerateMis:
                 assert is_independent(g, s)
                 assert is_maximal(g, s)
 
+    @settings(max_examples=40, deadline=None)
+    @given(g=unit_disk_layouts(n_max=10))
+    def test_property_matches_predicates_on_every_subset(self, g):
+        expected = set()
+        for z in range(1 << g.n):
+            members = [i for i in range(g.n) if z >> (g.n - 1 - i) & 1]
+            if is_independent(g, members) and is_maximal(g, members):
+                expected.add(frozenset(members))
+        assert {frozenset(s.members) for s in enumerate_mis(g)} == expected
+
 
 class TestMaximumIndependentSets:
     def test_graph_a_unique(self, graph_a):
@@ -141,6 +154,11 @@ class TestMaximumIndependentSets:
 
 
 class TestCorrespondence:
+    def test_witnesses_name_the_side(self):
+        witnesses = correspondence_witnesses(["01", "10"], ["10", "11"])
+        assert witnesses == (("01", "nash_only"), ("11", "mis_only"))
+        assert correspondence_witnesses(["10"], ["10"]) == ()
+
     def test_graph_a(self, graph_a):
         ok, witnesses = verify_correspondence(graph_a, GameParams())
         assert ok and witnesses == ()
