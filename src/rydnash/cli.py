@@ -10,11 +10,11 @@ configuration files or incompatible runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
-from .dynamics import DEFAULT_C6
-from .errors import ConstraintViolation, RydnashError
+from .errors import ConfigError, ConstraintViolation, InvalidInput, RydnashError
 from .fileio import (
     load_game,
     load_schedule,
@@ -23,10 +23,9 @@ from .fileio import (
     write_report,
     write_schedule_series,
 )
-from .game import DEFAULT_EXHAUSTIVE_LIMIT, GameParams
 from .pipeline import (
-    DEFAULT_SEED,
     ClassicalResult,
+    QuantumResult,
     RunConfig,
     compare,
     run_classical,
@@ -48,18 +47,22 @@ HISTOGRAM_CSV = "histogram.csv"
 SCHEDULE_SERIES_CSV = "schedule_series.csv"
 
 
-def _default_outdir() -> str:
-    return os.environ.get(OUTDIR_ENV, "rydnash_out")
-
-
 def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=_default_outdir(), help=f"output directory (default ${OUTDIR_ENV} or rydnash_out)")
+    p.add_argument(
+        "--out",
+        dest="outdir",
+        metavar="OUT",
+        default=os.environ.get(OUTDIR_ENV, RunConfig.outdir),
+        help=f"output directory (default ${OUTDIR_ENV} or rydnash_out)",
+    )
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph", required=True, help="graph file (YAML: nodes, radius, labels)")
+    p.add_argument(
+        "--graph", dest="graph_path", metavar="GRAPH", required=True, help="graph file (YAML: nodes, radius, labels)"
+    )
     _add_out(p)
-    p.add_argument("--limit", type=int, default=DEFAULT_EXHAUSTIVE_LIMIT, help="exhaustive enumeration node limit")
+    p.add_argument("--limit", type=int, help="exhaustive enumeration node limit")
 
 
 def _add_game(p: argparse.ArgumentParser) -> None:
@@ -68,9 +71,11 @@ def _add_game(p: argparse.ArgumentParser) -> None:
 
 def _add_quantum(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schedule", help="schedule file (YAML: omega, delta, duration); default: reference ramp")
-    p.add_argument("--coupling-c", type=float, default=DEFAULT_C6, help="van der Waals coefficient, rad/us*um^6")
-    p.add_argument("--shots", type=int, default=1000, help="measurement shots")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
+    p.add_argument(
+        "--coupling-c", dest="c6", metavar="COUPLING_C", type=float, help="van der Waals coefficient, rad/us*um^6"
+    )
+    p.add_argument("--shots", type=int, help="measurement shots")
+    p.add_argument("--seed", type=int, help="sampling seed")
     p.add_argument("--plot-data", action="store_true", help="also emit a ready-to-plot schedule series CSV")
 
 
@@ -80,12 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Equilibria of a networked public-goods game, classically enumerated "
         "and cross-checked against a simulated Rydberg-array anneal.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # An option left out stays out of the namespace, so RunConfig's default applies.
+    subparser = functools.partial(argparse.ArgumentParser, argument_default=argparse.SUPPRESS)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
 
     p = sub.add_parser("validate", help="check a layout (and schedule) against hardware limits")
     _add_common(p)
     p.add_argument("--schedule", help="schedule file; default: reference ramp")
-    p.add_argument("--margin", type=float, default=0.15, help="disk-boundary ambiguity margin")
+    p.add_argument("--margin", type=float, help="disk-boundary ambiguity margin")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("classical", help="enumerate Nash equilibria and independent sets")
@@ -112,20 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    game = load_game(args.game) if getattr(args, "game", None) else GameParams()
-    schedule = load_schedule(args.schedule) if getattr(args, "schedule", None) else None
-    return RunConfig(
-        graph_path=args.graph,
-        game=game,
-        schedule=schedule,
-        c6=getattr(args, "coupling_c", DEFAULT_C6),
-        shots=getattr(args, "shots", 1000),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        outdir=args.out,
-        limit=args.limit,
-        margin=getattr(args, "margin", 0.15),
-        plot_data=getattr(args, "plot_data", False),
-    )
+    """Option dests are RunConfig field names; game and schedule are paths."""
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    for name, load in (("game", load_game), ("schedule", load_schedule)):
+        if name in options:
+            options[name] = load(options[name])
+    return RunConfig(**options)
 
 
 def _validation_report_dict(report) -> dict:
@@ -150,7 +149,7 @@ def _write(outdir: str, name: str, data: dict) -> str:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    _, _, report = validate_run(config)
+    report = validate_run(config)
     path = _write(config.outdir, VALIDATION_REPORT, _validation_report_dict(report))
     print(f"validation {'ok' if report.ok else 'FAILED'}: {path}")
     return EXIT_OK if report.ok else EXIT_VERDICT
@@ -180,12 +179,7 @@ def _run_anneal(config: RunConfig):
     _write(config.outdir, ANNEAL_REPORT, result.to_report())
     write_histogram_csv(os.path.join(config.outdir, HISTOGRAM_CSV), result.rows)
     if config.plot_data:
-        schedule = config.schedule
-        if schedule is None:
-            from .schedule import default_schedule
-
-            schedule = default_schedule(hw=config.hw)
-        write_schedule_series(os.path.join(config.outdir, SCHEDULE_SERIES_CSV), schedule)
+        write_schedule_series(os.path.join(config.outdir, SCHEDULE_SERIES_CSV), config.schedule)
     print(
         f"anneal: {result.shots} shots, top readout {result.top_k[0] if result.top_k else '-'}, "
         f"optima in top-{len(result.maximum_sets)}: {result.mis_in_topk}"
@@ -199,11 +193,23 @@ def cmd_anneal(args: argparse.Namespace) -> int:
     return code
 
 
+def _read_result(outdir: str, name: str, result_type):
+    """Reload a persisted report as ``result_type``; ConfigError if malformed."""
+    path = os.path.join(outdir, name)
+    data = read_report(path)
+    try:
+        return result_type.from_report(data)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing required field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, IndexError, InvalidInput) as exc:
+        raise ConfigError(f"{path}: malformed report: {exc}") from None
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
-    classical = ClassicalResult.from_report(read_report(os.path.join(args.out, CLASSICAL_REPORT)))
-    quantum = read_report(os.path.join(args.out, ANNEAL_REPORT))
+    classical = _read_result(args.outdir, CLASSICAL_REPORT, ClassicalResult)
+    quantum = _read_result(args.outdir, ANNEAL_REPORT, QuantumResult)
     report = compare(classical, quantum)
-    path = _write(args.out, COMPARE_REPORT, report.to_report())
+    path = _write(args.outdir, COMPARE_REPORT, report.to_report())
     print(f"compare: overall {'PASS' if report.overall_pass else 'FAIL'}: {path}")
     return EXIT_OK if report.overall_pass else EXIT_VERDICT
 
@@ -233,3 +239,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -10,6 +10,7 @@ keys and repr-exact floats, so identical data produces byte-identical files.
 from __future__ import annotations
 
 import os
+from dataclasses import astuple
 from typing import Any
 
 import yaml
@@ -174,28 +175,14 @@ def _csv_value(value) -> str:
 def write_histogram_csv(path: str, rows) -> None:
     """Write classification rows using the documented histogram columns.
 
-    Each row must expose the attributes named in ``HISTOGRAM_COLUMNS``
-    (``is_`` prefixes map to ``independent``/``maximal``/``mis``).
+    Each row is a dataclass whose fields come in ``HISTOGRAM_COLUMNS`` order
+    (``pipeline.BitstringRow``).
     """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(HISTOGRAM_COLUMNS) + "\n")
         for row in rows:
-            fh.write(
-                ",".join(
-                    _csv_value(v)
-                    for v in (
-                        row.bitstring,
-                        row.count,
-                        row.probability,
-                        row.energy,
-                        row.independent,
-                        row.maximal,
-                        row.mis,
-                    )
-                )
-                + "\n"
-            )
+            fh.write(",".join(_csv_value(v) for v in astuple(row)) + "\n")
 
 
 def write_schedule_series(path: str, schedule: Schedule, samples: int = 401) -> None:

@@ -10,7 +10,9 @@ byte-identical files.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 from ._bits import from_bitstring
 from .dynamics import (
@@ -31,7 +33,7 @@ from .geometry import (
     ambiguity_warnings,
     validate_embedding,
 )
-from .indsets import correspondence_witnesses, enumerate_mis, is_independent, largest
+from .indsets import NodeSet, correspondence_witnesses, enumerate_mis, is_independent, largest
 from .schedule import Schedule, default_schedule, validate_schedule
 
 #: Documented default sampling seed; reports quote it so reruns reproduce.
@@ -40,7 +42,11 @@ DEFAULT_SEED = 7
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one pipeline run needs, with conservative defaults."""
+    """Everything one pipeline run needs, with conservative defaults.
+
+    Both analyses of one config share its graph and maximal independent
+    sets: each is loaded or enumerated once, on first use.
+    """
 
     graph_path: str
     game: GameParams = GameParams()
@@ -59,6 +65,20 @@ class RunConfig:
             raise InvalidInput(f"shots must be >= 1, got {self.shots!r}")
         if self.seed < 0:
             raise InvalidInput(f"seed must be >= 0, got {self.seed!r}")
+        if not (self.c6 > 0 and math.isfinite(self.c6)):
+            raise InvalidInput(f"c6 must be positive and finite, got {self.c6!r}")
+        if self.schedule is None:
+            object.__setattr__(self, "schedule", default_schedule(hw=self.hw))
+
+    @cached_property
+    def graph(self) -> EmbeddedGraph:
+        """The layout read from ``graph_path``."""
+        return load_graph(self.graph_path)
+
+    @cached_property
+    def maximal_sets(self) -> tuple[NodeSet, ...]:
+        """The graph's maximal independent sets; TooLarge above ``limit``."""
+        return enumerate_mis(self.graph, self.limit)
 
 
 def graph_fingerprint(graph: EmbeddedGraph) -> str:
@@ -110,7 +130,10 @@ class ClassicalResult:
 
 @dataclass(frozen=True)
 class BitstringRow:
-    """One observed readout, classified against the graph's set families."""
+    """One observed readout, classified against the graph's set families.
+
+    The field order is the histogram CSV's column order.
+    """
 
     bitstring: str
     count: int
@@ -147,46 +170,29 @@ class QuantumResult:
             "seed": self.seed,
             "duration": self.duration,
             "counts": dict(self.histogram.counts),
-            "classification": [_row_dict(r) for r in self.rows],
+            "classification": [asdict(r) for r in self.rows],
             "maximum_independent_sets": list(self.maximum_sets),
             "top_k": list(self.top_k),
             "mis_aggregate_probability": self.mis_aggregate_probability,
             "mis_in_topk": self.mis_in_topk,
         }
 
-
-def _row_dict(row: "BitstringRow") -> dict:
-    return {
-        "bitstring": row.bitstring,
-        "count": row.count,
-        "probability": row.probability,
-        "energy": row.energy,
-        "independent": row.independent,
-        "maximal": row.maximal,
-        "mis": row.mis,
-    }
-
-
-def _quantum_fragment_from_report(data: dict) -> dict:
-    """The fields `compare` needs from a persisted annealing report."""
-    return {
-        "graph_hash": data["graph_hash"],
-        "top_k": tuple(data["top_k"]),
-        "maximum_sets": tuple(data["maximum_independent_sets"]),
-        "mis_aggregate_probability": data["mis_aggregate_probability"],
-        "classification": tuple(
-            BitstringRow(
-                bitstring=r["bitstring"],
-                count=r["count"],
-                probability=r["probability"],
-                energy=r["energy"],
-                independent=r["independent"],
-                maximal=r["maximal"],
-                mis=r["mis"],
-            )
-            for r in data["classification"]
-        ),
-    }
+    @classmethod
+    def from_report(cls, data: dict) -> "QuantumResult":
+        return cls(
+            graph_hash=data["graph_hash"],
+            n=data["n"],
+            c6=data["c6"],
+            shots=data["shots"],
+            seed=data["seed"],
+            duration=data["duration"],
+            histogram=ShotHistogram(dict(data["counts"]), data["shots"], data["seed"]),
+            rows=tuple(BitstringRow(**r) for r in data["classification"]),
+            maximum_sets=tuple(data["maximum_independent_sets"]),
+            top_k=tuple(data["top_k"]),
+            mis_aggregate_probability=data["mis_aggregate_probability"],
+            mis_in_topk=data["mis_in_topk"],
+        )
 
 
 @dataclass(frozen=True)
@@ -211,7 +217,7 @@ class ComparisonReport:
             "maximal_independent_sets": list(self.maximal_sets),
             "maximum_independent_sets": list(self.maximum_sets),
             "top_k": list(self.top_k),
-            "classification": [_row_dict(r) for r in self.classification],
+            "classification": [asdict(r) for r in self.classification],
             "mis_aggregate_probability": self.mis_aggregate_probability,
             "verdicts": {
                 "nash_equals_mis": self.nash_equals_mis,
@@ -223,9 +229,9 @@ class ComparisonReport:
 
 def run_classical(config: RunConfig) -> ClassicalResult:
     """Enumerate equilibria and independent sets; verdict their agreement."""
-    graph = load_graph(config.graph_path)
+    graph = config.graph
     nash = tuple(p.bitstring for p in enumerate_specialized_nash(graph, config.game, config.limit))
-    mis = enumerate_mis(graph, config.limit)
+    mis = config.maximal_sets
     maximal = tuple(s.bitstring for s in mis)
     witnesses = correspondence_witnesses(nash, maximal)
     return ClassicalResult(
@@ -239,14 +245,12 @@ def run_classical(config: RunConfig) -> ClassicalResult:
     )
 
 
-def validate_run(config: RunConfig) -> tuple[EmbeddedGraph, Schedule, ValidationReport]:
+def validate_run(config: RunConfig) -> ValidationReport:
     """Hardware validation for a run: spacing floor, waveform limits, and
     boundary-ambiguity warnings, merged into one report."""
-    graph = load_graph(config.graph_path)
-    schedule = config.schedule if config.schedule is not None else default_schedule(hw=config.hw)
-    report = validate_embedding(graph, config.hw).merged(validate_schedule(schedule, config.hw))
-    report = ValidationReport(report.violations, report.warnings + ambiguity_warnings(graph, config.margin))
-    return graph, schedule, report
+    graph = config.graph
+    report = validate_embedding(graph, config.hw).merged(validate_schedule(config.schedule, config.hw))
+    return ValidationReport(report.violations, report.warnings + ambiguity_warnings(graph, config.margin))
 
 
 def run_quantum(config: RunConfig) -> QuantumResult:
@@ -257,12 +261,12 @@ def run_quantum(config: RunConfig) -> QuantumResult:
     the exhaustive limit, both before annealing. Deterministic for a fixed
     (config, seed).
     """
-    graph, schedule, report = validate_run(config)
+    report = validate_run(config)
     if not report.ok:
         raise ConstraintViolation(
             f"hardware validation failed with {len(report.violations)} violation(s)", report=report
         )
-    mis = enumerate_mis(graph, config.limit)
+    graph, schedule, mis = config.graph, config.schedule, config.maximal_sets
     maximal = {s.bitstring for s in mis}
     maximum = tuple(s.bitstring for s in largest(mis))
     system = RydbergSystem(graph, config.c6)
@@ -300,37 +304,25 @@ def run_quantum(config: RunConfig) -> QuantumResult:
     )
 
 
-def compare(classical: ClassicalResult, quantum) -> ComparisonReport:
+def compare(classical: ClassicalResult, quantum: QuantumResult) -> ComparisonReport:
     """Cross-check the two analyses of one graph.
 
-    ``quantum`` may be a QuantumResult or a reloaded annealing report dict.
     Raises IncompatibleRuns when the graph fingerprints differ.
     """
-    if isinstance(quantum, dict):
-        quantum_fields = _quantum_fragment_from_report(quantum)
-    else:
-        quantum_fields = {
-            "graph_hash": quantum.graph_hash,
-            "top_k": quantum.top_k,
-            "maximum_sets": quantum.maximum_sets,
-            "mis_aggregate_probability": quantum.mis_aggregate_probability,
-            "classification": quantum.rows,
-        }
-    if classical.graph_hash != quantum_fields["graph_hash"]:
+    if classical.graph_hash != quantum.graph_hash:
         raise IncompatibleRuns(
-            f"classical run is for graph {classical.graph_hash}, "
-            f"annealing run for {quantum_fields['graph_hash']}"
+            f"classical run is for graph {classical.graph_hash}, annealing run for {quantum.graph_hash}"
         )
     nash_equals_mis = set(classical.nash) == set(classical.maximal_sets)
-    mis_in_topk = set(classical.maximum_sets) <= set(quantum_fields["top_k"])
+    mis_in_topk = set(classical.maximum_sets) <= set(quantum.top_k)
     return ComparisonReport(
         graph_hash=classical.graph_hash,
         nash=classical.nash,
         maximal_sets=classical.maximal_sets,
         maximum_sets=classical.maximum_sets,
-        top_k=tuple(quantum_fields["top_k"]),
-        classification=tuple(quantum_fields["classification"]),
-        mis_aggregate_probability=float(quantum_fields["mis_aggregate_probability"]),
+        top_k=quantum.top_k,
+        classification=quantum.rows,
+        mis_aggregate_probability=quantum.mis_aggregate_probability,
         nash_equals_mis=nash_equals_mis,
         mis_in_topk=mis_in_topk,
         overall_pass=nash_equals_mis and mis_in_topk,

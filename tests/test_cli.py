@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from conftest import C_A, GRAPH_A_MIS_FAMILY
+import rydnash.fileio
 import rydnash.game
 import rydnash.indsets
 import rydnash.pipeline
@@ -20,11 +21,13 @@ from rydnash.cli import (
     HISTOGRAM_CSV,
     SCHEDULE_SERIES_CSV,
     VALIDATION_REPORT,
+    _config_from_args,
+    build_parser,
     main,
 )
 from rydnash.errors import InvalidInput
-from rydnash.fileio import read_report, save_graph, save_schedule
-from rydnash.pipeline import ClassicalResult, RunConfig, compare, run_classical, run_quantum
+from rydnash.fileio import read_report, save_graph, save_schedule, write_report
+from rydnash.pipeline import ClassicalResult, QuantumResult, RunConfig, compare, run_classical, run_quantum
 from rydnash.schedule import Schedule
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -40,6 +43,18 @@ def pair_graph_file(tmp_path):
     path = str(tmp_path / "pair.yaml")
     save_graph(path, build_unit_disk_graph([(0.0, 0.0), (4.0, 0.0)], 8.0))
     return path
+
+
+@pytest.fixture(scope="module")
+def graph_a_results():
+    """Both analyses of graph_a at its pinned coupling, run once per module."""
+    config = RunConfig(graph_path=GRAPH_A_FILE, c6=C_A, shots=200)
+    return run_classical(config), run_quantum(config)
+
+
+def _write_results(out, classical, quantum):
+    write_report(os.path.join(out, CLASSICAL_REPORT), classical.to_report())
+    write_report(os.path.join(out, ANNEAL_REPORT), quantum.to_report())
 
 
 class TestValidateCommand:
@@ -186,12 +201,33 @@ class TestRefusedBeforeAnnealing:
         with pytest.raises(InvalidInput):
             RunConfig(graph_path=GRAPH_A_FILE, seed=-1)
 
+    @pytest.mark.parametrize("c6", ["-1", "0", "nan", "inf"])
+    def test_bad_coupling_before_any_work(self, c6, tmp_path, capsys, monkeypatch):
+        def enumerate_mis(*args, **kwargs):
+            raise AssertionError("enumerate_mis must not run for a refused input")
+
+        monkeypatch.setattr(rydnash.pipeline, "enumerate_mis", enumerate_mis)
+        out = tmp_path / "out"
+        assert main(["all", "--graph", GRAPH_A_FILE, "--coupling-c", c6, "--out", str(out)]) == EXIT_ERROR
+        assert "c6 must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(InvalidInput):
+            RunConfig(graph_path=GRAPH_A_FILE, c6=float(c6))
+
 
 class TestModuleEntryPoint:
     def test_help(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["rydnash", "--help"])
         with pytest.raises(SystemExit) as exit_:
             runpy.run_module("rydnash", run_name="__main__")
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rydnash")
+
+    @pytest.mark.filterwarnings("ignore:'rydnash.cli' found in sys.modules:RuntimeWarning")
+    def test_cli_module_help(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["rydnash", "--help"])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("rydnash.cli", run_name="__main__")
         assert exit_.value.code == 0
         assert capsys.readouterr().out.startswith("usage: rydnash")
 
@@ -220,6 +256,26 @@ class TestCompareCommand:
     def test_missing_reports(self, tmp_path):
         assert main(["compare", "--out", str(tmp_path / "empty")]) == EXIT_ERROR
 
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            (CLASSICAL_REPORT, lambda d: d.pop("witnesses"), "missing required field 'witnesses'"),
+            (ANNEAL_REPORT, lambda d: d.pop("top_k"), "missing required field 'top_k'"),
+            (ANNEAL_REPORT, lambda d: d.update(shots=d["shots"] + 1), "malformed report: counts sum to"),
+        ],
+        ids=["classical-no-witnesses", "anneal-no-top_k", "anneal-shots-mismatch"],
+    )
+    def test_malformed_report(self, name, edit, message, graph_a_results, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        _write_results(out, *graph_a_results)
+        path = os.path.join(out, name)
+        data = read_report(path)
+        edit(data)
+        write_report(path, data)
+        assert main(["compare", "--out", out]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert not os.path.exists(os.path.join(out, COMPARE_REPORT))
+
 
 class TestAllCommand:
     def test_graph_a_full_run(self, tmp_path):
@@ -239,6 +295,30 @@ class TestAllCommand:
         monkeypatch.setenv("RYDNASH_OUT", env_dir)
         assert main(["classical", "--graph", pair_graph_file]) == EXIT_OK
         assert os.path.exists(os.path.join(env_dir, CLASSICAL_REPORT))
+
+    def test_loads_and_sweeps_once(self, tmp_path, monkeypatch):
+        calls = {"load": 0, "mis": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        load = counting("load", rydnash.fileio.load_graph)
+        mis = counting("mis", rydnash.indsets.enumerate_mis)
+        for module in (rydnash.fileio, rydnash.pipeline):
+            monkeypatch.setattr(module, "load_graph", load)
+        for module in (rydnash.indsets, rydnash.pipeline):
+            monkeypatch.setattr(module, "enumerate_mis", mis)
+        args = ["all", "--graph", GRAPH_A_FILE, "--coupling-c", str(C_A), "--shots", "100", "--out", str(tmp_path)]
+        assert main(args) == EXIT_OK
+        assert calls == {"load": 1, "mis": 1}
+
+    def test_omitted_options_take_run_config_defaults(self):
+        args = build_parser().parse_args(["all", "--graph", GRAPH_A_FILE, "--out", "o"])
+        assert _config_from_args(args) == RunConfig(graph_path=GRAPH_A_FILE, outdir="o")
 
 
 class TestPipelineApi:
@@ -287,3 +367,16 @@ class TestPipelineApi:
         config = RunConfig(graph_path=GRAPH_A_FILE)
         result = run_classical(config)
         assert ClassicalResult.from_report(result.to_report()) == result
+
+    def test_quantum_result_round_trip(self, graph_a_results, tmp_path):
+        _, result = graph_a_results
+        path = str(tmp_path / ANNEAL_REPORT)
+        write_report(path, result.to_report())
+        assert QuantumResult.from_report(read_report(path)) == result
+
+    def test_compare_on_reloaded_reports(self, graph_a_results, tmp_path):
+        out = str(tmp_path)
+        _write_results(out, *graph_a_results)
+        classical = ClassicalResult.from_report(read_report(os.path.join(out, CLASSICAL_REPORT)))
+        quantum = QuantumResult.from_report(read_report(os.path.join(out, ANNEAL_REPORT)))
+        assert compare(classical, quantum) == compare(*graph_a_results)
