@@ -41,12 +41,13 @@ print(f"  agent 0 best responses: {sorted(best_responses(graph_a, params, covere
 # full enumeration: all 2^6 contributor subsets
 equilibria = enumerate_specialized_nash(graph_a, params)
 print(f"\ngraph A has {len(equilibria)} specialized equilibria:")
-for p in equilibria:
-    print(f"  contributors {sorted(p.support)}  (bitstring {p.bitstring}, "
-          f"nash={is_nash(graph_a, params, p)})")
+for bits in equilibria:
+    profile = StrategyProfile.from_bitstring(bits, params.e_star)
+    print(f"  contributors {sorted(profile.support)}  (bitstring {bits}, "
+          f"nash={is_nash(graph_a, params, profile)})")
 
 mis = enumerate_mis(graph_a)
-print(f"\nmaximal independent sets: {[sorted(s.members) for s in mis]}")
+print(f"\nmaximal independent sets: {list(mis)}")
 
 ok, witnesses = verify_correspondence(graph_a, params)
 print(f"equilibrium supports == maximal independent sets: {ok}")

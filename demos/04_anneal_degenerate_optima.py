@@ -22,7 +22,7 @@ graph = build_unit_disk_graph(
 )
 system = RydbergSystem(graph, c6=6.0e5)
 
-optima = [s.bitstring for s in maximum_independent_sets(graph)]
+optima = maximum_independent_sets(graph)
 print("maximum independent sets:", optima)
 print("ground manifold (tie tolerance 3 rad/us):",
       exact_ground_states(system, delta=7.27, tol=3.0))

@@ -48,7 +48,6 @@ from .game import (
     payoff,
 )
 from .indsets import (
-    NodeSet,
     enumerate_mis,
     is_independent,
     is_maximal,

@@ -2,8 +2,9 @@
 
 Bitstrings are big-endian in node order: node 0 is the leftmost character
 (most significant bit) and '1' marks a contributing agent or Rydberg-excited
-atom. Integer basis indices use the same convention, so ``int(bits, 2)`` and
-``format(index, f"0{n}b")`` convert both ways.
+atom. A subset of nodes passes between modules as such a bitstring.
+Integer basis indices, used only as array subscripts, follow the same
+convention; :func:`to_bitstring` and :func:`from_bitstring` convert both ways.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import InvalidInput
 
 
 def node_mask(node: int, n: int) -> int:
@@ -23,7 +26,11 @@ def to_bitstring(index: int, n: int) -> str:
     return format(index, f"0{n}b")
 
 
-def from_bitstring(bits: str) -> int:
+def from_bitstring(bits: str, n: int) -> int:
+    """Basis index of ``bits``; InvalidInput unless it is a string of ``n``
+    characters, each '0' or '1'."""
+    if not (isinstance(bits, str) and len(bits) == n > 0 and set(bits) <= {"0", "1"}):
+        raise InvalidInput(f"expected a bitstring of length {n} over '0'/'1', got {bits!r}")
     return int(bits, 2)
 
 

@@ -102,10 +102,10 @@ class RydbergSystem:
         pc.flags.writeable = False
         return pc
 
-    @cached_property
-    def _flip_indices(self) -> tuple[np.ndarray, ...]:
-        idx = np.arange(1 << self.n)
-        return tuple(idx ^ node_mask(i, self.n) for i in range(self.n))
+    def diagonal(self, delta: float) -> np.ndarray:
+        """Drive-off Hamiltonian diagonal at detuning ``delta``, for every
+        basis index."""
+        return self.pair_energy - delta * self.excitation_count
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ class QuantumState:
         return np.abs(self.amplitudes) ** 2
 
     def probability_of(self, bits: str) -> float:
-        return float(abs(self.amplitudes[from_bitstring(bits)]) ** 2)
+        return float(abs(self.amplitudes[from_bitstring(bits, self.n)]) ** 2)
 
 
 @dataclass(frozen=True)
@@ -176,11 +176,12 @@ def apply_hamiltonian(system: RydbergSystem, omega: float, delta: float, psi) ->
     vec = psi.amplitudes if isinstance(psi, QuantumState) else np.asarray(psi, dtype=np.complex128)
     if vec.ndim != 1 or vec.size != 1 << system.n:
         raise InvalidState(f"state has dimension {vec.shape}, expected {1 << system.n}")
-    out = (system.pair_energy - delta * system.excitation_count) * vec
+    out = system.diagonal(delta) * vec
     if omega != 0.0:
         half = 0.5 * omega
-        for flips in system._flip_indices:
-            out += half * vec[flips]
+        for i in range(system.n):
+            view = out.reshape(1 << i, 2, -1)
+            view += half * vec.reshape(1 << i, 2, -1)[:, ::-1, :]
     return out
 
 
@@ -192,7 +193,7 @@ def dense_hamiltonian(system: RydbergSystem, omega: float, delta: float) -> np.n
     """
     dim = 1 << system.n
     h = np.zeros((dim, dim))
-    h[np.diag_indices(dim)] = system.pair_energy - delta * system.excitation_count
+    h[np.diag_indices(dim)] = system.diagonal(delta)
     idx = np.arange(dim)
     for i in range(system.n):
         h[idx, idx ^ node_mask(i, system.n)] += 0.5 * omega
@@ -202,8 +203,7 @@ def dense_hamiltonian(system: RydbergSystem, omega: float, delta: float) -> np.n
 def diagonal_energy(system: RydbergSystem, delta: float, z: str) -> float:
     """Energy of basis state ``z`` under the drive-off Hamiltonian:
     ``-delta * (excitation count) + sum of V_ij over excited pairs``."""
-    if len(z) != system.n or any(ch not in "01" for ch in z):
-        raise InvalidInput(f"expected a bitstring of length {system.n}, got {z!r}")
+    from_bitstring(z, system.n)
     members = [i for i, ch in enumerate(z) if ch == "1"]
     v = system.interactions
     energy = -delta * len(members)
@@ -232,7 +232,7 @@ def exact_ground_states(
         raise TooLarge(system.n, limit)
     if tol < 0 or not math.isfinite(tol):
         raise InvalidInput(f"tolerance must be nonnegative and finite, got {tol!r}")
-    energies = system.pair_energy - delta * system.excitation_count
+    energies = system.diagonal(delta)
     cutoff = energies.min() + tol
     return tuple(to_bitstring(int(i), system.n) for i in np.nonzero(energies <= cutoff)[0])
 
@@ -240,7 +240,7 @@ def exact_ground_states(
 def _strang_stage(psi: np.ndarray, system: RydbergSystem, h: float, omega: float, delta: float) -> None:
     """One self-adjoint split step in place: half diagonal phase, uniform
     single-atom drive rotation, half diagonal phase."""
-    half_phase = np.exp((-0.5j * h) * (system.pair_energy - delta * system.excitation_count))
+    half_phase = np.exp((-0.5j * h) * system.diagonal(delta))
     psi *= half_phase
     theta = 0.5 * h * omega
     if theta != 0.0:
@@ -331,5 +331,5 @@ def sample(state: QuantumState, shots: int, seed: int) -> ShotHistogram:
     rng = np.random.default_rng(seed)
     counts_vec = rng.multinomial(int(shots), p / total)
     n = state.n
-    counts = {to_bitstring(z, n): int(c) for z, c in enumerate(counts_vec) if c}
+    counts = {to_bitstring(int(z), n): int(counts_vec[z]) for z in np.flatnonzero(counts_vec)}
     return ShotHistogram(counts=counts, shots=int(shots), seed=int(seed))

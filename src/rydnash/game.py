@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._bits import index_of, node_mask, popcount_map, to_bitstring
+from ._bits import from_bitstring, index_of, node_mask, popcount_map, to_bitstring
 from .errors import InvalidAgent, InvalidInput, TooLarge
 from .geometry import EmbeddedGraph
 
@@ -67,7 +67,8 @@ class GameParams:
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """Effort vector in which every entry is 0 or one shared positive level."""
+    """Effort vector in which every entry is 0 or one shared positive level:
+    the input type of :func:`payoff`, :func:`best_responses` and :func:`is_nash`."""
 
     efforts: tuple[float, ...]
 
@@ -89,9 +90,9 @@ class StrategyProfile:
 
     @classmethod
     def from_bitstring(cls, bits: str, e_star: float) -> "StrategyProfile":
-        if any(ch not in "01" for ch in bits):
-            raise InvalidInput(f"bitstring must be over '0'/'1', got {bits!r}")
-        return cls(tuple(e_star if ch == "1" else 0.0 for ch in bits))
+        n = len(bits)
+        z = from_bitstring(bits, n)
+        return cls(tuple(e_star if z & node_mask(i, n) else 0.0 for i in range(n)))
 
     @property
     def n(self) -> int:
@@ -164,14 +165,15 @@ def is_nash(graph: EmbeddedGraph, params: GameParams, profile: StrategyProfile) 
 
 def enumerate_specialized_nash(
     graph: EmbeddedGraph, params: GameParams, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-) -> tuple[StrategyProfile, ...]:
-    """Every specialized Nash profile, found by sweeping all 2**n supports.
+) -> tuple[str, ...]:
+    """The support of every specialized Nash profile, found by sweeping all
+    2**n supports.
 
     An agent's payoffs for abstaining and contributing depend only on its
     contributing-neighbor count, so both are tabulated once per count, and
     each agent's best-response check over all supports is a lookup by its
-    own effort and that count. Profiles come back in canonical bitstring
-    order.
+    own effort and that count. Supports come back as bitstrings in
+    canonical order.
     """
     n = graph.n
     if n > limit:
@@ -187,6 +189,4 @@ def enumerate_specialized_nash(
     for agent in range(n):
         masks = (index_of(graph.neighbors[agent], n), node_mask(agent, n))
         keep &= popcount_map(lambda nbrs, own: is_best[own, nbrs], masks, n, out=verdict)
-    return tuple(
-        StrategyProfile.from_bitstring(to_bitstring(int(i), n), e) for i in np.flatnonzero(keep)
-    )
+    return tuple(to_bitstring(int(i), n) for i in np.flatnonzero(keep))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -13,63 +12,34 @@ from .game import DEFAULT_EXHAUSTIVE_LIMIT, GameParams, enumerate_specialized_na
 from .geometry import EmbeddedGraph
 
 
-@dataclass(frozen=True)
-class NodeSet:
-    """Set of node indices with a canonical fixed-width bitstring form."""
-
-    members: frozenset[int]
-    n: int
-
-    def __post_init__(self):
-        members = frozenset(int(i) for i in self.members)
-        object.__setattr__(self, "members", members)
-        if any(not (0 <= i < self.n) for i in members):
-            raise InvalidSet(f"members {sorted(members)} out of range for n={self.n}")
-
-    @classmethod
-    def from_bitstring(cls, bits: str) -> "NodeSet":
-        if not bits or any(ch not in "01" for ch in bits):
-            raise InvalidSet(f"bitstring must be a nonempty string over '0'/'1', got {bits!r}")
-        return cls(frozenset(i for i, ch in enumerate(bits) if ch == "1"), len(bits))
-
-    @property
-    def bitstring(self) -> str:
-        return "".join("1" if i in self.members else "0" for i in range(self.n))
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, i) -> bool:
-        return i in self.members
+def _members(graph: EmbeddedGraph, s: Iterable[int]) -> frozenset[int]:
+    """The node indices in ``s``. InvalidSet for an index outside the graph,
+    and for a string, whose characters would be misread as indices."""
+    if isinstance(s, str):
+        raise InvalidSet(f"expected node indices, got the string {s!r}")
+    members = frozenset(int(i) for i in s)
+    if any(not (0 <= i < graph.n) for i in members):
+        raise InvalidSet(f"members {sorted(members)} out of range for n={graph.n}")
+    return members
 
 
-def _as_nodeset(graph: EmbeddedGraph, s) -> NodeSet:
-    if isinstance(s, NodeSet):
-        if s.n != graph.n:
-            raise InvalidSet(f"set is over {s.n} nodes but the graph has {graph.n}")
-        return s
-    return NodeSet(frozenset(s), graph.n)
+def is_independent(graph: EmbeddedGraph, s: Iterable[int]) -> bool:
+    """True iff no edge has both endpoints in the set of node indices."""
+    members = _members(graph, s)
+    return not any(i in members and j in members for i, j in graph.edges)
 
 
-def is_independent(graph: EmbeddedGraph, s: NodeSet | Iterable[int]) -> bool:
-    """True iff no edge has both endpoints in the set."""
-    ns = _as_nodeset(graph, s)
-    return not any(i in ns.members and j in ns.members for i, j in graph.edges)
+def is_maximal(graph: EmbeddedGraph, s: Iterable[int]) -> bool:
+    """True iff every node outside the (independent) set of node indices
+    has a neighbor in it."""
+    members = _members(graph, s)
+    if not is_independent(graph, members):
+        raise NotIndependent(f"{sorted(members)} contains an edge")
+    return all(v in members or graph.neighbors[v] & members for v in range(graph.n))
 
 
-def is_maximal(graph: EmbeddedGraph, s: NodeSet | Iterable[int]) -> bool:
-    """True iff every node outside the (independent) set has a neighbor in it."""
-    ns = _as_nodeset(graph, s)
-    if not is_independent(graph, ns):
-        raise NotIndependent(f"{sorted(ns.members)} contains an edge")
-    return all(v in ns.members or graph.neighbors[v] & ns.members for v in range(graph.n))
-
-
-def enumerate_mis(graph: EmbeddedGraph, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> tuple[NodeSet, ...]:
-    """Every maximal independent set, in canonical bitstring order.
+def enumerate_mis(graph: EmbeddedGraph, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> tuple[str, ...]:
+    """Every maximal independent set, as bitstrings in canonical order.
 
     Exhaustive scan of all 2**n subsets, vectorized on bit masks one node
     at a time. A member with a neighbor inside the subset breaks
@@ -85,19 +55,19 @@ def enumerate_mis(graph: EmbeddedGraph, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -
     for v in range(n):
         masks = (index_of(graph.neighbors[v], n), node_mask(v, n))
         ok &= popcount_map(lambda nbrs, member: (nbrs > 0) != (member > 0), masks, n, out=verdict)
-    return tuple(NodeSet.from_bitstring(to_bitstring(int(i), n)) for i in np.flatnonzero(ok))
+    return tuple(to_bitstring(int(i), n) for i in np.flatnonzero(ok))
 
 
-def largest(sets: tuple[NodeSet, ...]) -> tuple[NodeSet, ...]:
-    """The sets of largest cardinality, in their given order."""
-    best = max(len(s) for s in sets)
-    return tuple(s for s in sets if len(s) == best)
+def largest(sets: tuple[str, ...]) -> tuple[str, ...]:
+    """The bitstrings with the most members, in their given order."""
+    best = max(s.count("1") for s in sets)
+    return tuple(s for s in sets if s.count("1") == best)
 
 
 def maximum_independent_sets(
     graph: EmbeddedGraph, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-) -> tuple[NodeSet, ...]:
-    """The maximal independent sets of largest cardinality."""
+) -> tuple[str, ...]:
+    """The maximal independent sets of largest cardinality, as bitstrings."""
     return largest(enumerate_mis(graph, limit))
 
 
@@ -119,7 +89,6 @@ def verify_correspondence(
     :func:`correspondence_witnesses`.
     """
     witnesses = correspondence_witnesses(
-        (p.bitstring for p in enumerate_specialized_nash(graph, params, limit)),
-        (s.bitstring for s in enumerate_mis(graph, limit)),
+        enumerate_specialized_nash(graph, params, limit), enumerate_mis(graph, limit)
     )
     return (not witnesses, witnesses)

@@ -33,7 +33,7 @@ from .geometry import (
     ambiguity_warnings,
     validate_embedding,
 )
-from .indsets import NodeSet, correspondence_witnesses, enumerate_mis, is_independent, largest
+from .indsets import correspondence_witnesses, enumerate_mis, is_independent, largest
 from .schedule import Schedule, default_schedule, validate_schedule
 
 #: Documented default sampling seed; reports quote it so reruns reproduce.
@@ -76,7 +76,7 @@ class RunConfig:
         return load_graph(self.graph_path)
 
     @cached_property
-    def maximal_sets(self) -> tuple[NodeSet, ...]:
+    def maximal_sets(self) -> tuple[str, ...]:
         """The graph's maximal independent sets; TooLarge above ``limit``."""
         return enumerate_mis(self.graph, self.limit)
 
@@ -230,16 +230,15 @@ class ComparisonReport:
 def run_classical(config: RunConfig) -> ClassicalResult:
     """Enumerate equilibria and independent sets; verdict their agreement."""
     graph = config.graph
-    nash = tuple(p.bitstring for p in enumerate_specialized_nash(graph, config.game, config.limit))
-    mis = config.maximal_sets
-    maximal = tuple(s.bitstring for s in mis)
+    nash = enumerate_specialized_nash(graph, config.game, config.limit)
+    maximal = config.maximal_sets
     witnesses = correspondence_witnesses(nash, maximal)
     return ClassicalResult(
         graph_hash=graph_fingerprint(graph),
         n=graph.n,
         nash=nash,
         maximal_sets=maximal,
-        maximum_sets=tuple(s.bitstring for s in largest(mis)),
+        maximum_sets=largest(maximal),
         nash_equals_mis=not witnesses,
         witnesses=witnesses,
     )
@@ -266,9 +265,9 @@ def run_quantum(config: RunConfig) -> QuantumResult:
         raise ConstraintViolation(
             f"hardware validation failed with {len(report.violations)} violation(s)", report=report
         )
-    graph, schedule, mis = config.graph, config.schedule, config.maximal_sets
-    maximal = {s.bitstring for s in mis}
-    maximum = tuple(s.bitstring for s in largest(mis))
+    graph, schedule = config.graph, config.schedule
+    maximal = set(config.maximal_sets)
+    maximum = largest(config.maximal_sets)
     system = RydbergSystem(graph, config.c6)
     state = evolve(system, schedule)
     histogram = sample(state, config.shots, config.seed)
@@ -278,7 +277,7 @@ def run_quantum(config: RunConfig) -> QuantumResult:
         BitstringRow(
             bitstring=bits,
             count=count,
-            probability=float(probs[from_bitstring(bits)]),
+            probability=float(probs[from_bitstring(bits, graph.n)]),
             energy=diagonal_energy(system, delta_final, bits),
             independent=is_independent(graph, [i for i, ch in enumerate(bits) if ch == "1"]),
             maximal=bits in maximal,
@@ -287,7 +286,7 @@ def run_quantum(config: RunConfig) -> QuantumResult:
         for bits, count in histogram.ranked()
     )
     top_k = histogram.top(len(maximum))
-    aggregate = float(sum(probs[from_bitstring(b)] for b in maximum))
+    aggregate = float(sum(probs[from_bitstring(b, graph.n)] for b in maximum))
     return QuantumResult(
         graph_hash=graph_fingerprint(graph),
         n=graph.n,

@@ -86,3 +86,8 @@ def brute_force_mis(graph):
 
 def support_bitstring(members, n):
     return "".join("1" if i in members else "0" for i in range(n))
+
+
+def members(bits):
+    """The node indices a support bitstring marks."""
+    return frozenset(i for i, ch in enumerate(bits) if ch == "1")

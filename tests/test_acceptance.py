@@ -30,6 +30,7 @@ from conftest import (
     GRAPH_B_MIS_FAMILY,
     SEED,
     brute_force_mis,
+    members,
     random_unit_disk,
     support_bitstring,
 )
@@ -68,10 +69,10 @@ def test_criterion_1_graph_a_classical(graph_a):
     elapsed = time.perf_counter() - start
 
     assert len(nash) == 5 and len(mis) == 5
-    assert {p.bitstring for p in nash} == {s.bitstring for s in mis} == GRAPH_A_MIS_FAMILY
-    assert [s.bitstring for s in maximum] == [GRAPH_A_MAXIMUM]
-    assert len(maximum[0]) == 3
-    assert sorted(maximum[0]) == [0, 3, 4]
+    assert set(nash) == set(mis) == GRAPH_A_MIS_FAMILY
+    assert list(maximum) == [GRAPH_A_MAXIMUM]
+    assert len(members(maximum[0])) == 3
+    assert sorted(members(maximum[0])) == [0, 3, 4]
     assert elapsed < 1.0
     print(f"CRITERION 1 PASS: hexagon layout has 5 equilibria = 5 maximal sets, "
           f"unique maximum {{0,3,4}} ({elapsed * 1e3:.0f} ms)")
@@ -85,9 +86,9 @@ def test_criterion_2_graph_b_classical(graph_b):
     elapsed = time.perf_counter() - start
 
     assert len(nash) == 4 and len(mis) == 4
-    assert {p.bitstring for p in nash} == {s.bitstring for s in mis} == GRAPH_B_MIS_FAMILY
-    assert all(len(s) == 3 for s in mis)
-    assert {s.bitstring for s in maximum} == GRAPH_B_MIS_FAMILY
+    assert set(nash) == set(mis) == GRAPH_B_MIS_FAMILY
+    assert all(len(members(s)) == 3 for s in mis)
+    assert set(maximum) == GRAPH_B_MIS_FAMILY
     assert elapsed < 1.0
     print(f"CRITERION 2 PASS: house layout has 4 equilibria, all maximum sets of size 3 "
           f"({elapsed * 1e3:.0f} ms)")
@@ -100,8 +101,8 @@ def test_criterion_3_correspondence_property_suite():
     checked = 0
     for _ in range(200):
         g = random_unit_disk(rng, n_max=8)
-        nash = {p.bitstring for p in enumerate_specialized_nash(g, params)}
-        mis_fast = {s.bitstring for s in enumerate_mis(g)}
+        nash = set(enumerate_specialized_nash(g, params))
+        mis_fast = set(enumerate_mis(g))
         assert nash == mis_fast, f"equilibria != maximal sets on {g.positions} r={g.radius}"
         oracle = {support_bitstring(s, g.n) for s in brute_force_mis(g)}
         assert mis_fast == oracle, f"enumeration != brute-force filter on {g.positions} r={g.radius}"
@@ -116,11 +117,11 @@ def test_criterion_3_correspondence_property_suite():
 def test_criterion_4_ground_state_oracle(graph_a, graph_b):
     start = time.perf_counter()
     ground_a = exact_ground_states(RydbergSystem(graph_a, C_A), 7.27)
-    mis_a = tuple(s.bitstring for s in maximum_independent_sets(graph_a))
+    mis_a = maximum_independent_sets(graph_a)
     assert ground_a == mis_a == (GRAPH_A_MAXIMUM,)
 
     ground_b = exact_ground_states(RydbergSystem(graph_b, C_B), 7.27, tol=GROUND_TIE_TOL_B)
-    mis_b = tuple(s.bitstring for s in maximum_independent_sets(graph_b))
+    mis_b = maximum_independent_sets(graph_b)
     assert ground_b == mis_b
     assert set(ground_b) == GRAPH_B_MIS_FAMILY
     elapsed = time.perf_counter() - start

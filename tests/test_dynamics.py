@@ -196,7 +196,7 @@ class TestExactGroundStates:
             usable += 1
             system = RydbergSystem(g, math.sqrt(c_low * c_high))
             energies = system.pair_energy - delta * system.excitation_count
-            mis = {s.bitstring for s in maximum_independent_sets(g)}
+            mis = set(maximum_independent_sets(g))
             order = np.argsort(energies, kind="stable")
             prefix = {format(int(z), "06b") for z in order[: len(mis)]}
             assert prefix == mis
@@ -304,6 +304,18 @@ class TestQuantumState:
         state = QuantumState.all_ground(2)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
+
+    def test_probability_of_wrong_length(self):
+        state = QuantumState.all_ground(3)
+        for bits in ("1", "10000000", ""):
+            with pytest.raises(InvalidInput):
+                state.probability_of(bits)
+
+    def test_probability_of_bad_character(self):
+        state = QuantumState.all_ground(3)
+        for bits in ("1x1", "1_1", " 11", 3):
+            with pytest.raises(InvalidInput):
+                state.probability_of(bits)
 
 
 class TestSample:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GRAPH_A_MIS_FAMILY, GRAPH_B_MIS_FAMILY, random_unit_disk, unit_disk_layouts
+from conftest import GRAPH_A_MIS_FAMILY, GRAPH_B_MIS_FAMILY, members, random_unit_disk, unit_disk_layouts
 from rydnash.errors import InvalidAgent, InvalidInput, TooLarge
 from rydnash.game import (
     GameParams,
@@ -56,6 +56,11 @@ class TestStrategyProfile:
         assert p.bitstring == "1010"
         assert p.support == frozenset({0, 2})
         assert StrategyProfile.from_bitstring("1010", 1.0) == p
+
+    def test_from_bitstring_malformed(self):
+        for bits in ("10x0", "1_0", ""):
+            with pytest.raises(InvalidInput):
+                StrategyProfile.from_bitstring(bits, 1.0)
 
     def test_two_nonzero_levels_rejected(self):
         with pytest.raises(InvalidInput):
@@ -179,20 +184,20 @@ class TestIsNash:
 class TestEnumerate:
     def test_graph_a(self, graph_a):
         found = enumerate_specialized_nash(graph_a, GameParams())
-        assert [p.bitstring for p in found] == sorted(GRAPH_A_MIS_FAMILY)
-        assert {frozenset(p.support) for p in found} == {
+        assert list(found) == sorted(GRAPH_A_MIS_FAMILY)
+        assert {members(p) for p in found} == {
             frozenset(s) for s in ({0, 3, 4}, {1, 3}, {0, 5}, {1, 5}, {0, 2})
         }
 
     def test_graph_b(self, graph_b):
         found = enumerate_specialized_nash(graph_b, GameParams())
-        assert [p.bitstring for p in found] == sorted(GRAPH_B_MIS_FAMILY)
-        assert all(len(p.support) == 3 for p in found)
+        assert list(found) == sorted(GRAPH_B_MIS_FAMILY)
+        assert all(len(members(p)) == 3 for p in found)
 
     def test_two_connected_nodes(self):
         g = build_unit_disk_graph([(0.0, 0.0), (1.0, 0.0)], 1.0)
         found = enumerate_specialized_nash(g, GameParams())
-        assert [p.bitstring for p in found] == ["01", "10"]
+        assert list(found) == ["01", "10"]
 
     def test_limit_enforced(self, graph_a):
         with pytest.raises(TooLarge):
@@ -204,7 +209,7 @@ class TestEnumerate:
         params = GameParams()
         for _ in range(15):
             g = random_unit_disk(rng, n_max=8)
-            found = {p.bitstring for p in enumerate_specialized_nash(g, params)}
+            found = set(enumerate_specialized_nash(g, params))
             for z in range(1 << g.n):
                 bits = format(z, f"0{g.n}b")
                 profile = StrategyProfile.from_bitstring(bits, params.e_star)
@@ -220,7 +225,7 @@ class TestEnumerate:
         # The table-driven sweep against the scalar best-response check, over
         # all 2**n profiles and a range of satiation levels and costs.
         params = GameParams(e_star=e_star, c=cost_share * float(GameParams(e_star=e_star).b(e_star)) / e_star)
-        found = {p.bitstring for p in enumerate_specialized_nash(g, params)}
+        found = set(enumerate_specialized_nash(g, params))
         expected = set()
         for z in range(1 << g.n):
             bits = format(z, f"0{g.n}b")
@@ -238,9 +243,9 @@ class TestEnumerate:
             # permuted-graph node i carries original node perm[i]'s position,
             # so a permuted support maps back via perm
             permuted = build_unit_disk_graph([g.positions[perm[i]] for i in range(g.n)], g.radius)
-            base = {frozenset(p.support) for p in enumerate_specialized_nash(g, params)}
+            base = {members(p) for p in enumerate_specialized_nash(g, params)}
             mapped = {
-                frozenset(perm[i] for i in p.support)
+                frozenset(perm[i] for i in members(p))
                 for p in enumerate_specialized_nash(permuted, params)
             }
             assert base == mapped

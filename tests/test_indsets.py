@@ -7,6 +7,7 @@ from conftest import (
     GRAPH_A_MIS_FAMILY,
     GRAPH_B_MIS_FAMILY,
     brute_force_mis,
+    members,
     random_unit_disk,
     unit_disk_layouts,
 )
@@ -14,7 +15,6 @@ from rydnash.errors import InvalidSet, NotIndependent, TooLarge
 from rydnash.game import GameParams
 from rydnash.geometry import build_unit_disk_graph
 from rydnash.indsets import (
-    NodeSet,
     correspondence_witnesses,
     enumerate_mis,
     is_independent,
@@ -22,24 +22,6 @@ from rydnash.indsets import (
     maximum_independent_sets,
     verify_correspondence,
 )
-
-
-class TestNodeSet:
-    def test_bitstring_round_trip(self):
-        s = NodeSet(frozenset({0, 3, 4}), 6)
-        assert s.bitstring == "100110"
-        assert NodeSet.from_bitstring("100110") == s
-        assert sorted(s) == [0, 3, 4]
-        assert 3 in s and 1 not in s
-        assert len(s) == 3
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidSet):
-            NodeSet(frozenset({7}), 6)
-
-    def test_bad_bitstring(self):
-        with pytest.raises(InvalidSet):
-            NodeSet.from_bitstring("10x0")
 
 
 class TestIsIndependent:
@@ -57,6 +39,11 @@ class TestIsIndependent:
         with pytest.raises(InvalidSet):
             is_independent(graph_a, {0, 9})
 
+    def test_bitstring_rejected(self, graph_a):
+        # "100110" is the set {0, 3, 4}; read as characters it would be {0, 1}
+        with pytest.raises(InvalidSet):
+            is_independent(graph_a, GRAPH_A_MAXIMUM)
+
 
 class TestIsMaximal:
     def test_extendable_set(self, graph_b):
@@ -73,23 +60,27 @@ class TestIsMaximal:
         with pytest.raises(NotIndependent):
             is_maximal(graph_a, {0, 1})
 
+    def test_bitstring_rejected(self, graph_a):
+        with pytest.raises(InvalidSet):
+            is_maximal(graph_a, "100001")
+
 
 class TestEnumerateMis:
     def test_graph_a(self, graph_a):
         found = enumerate_mis(graph_a)
-        assert [s.bitstring for s in found] == sorted(GRAPH_A_MIS_FAMILY)
-        assert {frozenset(s.members) for s in found} == {
+        assert list(found) == sorted(GRAPH_A_MIS_FAMILY)
+        assert {members(s) for s in found} == {
             frozenset(x) for x in ({0, 3, 4}, {1, 3}, {0, 5}, {1, 5}, {0, 2})
         }
 
     def test_graph_b(self, graph_b):
         found = enumerate_mis(graph_b)
-        assert [s.bitstring for s in found] == sorted(GRAPH_B_MIS_FAMILY)
-        assert all(len(s) == 3 for s in found)
+        assert list(found) == sorted(GRAPH_B_MIS_FAMILY)
+        assert all(len(members(s)) == 3 for s in found)
 
     def test_two_node_path(self):
         g = build_unit_disk_graph([(0.0, 0.0), (1.0, 0.0)], 1.0)
-        assert {s.bitstring for s in enumerate_mis(g)} == {"01", "10"}
+        assert set(enumerate_mis(g)) == {"01", "10"}
 
     def test_limit(self, graph_a):
         with pytest.raises(TooLarge):
@@ -99,7 +90,7 @@ class TestEnumerateMis:
         rng = np.random.default_rng(300)
         for _ in range(25):
             g = random_unit_disk(rng, n_max=8)
-            fast = {frozenset(s.members) for s in enumerate_mis(g)}
+            fast = {members(s) for s in enumerate_mis(g)}
             assert fast == brute_force_mis(g)
 
     def test_brute_force_agreement_larger(self):
@@ -108,49 +99,49 @@ class TestEnumerateMis:
         for n in (10, 11, 12):
             pts = [(float(x), float(y)) for x, y in rng.uniform(0, 10, size=(n, 2))]
             g = build_unit_disk_graph(pts, float(rng.uniform(2.0, 8.0)))
-            assert {frozenset(s.members) for s in enumerate_mis(g)} == brute_force_mis(g)
+            assert {members(s) for s in enumerate_mis(g)} == brute_force_mis(g)
 
     def test_outputs_are_maximal_independent(self):
         rng = np.random.default_rng(302)
         for _ in range(10):
             g = random_unit_disk(rng, n_max=8)
             for s in enumerate_mis(g):
-                assert is_independent(g, s)
-                assert is_maximal(g, s)
+                assert is_independent(g, members(s))
+                assert is_maximal(g, members(s))
 
     @settings(max_examples=40, deadline=None)
     @given(g=unit_disk_layouts(n_max=10))
     def test_property_matches_predicates_on_every_subset(self, g):
         expected = set()
         for z in range(1 << g.n):
-            members = [i for i in range(g.n) if z >> (g.n - 1 - i) & 1]
-            if is_independent(g, members) and is_maximal(g, members):
-                expected.add(frozenset(members))
-        assert {frozenset(s.members) for s in enumerate_mis(g)} == expected
+            nodes = [i for i in range(g.n) if z >> (g.n - 1 - i) & 1]
+            if is_independent(g, nodes) and is_maximal(g, nodes):
+                expected.add(frozenset(nodes))
+        assert {members(s) for s in enumerate_mis(g)} == expected
 
 
 class TestMaximumIndependentSets:
     def test_graph_a_unique(self, graph_a):
         found = maximum_independent_sets(graph_a)
-        assert [s.bitstring for s in found] == [GRAPH_A_MAXIMUM]
-        assert len(found[0]) == 3
+        assert list(found) == [GRAPH_A_MAXIMUM]
+        assert len(members(found[0])) == 3
 
     def test_graph_b_all_four(self, graph_b):
-        assert {s.bitstring for s in maximum_independent_sets(graph_b)} == GRAPH_B_MIS_FAMILY
+        assert set(maximum_independent_sets(graph_b)) == GRAPH_B_MIS_FAMILY
 
     def test_edgeless_graph(self):
         g = build_unit_disk_graph([(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)], 1.0)
         found = maximum_independent_sets(g)
         assert len(found) == 1
-        assert frozenset(found[0].members) == frozenset({0, 1, 2})
+        assert members(found[0]) == frozenset({0, 1, 2})
 
     def test_every_maximum_is_maximal(self):
         rng = np.random.default_rng(303)
         for _ in range(10):
             g = random_unit_disk(rng, n_max=8)
-            mis = set(s.bitstring for s in enumerate_mis(g))
+            mis = set(enumerate_mis(g))
             for s in maximum_independent_sets(g):
-                assert s.bitstring in mis
+                assert s in mis
 
 
 class TestCorrespondence:
@@ -183,6 +174,6 @@ class TestAutomorphismClosure:
             perm = [int(k) for k in rng.permutation(g.n)]
             permuted = build_unit_disk_graph([g.positions[perm[i]] for i in range(g.n)], g.radius)
             for fn in (enumerate_mis, maximum_independent_sets):
-                base = {frozenset(s.members) for s in fn(g)}
-                mapped = {frozenset(perm[i] for i in s.members) for s in fn(permuted)}
+                base = {members(s) for s in fn(g)}
+                mapped = {frozenset(perm[i] for i in members(s)) for s in fn(permuted)}
                 assert base == mapped
