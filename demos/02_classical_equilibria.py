@@ -12,7 +12,6 @@ import math
 
 from rydnash import (
     GameParams,
-    StrategyProfile,
     best_responses,
     build_unit_disk_graph,
     enumerate_mis,
@@ -28,23 +27,21 @@ graph_a = build_unit_disk_graph(
 )
 params = GameParams()  # e* = 1, cost 0.5, satiating-linear benefit
 
-# one agent's incentives
-lone = StrategyProfile.from_support(set(), graph_a.n, params.e_star)
+# one agent's incentives; a profile is its support bitstring, node 0 leftmost
 print("no contributors anywhere:")
-print(f"  agent 0 payoff if it contributes: {payoff(graph_a, params, StrategyProfile.from_support({0}, 6, 1.0), 0)}")
-print(f"  agent 0 best responses: {sorted(best_responses(graph_a, params, lone, 0))}")
+print(f"  agent 0 payoff if it contributes: {payoff(graph_a, params, '100000', 0)}")
+print(f"  agent 0 best responses: {sorted(best_responses(graph_a, params, '000000', 0))}")
 
-covered = StrategyProfile.from_support({1}, graph_a.n, params.e_star)
 print("neighbor 1 contributes:")
-print(f"  agent 0 best responses: {sorted(best_responses(graph_a, params, covered, 0))}")
+print(f"  agent 0 best responses: {sorted(best_responses(graph_a, params, '010000', 0))}")
 
 # full enumeration: all 2^6 contributor subsets
 equilibria = enumerate_specialized_nash(graph_a, params)
 print(f"\ngraph A has {len(equilibria)} specialized equilibria:")
 for bits in equilibria:
-    profile = StrategyProfile.from_bitstring(bits, params.e_star)
-    print(f"  contributors {sorted(profile.support)}  (bitstring {bits}, "
-          f"nash={is_nash(graph_a, params, profile)})")
+    contributors = [i for i, ch in enumerate(bits) if ch == "1"]
+    print(f"  contributors {contributors}  (bitstring {bits}, "
+          f"nash={is_nash(graph_a, params, bits)})")
 
 mis = enumerate_mis(graph_a)
 print(f"\nmaximal independent sets: {list(mis)}")

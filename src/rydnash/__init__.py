@@ -18,7 +18,6 @@ from .errors import (
     IntegrationFailure,
     InvalidAgent,
     InvalidInput,
-    InvalidSet,
     InvalidState,
     NotIndependent,
     RydnashError,
@@ -41,7 +40,6 @@ from .game import (
     BENEFITS,
     DEFAULT_EXHAUSTIVE_LIMIT,
     GameParams,
-    StrategyProfile,
     best_responses,
     enumerate_specialized_nash,
     is_nash,

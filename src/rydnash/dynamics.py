@@ -23,7 +23,6 @@ import numpy as np
 
 from ._bits import from_bitstring, node_mask, popcounts, to_bitstring
 from .errors import (
-    DegenerateLayout,
     IntegrationFailure,
     InvalidInput,
     InvalidState,
@@ -56,8 +55,6 @@ def interaction_matrix(graph: EmbeddedGraph, c6: float) -> np.ndarray:
     for i in range(n):
         for j in range(i + 1, n):
             r = graph.distance(i, j)
-            if r == 0.0:
-                raise DegenerateLayout(f"atoms {i} and {j} coincide")
             out[i, j] = out[j, i] = c6 / r**6
     return out
 

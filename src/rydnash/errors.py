@@ -6,7 +6,7 @@ class RydnashError(Exception):
 
 
 class InvalidInput(RydnashError):
-    """Malformed argument: non-finite coordinate, bad waveform, bad profile."""
+    """Malformed argument: non-finite coordinate, bad waveform, malformed bitstring."""
 
 
 class DegenerateLayout(RydnashError):
@@ -28,10 +28,6 @@ class TooLarge(RydnashError):
         super().__init__(f"{n} nodes exceeds the exhaustive limit of {limit}")
         self.n = n
         self.limit = limit
-
-
-class InvalidSet(RydnashError):
-    """Node set contains indices outside the graph."""
 
 
 class NotIndependent(RydnashError):

@@ -65,86 +65,40 @@ class GameParams:
         return BENEFITS[self.benefit](x, self.e_star)
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
-    """Effort vector in which every entry is 0 or one shared positive level:
-    the input type of :func:`payoff`, :func:`best_responses` and :func:`is_nash`."""
-
-    efforts: tuple[float, ...]
-
-    def __post_init__(self):
-        efforts = tuple(float(e) for e in self.efforts)
-        object.__setattr__(self, "efforts", efforts)
-        if any(not math.isfinite(e) or e < 0 for e in efforts):
-            raise InvalidInput("efforts must be finite and nonnegative")
-        levels = {e for e in efforts if e != 0.0}
-        if len(levels) > 1:
-            raise InvalidInput(f"specialized profile may use one nonzero level, got {sorted(levels)}")
-
-    @classmethod
-    def from_support(cls, support, n: int, e_star: float) -> "StrategyProfile":
-        members = frozenset(support)
-        if any(not (0 <= int(i) < n) for i in members):
-            raise InvalidInput(f"support {sorted(members)} out of range for n={n}")
-        return cls(tuple(e_star if i in members else 0.0 for i in range(n)))
-
-    @classmethod
-    def from_bitstring(cls, bits: str, e_star: float) -> "StrategyProfile":
-        n = len(bits)
-        z = from_bitstring(bits, n)
-        return cls(tuple(e_star if z & node_mask(i, n) else 0.0 for i in range(n)))
-
-    @property
-    def n(self) -> int:
-        return len(self.efforts)
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(i for i, e in enumerate(self.efforts) if e > 0)
-
-    @property
-    def bitstring(self) -> str:
-        return "".join("1" if e > 0 else "0" for e in self.efforts)
-
-
-def _check_profile(graph: EmbeddedGraph, params: GameParams, profile: StrategyProfile) -> None:
-    if profile.n != graph.n:
-        raise InvalidInput(f"profile has {profile.n} entries for a {graph.n}-node graph")
-    for e in profile.efforts:
-        if e != 0.0 and e != params.e_star:
-            raise InvalidInput(f"profile effort {e} is neither 0 nor e*={params.e_star}")
-
-
 def _check_agent(graph: EmbeddedGraph, agent: int) -> None:
     if not isinstance(agent, (int, np.integer)) or not (0 <= agent < graph.n):
         raise InvalidAgent(f"agent {agent!r} out of range for a {graph.n}-node graph")
 
 
-def _neighbor_effort(graph: EmbeddedGraph, params: GameParams, profile: StrategyProfile, agent: int) -> float:
+def _effort(params: GameParams, bits: str, agent: int) -> float:
+    return params.e_star if bits[agent] == "1" else 0.0
+
+
+def _neighbor_effort(graph: EmbeddedGraph, params: GameParams, bits: str, agent: int) -> float:
     # e* times the contributor count: identical arithmetic to the vectorized
     # enumeration path, so exact ties agree between the two.
-    k = sum(1 for j in graph.neighbors[agent] if profile.efforts[j] > 0)
+    k = sum(1 for j in graph.neighbors[agent] if bits[j] == "1")
     return params.e_star * k
 
 
-def payoff(graph: EmbeddedGraph, params: GameParams, profile: StrategyProfile, agent: int) -> float:
-    """Benefit of own-plus-neighborhood effort minus the linear own cost."""
+def payoff(graph: EmbeddedGraph, params: GameParams, bits: str, agent: int) -> float:
+    """Benefit of own-plus-neighborhood effort minus the linear own cost, in
+    the specialized profile whose support is the bitstring ``bits``."""
     _check_agent(graph, agent)
-    _check_profile(graph, params, profile)
-    e_i = profile.efforts[agent]
-    return float(params.b(e_i + _neighbor_effort(graph, params, profile, agent))) - params.c * e_i
+    from_bitstring(bits, graph.n)
+    e_i = _effort(params, bits, agent)
+    return float(params.b(e_i + _neighbor_effort(graph, params, bits, agent))) - params.c * e_i
 
 
-def best_responses(
-    graph: EmbeddedGraph, params: GameParams, profile: StrategyProfile, agent: int
-) -> frozenset[float]:
-    """Effort levels in {0, e*} maximizing the agent's payoff, others fixed.
+def best_responses(graph: EmbeddedGraph, params: GameParams, bits: str, agent: int) -> frozenset[float]:
+    """Effort levels in {0, e*} maximizing the agent's payoff, others fixed
+    at the specialized profile with support ``bits``.
 
     Exact payoff ties put both levels in the set (weak inequality).
     """
     _check_agent(graph, agent)
-    _check_profile(graph, params, profile)
-    others = _neighbor_effort(graph, params, profile, agent)
+    from_bitstring(bits, graph.n)
+    others = _neighbor_effort(graph, params, bits, agent)
     u0 = float(params.b(others))
     u1 = float(params.b(params.e_star + others)) - params.c * params.e_star
     if u1 > u0:
@@ -154,12 +108,12 @@ def best_responses(
     return frozenset({0.0, params.e_star})
 
 
-def is_nash(graph: EmbeddedGraph, params: GameParams, profile: StrategyProfile) -> bool:
-    """True when every agent's current effort is one of its best responses."""
-    _check_profile(graph, params, profile)
+def is_nash(graph: EmbeddedGraph, params: GameParams, bits: str) -> bool:
+    """True when, in the specialized profile with support ``bits``, every
+    agent's effort is one of its best responses."""
+    from_bitstring(bits, graph.n)
     return all(
-        profile.efforts[agent] in best_responses(graph, params, profile, agent)
-        for agent in range(graph.n)
+        _effort(params, bits, agent) in best_responses(graph, params, bits, agent) for agent in range(graph.n)
     )
 
 

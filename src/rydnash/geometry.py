@@ -177,8 +177,8 @@ def ambiguity_warnings(graph: EmbeddedGraph, margin: float = 0.15) -> tuple[Ambi
     edges at distance >= (1 - margin) * radius may fail to. With margin 0
     only pairs exactly at the radius are flagged.
     """
-    if margin < 0:
-        raise InvalidInput(f"margin must be nonnegative, got {margin!r}")
+    if not (margin >= 0 and math.isfinite(margin)):
+        raise InvalidInput(f"margin must be nonnegative and finite, got {margin!r}")
     lo = (1.0 - margin) * graph.radius
     hi = (1.0 + margin) * graph.radius
     out = []

@@ -6,36 +6,24 @@ from typing import Iterable
 
 import numpy as np
 
-from ._bits import index_of, node_mask, popcount_map, to_bitstring
-from .errors import InvalidSet, NotIndependent, TooLarge
+from ._bits import from_bitstring, index_of, node_mask, popcount_map, to_bitstring
+from .errors import NotIndependent, TooLarge
 from .game import DEFAULT_EXHAUSTIVE_LIMIT, GameParams, enumerate_specialized_nash
 from .geometry import EmbeddedGraph
 
 
-def _members(graph: EmbeddedGraph, s: Iterable[int]) -> frozenset[int]:
-    """The node indices in ``s``. InvalidSet for an index outside the graph,
-    and for a string, whose characters would be misread as indices."""
-    if isinstance(s, str):
-        raise InvalidSet(f"expected node indices, got the string {s!r}")
-    members = frozenset(int(i) for i in s)
-    if any(not (0 <= i < graph.n) for i in members):
-        raise InvalidSet(f"members {sorted(members)} out of range for n={graph.n}")
-    return members
+def is_independent(graph: EmbeddedGraph, bits: str) -> bool:
+    """True iff no edge has both endpoints in the support ``bits``."""
+    from_bitstring(bits, graph.n)
+    return not any(bits[i] == "1" and bits[j] == "1" for i, j in graph.edges)
 
 
-def is_independent(graph: EmbeddedGraph, s: Iterable[int]) -> bool:
-    """True iff no edge has both endpoints in the set of node indices."""
-    members = _members(graph, s)
-    return not any(i in members and j in members for i, j in graph.edges)
-
-
-def is_maximal(graph: EmbeddedGraph, s: Iterable[int]) -> bool:
-    """True iff every node outside the (independent) set of node indices
-    has a neighbor in it."""
-    members = _members(graph, s)
-    if not is_independent(graph, members):
-        raise NotIndependent(f"{sorted(members)} contains an edge")
-    return all(v in members or graph.neighbors[v] & members for v in range(graph.n))
+def is_maximal(graph: EmbeddedGraph, bits: str) -> bool:
+    """True iff every node outside the (independent) support ``bits`` has a
+    neighbor in it."""
+    if not is_independent(graph, bits):
+        raise NotIndependent(f"{bits} contains an edge")
+    return all(bits[v] == "1" or any(bits[u] == "1" for u in graph.neighbors[v]) for v in range(graph.n))
 
 
 def enumerate_mis(graph: EmbeddedGraph, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> tuple[str, ...]:

@@ -19,7 +19,6 @@ from .dynamics import (
     DEFAULT_C6,
     RydbergSystem,
     ShotHistogram,
-    diagonal_energy,
     evolve,
     sample,
 )
@@ -271,20 +270,22 @@ def run_quantum(config: RunConfig) -> QuantumResult:
     system = RydbergSystem(graph, config.c6)
     state = evolve(system, schedule)
     histogram = sample(state, config.shots, config.seed)
-    delta_final = schedule.delta_at(schedule.duration)
+    energies = system.diagonal(schedule.delta_at(schedule.duration))
     probs = state.probabilities()
-    rows = tuple(
-        BitstringRow(
-            bitstring=bits,
-            count=count,
-            probability=float(probs[from_bitstring(bits, graph.n)]),
-            energy=diagonal_energy(system, delta_final, bits),
-            independent=is_independent(graph, [i for i, ch in enumerate(bits) if ch == "1"]),
-            maximal=bits in maximal,
-            mis=bits in maximum,
+    rows = []
+    for bits, count in histogram.ranked():
+        z = from_bitstring(bits, graph.n)
+        rows.append(
+            BitstringRow(
+                bitstring=bits,
+                count=count,
+                probability=float(probs[z]),
+                energy=float(energies[z]),
+                independent=is_independent(graph, bits),
+                maximal=bits in maximal,
+                mis=bits in maximum,
+            )
         )
-        for bits, count in histogram.ranked()
-    )
     top_k = histogram.top(len(maximum))
     aggregate = float(sum(probs[from_bitstring(b, graph.n)] for b in maximum))
     return QuantumResult(
@@ -295,7 +296,7 @@ def run_quantum(config: RunConfig) -> QuantumResult:
         seed=config.seed,
         duration=schedule.duration,
         histogram=histogram,
-        rows=rows,
+        rows=tuple(rows),
         maximum_sets=maximum,
         top_k=top_k,
         mis_aggregate_probability=aggregate,

@@ -11,6 +11,7 @@ import rydnash.fileio
 import rydnash.game
 import rydnash.indsets
 import rydnash.pipeline
+from rydnash._bits import from_bitstring
 from rydnash.cli import (
     ANNEAL_REPORT,
     CLASSICAL_REPORT,
@@ -25,6 +26,7 @@ from rydnash.cli import (
     build_parser,
     main,
 )
+from rydnash.dynamics import RydbergSystem
 from rydnash.errors import InvalidInput
 from rydnash.fileio import read_report, save_graph, save_schedule, write_report
 from rydnash.pipeline import ClassicalResult, QuantumResult, RunConfig, compare, run_classical, run_quantum
@@ -41,7 +43,7 @@ def pair_graph_file(tmp_path):
     from rydnash.geometry import build_unit_disk_graph
 
     path = str(tmp_path / "pair.yaml")
-    save_graph(path, build_unit_disk_graph([(0.0, 0.0), (4.0, 0.0)], 8.0))
+    save_graph(path, build_unit_disk_graph([(0.0, 0.0), (6.0, 0.0)], 8.0))
     return path
 
 
@@ -76,6 +78,11 @@ class TestValidateCommand:
         assert len(report["violations"]) == 1
         v = report["violations"][0]
         assert v["kind"] == "pair_distance" and v["value"] == 3.0 and v["limit"] == 4.0
+
+    def test_nan_margin_is_an_error(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["validate", "--graph", GRAPH_B_FILE, "--margin", "nan", "--out", out]) == EXIT_ERROR
+        assert "margin must be nonnegative and finite" in capsys.readouterr().err
 
     def test_long_schedule_fails(self, tmp_path):
         sched = str(tmp_path / "long.yaml")
@@ -362,6 +369,17 @@ class TestPipelineApi:
         assert calls == {"nash": 1, "mis": 1}
         assert result.maximum_sets == ("100110",)
         assert result.nash_equals_mis and result.witnesses == ()
+
+    def test_row_energy_is_the_ranked_diagonal(self, graph_a_results):
+        # the energy column is the diagonal that evolve and exact_ground_states
+        # rank by, so the all-ground readout reads 0.0, not -0.0
+        _, result = graph_a_results
+        config = RunConfig(graph_path=GRAPH_A_FILE, c6=C_A)
+        energies = RydbergSystem(config.graph, C_A).diagonal(config.schedule.delta_at(config.schedule.duration))
+        assert "0" * result.n in {row.bitstring for row in result.rows}
+        for row in result.rows:
+            assert row.energy == energies[from_bitstring(row.bitstring, result.n)]
+            assert str(row.energy) != "-0.0"
 
     def test_classical_result_round_trip(self):
         config = RunConfig(graph_path=GRAPH_A_FILE)

@@ -7,7 +7,6 @@ from conftest import GRAPH_A_MIS_FAMILY, GRAPH_B_MIS_FAMILY, members, random_uni
 from rydnash.errors import InvalidAgent, InvalidInput, TooLarge
 from rydnash.game import (
     GameParams,
-    StrategyProfile,
     best_responses,
     enumerate_specialized_nash,
     is_nash,
@@ -49,74 +48,50 @@ class TestGameParams:
             GameParams(e_star=0.0)
 
 
-class TestStrategyProfile:
-    def test_from_support_and_bitstring(self):
-        p = StrategyProfile.from_support({0, 2}, 4, 1.0)
-        assert p.efforts == (1.0, 0.0, 1.0, 0.0)
-        assert p.bitstring == "1010"
-        assert p.support == frozenset({0, 2})
-        assert StrategyProfile.from_bitstring("1010", 1.0) == p
-
-    def test_from_bitstring_malformed(self):
-        for bits in ("10x0", "1_0", ""):
-            with pytest.raises(InvalidInput):
-                StrategyProfile.from_bitstring(bits, 1.0)
-
-    def test_two_nonzero_levels_rejected(self):
-        with pytest.raises(InvalidInput):
-            StrategyProfile((1.0, 0.5))
-
-    def test_negative_effort_rejected(self):
-        with pytest.raises(InvalidInput):
-            StrategyProfile((-1.0, 0.0))
-
-
 class TestPayoff:
     def test_isolated_contributor(self, lone_graph):
         params = GameParams()
-        p = StrategyProfile((1.0,))
-        assert payoff(lone_graph, params, p, 0) == 0.5  # b(1) - 0.5
+        assert payoff(lone_graph, params, "1", 0) == 0.5  # b(1) - 0.5
 
     def test_pure_free_rider(self, pair_graph):
         params = GameParams()
-        p = StrategyProfile((0.0, 1.0))
-        assert payoff(pair_graph, params, p, 0) == 1.0  # b(1) - 0
+        assert payoff(pair_graph, params, "01", 0) == 1.0  # b(1) - 0
 
     def test_redundant_contribution_satiates(self, pair_graph):
         params = GameParams()
-        p = StrategyProfile((1.0, 1.0))
-        assert payoff(pair_graph, params, p, 0) == 0.5  # min(2, 1) - 0.5
+        assert payoff(pair_graph, params, "11", 0) == 0.5  # min(2, 1) - 0.5
 
     def test_bad_agent(self, pair_graph):
         with pytest.raises(InvalidAgent):
-            payoff(pair_graph, GameParams(), StrategyProfile((0.0, 0.0)), 2)
+            payoff(pair_graph, GameParams(), "00", 2)
 
     def test_wrong_length_profile(self, pair_graph):
-        with pytest.raises(InvalidInput):
-            payoff(pair_graph, GameParams(), StrategyProfile((0.0,)), 0)
-
-    def test_effort_level_must_match_params(self, pair_graph):
-        with pytest.raises(InvalidInput):
-            payoff(pair_graph, GameParams(e_star=2.0), StrategyProfile((1.0, 0.0)), 0)
+        # wrong length, a bad character, the empty string and a set of node
+        # indices are all refused, by each of the three game oracles
+        params = GameParams()
+        for bits in ("0", "010", "0x", "", {0, 1}):
+            with pytest.raises(InvalidInput):
+                payoff(pair_graph, params, bits, 0)
+            with pytest.raises(InvalidInput):
+                best_responses(pair_graph, params, bits, 0)
+            with pytest.raises(InvalidInput):
+                is_nash(pair_graph, params, bits)
 
 
 class TestBestResponses:
     def test_contribute_when_uncovered(self, pair_graph):
         params = GameParams()
-        p = StrategyProfile((0.0, 0.0))
-        assert best_responses(pair_graph, params, p, 0) == frozenset({1.0})
+        assert best_responses(pair_graph, params, "00", 0) == frozenset({1.0})
 
     def test_free_ride_when_covered(self, pair_graph):
         params = GameParams()
-        p = StrategyProfile((0.0, 1.0))
-        assert best_responses(pair_graph, params, p, 0) == frozenset({0.0})
+        assert best_responses(pair_graph, params, "01", 0) == frozenset({0.0})
 
     def test_satiated_neighborhood_means_abstain(self):
         params = GameParams(e_star=1.0, c=0.5)
         g = build_unit_disk_graph([(0.0, 0.0), (1.0, 0.0)], 1.0)
-        profile = StrategyProfile((1.0, 1.0))
         # agent 0: u(contribute) = b(2) - 0.5 = 0.5; u(abstain) = b(1) = 1.0
-        assert best_responses(g, params, profile, 0) == frozenset({0.0})
+        assert best_responses(g, params, "11", 0) == frozenset({0.0})
 
     def test_exact_tie_returns_both_levels(self, pair_graph):
         # the default cost bound keeps ties out of reach for the satiating
@@ -128,11 +103,10 @@ class TestBestResponses:
         BENEFITS["satiating_linear_wide"] = lambda x, e_star: np.minimum(x, 1.5 * e_star)
         try:
             params = GameParams(e_star=1.0, c=0.5, benefit="satiating_linear_wide")
-            profile = StrategyProfile((0.0, 1.0))
-            assert best_responses(pair_graph, params, profile, 0) == frozenset({0.0, 1.0})
+            assert best_responses(pair_graph, params, "01", 0) == frozenset({0.0, 1.0})
             # is_nash accepts on a tie: both completions are equilibria
-            assert is_nash(pair_graph, params, StrategyProfile((0.0, 1.0)))
-            assert is_nash(pair_graph, params, StrategyProfile((1.0, 1.0)))
+            assert is_nash(pair_graph, params, "01")
+            assert is_nash(pair_graph, params, "11")
         finally:
             del BENEFITS["satiating_linear_wide"]
 
@@ -143,25 +117,25 @@ class TestBestResponses:
         for _ in range(10):
             g = random_unit_disk(rng, n_max=8)
             for z in range(1 << g.n):
-                profile = StrategyProfile.from_bitstring(format(z, f"0{g.n}b"), 1.0)
+                bits = format(z, f"0{g.n}b")
                 for agent in range(g.n):
-                    covered = any(profile.efforts[j] > 0 for j in g.neighbors[agent])
+                    covered = any(bits[j] == "1" for j in g.neighbors[agent])
                     expected = frozenset({0.0}) if covered else frozenset({1.0})
-                    assert best_responses(g, params, profile, agent) == expected
+                    assert best_responses(g, params, bits, agent) == expected
 
 
 class TestIsNash:
     def test_graph_a_equilibrium(self, graph_a):
         params = GameParams()
-        assert is_nash(graph_a, params, StrategyProfile.from_support({0, 3, 4}, 6, 1.0))
+        assert is_nash(graph_a, params, "100110")
 
     def test_adjacent_contributors_not_nash(self, graph_a):
         params = GameParams()
-        assert not is_nash(graph_a, params, StrategyProfile.from_support({0, 1}, 6, 1.0))
+        assert not is_nash(graph_a, params, "110000")
 
     def test_empty_profile_not_nash(self, graph_a):
         params = GameParams()
-        assert not is_nash(graph_a, params, StrategyProfile.from_support(set(), 6, 1.0))
+        assert not is_nash(graph_a, params, "000000")
 
     def test_affine_invariance_of_decisions(self):
         # rescaling utility by a + b*u (b > 0) must not change best responses
@@ -170,15 +144,15 @@ class TestIsNash:
         for _ in range(20):
             g = random_unit_disk(rng, n_max=6)
             z = int(rng.integers(0, 1 << g.n))
-            profile = StrategyProfile.from_bitstring(format(z, f"0{g.n}b"), 1.0)
+            bits = format(z, f"0{g.n}b")
             a, b = float(rng.normal()), float(rng.uniform(0.5, 3.0))
             for agent in range(g.n):
-                others = sum(profile.efforts[j] for j in g.neighbors[agent])
+                others = sum(1.0 for j in g.neighbors[agent] if bits[j] == "1")
                 u0 = float(params.b(others))
                 u1 = float(params.b(1.0 + others)) - params.c
                 t0, t1 = a + b * u0, a + b * u1
                 expected = {1.0} if t1 > t0 else {0.0} if t0 > t1 else {0.0, 1.0}
-                assert best_responses(g, params, profile, agent) == frozenset(expected)
+                assert best_responses(g, params, bits, agent) == frozenset(expected)
 
 
 class TestEnumerate:
@@ -212,8 +186,7 @@ class TestEnumerate:
             found = set(enumerate_specialized_nash(g, params))
             for z in range(1 << g.n):
                 bits = format(z, f"0{g.n}b")
-                profile = StrategyProfile.from_bitstring(bits, params.e_star)
-                assert (bits in found) == is_nash(g, params, profile)
+                assert (bits in found) == is_nash(g, params, bits)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -229,7 +202,7 @@ class TestEnumerate:
         expected = set()
         for z in range(1 << g.n):
             bits = format(z, f"0{g.n}b")
-            if is_nash(g, params, StrategyProfile.from_bitstring(bits, params.e_star)):
+            if is_nash(g, params, bits):
                 expected.add(bits)
         assert found == expected
 

@@ -184,5 +184,7 @@ class TestAmbiguityWarnings:
         assert [(w.kind, w.pair) for w in warnings] == [("edge_near_radius", (0, 1))]
 
     def test_negative_margin_rejected(self, graph_a):
-        with pytest.raises(InvalidInput):
-            ambiguity_warnings(graph_a, margin=-0.1)
+        # NaN fails every comparison, so a plain "< 0" test would let it through
+        for margin in (-0.1, math.nan, math.inf):
+            with pytest.raises(InvalidInput):
+                ambiguity_warnings(graph_a, margin=margin)

@@ -11,7 +11,7 @@ from conftest import (
     random_unit_disk,
     unit_disk_layouts,
 )
-from rydnash.errors import InvalidSet, NotIndependent, TooLarge
+from rydnash.errors import InvalidInput, NotIndependent, TooLarge
 from rydnash.game import GameParams
 from rydnash.geometry import build_unit_disk_graph
 from rydnash.indsets import (
@@ -26,43 +26,50 @@ from rydnash.indsets import (
 
 class TestIsIndependent:
     def test_empty_set(self, graph_a):
-        assert is_independent(graph_a, set())
+        assert is_independent(graph_a, "000000")
 
     def test_graph_a_mis(self, graph_a):
-        assert is_independent(graph_a, {0, 3, 4})
+        assert is_independent(graph_a, GRAPH_A_MAXIMUM)
 
     def test_edge_endpoints(self, graph_a):
         for i, j in graph_a.edges:
-            assert not is_independent(graph_a, {i, j})
+            bits = "".join("1" if v in (i, j) else "0" for v in range(graph_a.n))
+            assert not is_independent(graph_a, bits)
 
     def test_out_of_range(self, graph_a):
-        with pytest.raises(InvalidSet):
-            is_independent(graph_a, {0, 9})
+        # a node beyond the graph: a set of node indices, or a seventh character
+        for s in ({0, 9}, "1000001"):
+            with pytest.raises(InvalidInput):
+                is_independent(graph_a, s)
 
     def test_bitstring_rejected(self, graph_a):
-        # "100110" is the set {0, 3, 4}; read as characters it would be {0, 1}
-        with pytest.raises(InvalidSet):
-            is_independent(graph_a, GRAPH_A_MAXIMUM)
+        # a malformed bitstring: wrong length, bad character, empty
+        for bits in ("10011", "10011x", ""):
+            with pytest.raises(InvalidInput):
+                is_independent(graph_a, bits)
 
 
 class TestIsMaximal:
     def test_extendable_set(self, graph_b):
-        assert not is_maximal(graph_b, {1, 5})  # node 3 can still join
+        assert not is_maximal(graph_b, "010001")  # node 3 can still join
 
     def test_graph_a_pair(self, graph_a):
-        assert is_maximal(graph_a, {1, 3})
+        assert is_maximal(graph_a, "010100")
 
     def test_k2_singleton(self):
         g = build_unit_disk_graph([(0.0, 0.0), (1.0, 0.0)], 1.0)
-        assert is_maximal(g, {0})
+        assert is_maximal(g, "10")
 
     def test_dependent_set_raises(self, graph_a):
         with pytest.raises(NotIndependent):
-            is_maximal(graph_a, {0, 1})
+            is_maximal(graph_a, "110000")
 
     def test_bitstring_rejected(self, graph_a):
-        with pytest.raises(InvalidSet):
-            is_maximal(graph_a, "100001")
+        # a malformed bitstring (wrong length, bad character, empty) or a
+        # set of node indices
+        for s in ("1000010", "10000x", "", {0, 5}):
+            with pytest.raises(InvalidInput):
+                is_maximal(graph_a, s)
 
 
 class TestEnumerateMis:
@@ -106,18 +113,18 @@ class TestEnumerateMis:
         for _ in range(10):
             g = random_unit_disk(rng, n_max=8)
             for s in enumerate_mis(g):
-                assert is_independent(g, members(s))
-                assert is_maximal(g, members(s))
+                assert is_independent(g, s)
+                assert is_maximal(g, s)
 
     @settings(max_examples=40, deadline=None)
     @given(g=unit_disk_layouts(n_max=10))
     def test_property_matches_predicates_on_every_subset(self, g):
         expected = set()
         for z in range(1 << g.n):
-            nodes = [i for i in range(g.n) if z >> (g.n - 1 - i) & 1]
-            if is_independent(g, nodes) and is_maximal(g, nodes):
-                expected.add(frozenset(nodes))
-        assert {members(s) for s in enumerate_mis(g)} == expected
+            bits = format(z, f"0{g.n}b")
+            if is_independent(g, bits) and is_maximal(g, bits):
+                expected.add(bits)
+        assert set(enumerate_mis(g)) == expected
 
 
 class TestMaximumIndependentSets:
