@@ -14,7 +14,6 @@ from rydnash import (
     RydbergSystem,
     build_unit_disk_graph,
     default_schedule,
-    diagonal_energy,
     evolve,
     exact_ground_states,
     sample,
@@ -37,7 +36,7 @@ print("\ntop readouts of 1000 shots:")
 print("bitstring  count  P(amplitude)  energy at final detuning")
 for bits, count in histogram.ranked()[:6]:
     print(f"  {bits}   {count:5d}   {state.probability_of(bits):12.4f}  "
-          f"{diagonal_energy(system, 7.27, bits):8.3f}")
+          f"{system.diagonal(7.27)[int(bits, 2)]:8.3f}")
 
 modal, modal_count = histogram.ranked()[0]
 print(f"\nmodal readout {modal} carries {modal_count / 10:.1f}% of shots; "

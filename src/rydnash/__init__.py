@@ -54,13 +54,9 @@ from .indsets import (
 )
 from .dynamics import (
     DEFAULT_C6,
-    INTEGRATOR_ORDER,
     QuantumState,
     RydbergSystem,
     ShotHistogram,
-    apply_hamiltonian,
-    dense_hamiltonian,
-    diagonal_energy,
     evolve,
     exact_ground_states,
     interaction_matrix,

@@ -37,13 +37,20 @@ from .schedule import Schedule
 #: relative to a specific layout should pin their own value.
 DEFAULT_C6 = 5.42e6
 
-#: Nominal convergence order of :func:`propagate` under step refinement.
-INTEGRATOR_ORDER = 4
-
 # Triple-jump composition coefficients turning a self-adjoint second-order
 # stage into a fourth-order step (middle stage runs backward).
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
+_WEIGHTS = np.array([_W1, _W0, _W1])
+# Each stage's midpoint within its substep, in units of the substep.
+_MIDPOINTS = np.cumsum(_WEIGHTS) - 0.5 * _WEIGHTS
+
+# Qubits per Walsh-Hadamard block: one dense factor of at most 2**6 x 2**6
+# keeps the transform at O(2**n * n) work at every size.
+_BLOCK = 6
+# Substeps whose waveform samples and phase tables are computed together;
+# bounds the tables' memory on long segments.
+_CHUNK = 64
 
 
 def interaction_matrix(graph: EmbeddedGraph, c6: float) -> np.ndarray:
@@ -163,53 +170,6 @@ class ShotHistogram:
         return tuple(bits for bits, _ in self.ranked()[:k])
 
 
-def apply_hamiltonian(system: RydbergSystem, omega: float, delta: float, psi) -> np.ndarray:
-    """H(omega, delta) applied to ``psi``, without materializing the matrix.
-
-    The drive couples each basis state to its n single-bit flips with
-    amplitude omega/2; the diagonal contributes ``-delta`` per excitation
-    plus the pairwise interaction energy. Returns the unnormalized product.
-    """
-    vec = psi.amplitudes if isinstance(psi, QuantumState) else np.asarray(psi, dtype=np.complex128)
-    if vec.ndim != 1 or vec.size != 1 << system.n:
-        raise InvalidState(f"state has dimension {vec.shape}, expected {1 << system.n}")
-    out = system.diagonal(delta) * vec
-    if omega != 0.0:
-        half = 0.5 * omega
-        for i in range(system.n):
-            view = out.reshape(1 << i, 2, -1)
-            view += half * vec.reshape(1 << i, 2, -1)[:, ::-1, :]
-    return out
-
-
-def dense_hamiltonian(system: RydbergSystem, omega: float, delta: float) -> np.ndarray:
-    """Explicit 2**n x 2**n real symmetric Hamiltonian matrix.
-
-    Intended for small systems: reference integrators, spectra, and
-    cross-checks of the matrix-free apply.
-    """
-    dim = 1 << system.n
-    h = np.zeros((dim, dim))
-    h[np.diag_indices(dim)] = system.diagonal(delta)
-    idx = np.arange(dim)
-    for i in range(system.n):
-        h[idx, idx ^ node_mask(i, system.n)] += 0.5 * omega
-    return h
-
-
-def diagonal_energy(system: RydbergSystem, delta: float, z: str) -> float:
-    """Energy of basis state ``z`` under the drive-off Hamiltonian:
-    ``-delta * (excitation count) + sum of V_ij over excited pairs``."""
-    from_bitstring(z, system.n)
-    members = [i for i, ch in enumerate(z) if ch == "1"]
-    v = system.interactions
-    energy = -delta * len(members)
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            energy += v[members[a], members[b]]
-    return float(energy)
-
-
 def exact_ground_states(
     system: RydbergSystem,
     delta: float,
@@ -234,20 +194,29 @@ def exact_ground_states(
     return tuple(to_bitstring(int(i), system.n) for i in np.nonzero(energies <= cutoff)[0])
 
 
-def _strang_stage(psi: np.ndarray, system: RydbergSystem, h: float, omega: float, delta: float) -> None:
-    """One self-adjoint split step in place: half diagonal phase, uniform
-    single-atom drive rotation, half diagonal phase."""
-    half_phase = np.exp((-0.5j * h) * system.diagonal(delta))
-    psi *= half_phase
-    theta = 0.5 * h * omega
-    if theta != 0.0:
-        c, s = math.cos(theta), math.sin(theta)
-        for i in range(system.n):
-            view = psi.reshape(1 << i, 2, -1)
-            top = view[:, 0, :].copy()
-            view[:, 0, :] = c * top - 1j * s * view[:, 1, :]
-            view[:, 1, :] = c * view[:, 1, :] - 1j * s * top
-    psi *= half_phase
+def _walsh_hadamard(source: np.ndarray, spare: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The unnormalised Walsh-Hadamard transform of ``source`` as
+    ``np.matmul(factor, src, out=dst)`` calls, one per qubit block.
+
+    The n qubits split into ceil(n / _BLOCK) near-equal blocks. A block's
+    +-1 Sylvester factor acts on the middle axis of a float64 view reshaped
+    to ``(pre, 2**b, post)``, so real and imaginary parts ride along in
+    ``post`` and no axis is moved. Successive blocks alternate between the
+    two buffers: the result lands in ``source`` after an even number of
+    blocks and in ``spare`` after an odd one.
+    """
+    n = source.size.bit_length() - 1
+    count = -(-n // _BLOCK)
+    bounds = [n * i // count for i in range(count + 1)]
+    buffers = (source.view(np.float64), spare.view(np.float64))
+    calls = []
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        factor = np.ones((1, 1))
+        for _ in range(hi - lo):
+            factor = np.block([[factor, factor], [factor, -factor]])
+        shape = (1 << lo, len(factor), 2 << (n - hi))
+        calls.append((factor, buffers[i % 2].reshape(shape), buffers[(i + 1) % 2].reshape(shape)))
+    return calls
 
 
 def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> QuantumState:
@@ -260,24 +229,57 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
     inside the substep, substeps align with waveform breakpoints (so the
     piecewise-linear kinks are never crossed mid-step), and every factor is
     unitary, so the norm is conserved to round-off regardless of step size.
+
+    A stage of length ``x`` is a half diagonal phase ``exp(-i x/2 D)``, the
+    uniform drive rotation ``R(theta)^n = W diag(exp(-i theta (n - 2|z|))) W / 2**n``
+    with ``theta = x omega / 2`` and ``W`` the Walsh-Hadamard transform
+    (``H R_x H = R_z``), and the other half phase. The closing half phase of
+    one stage and the opening one of the next are applied as one product.
     """
     if not (step > 0 and math.isfinite(step)):
         raise InvalidInput(f"step must be positive and finite, got {step!r}")
     n = system.n
+    pair, count = system.pair_energy, system.excitation_count
+    k = np.arange(n + 1)
     psi = np.zeros(1 << n, dtype=np.complex128)
     psi[0] = 1.0
+    spare = np.empty_like(psi)
+    forward = _walsh_hadamard(psi, spare)
+    rotated, other = (spare, psi) if len(forward) % 2 else (psi, spare)
+    back = _walsh_hadamard(rotated, other)
+    # the last stage's closing half phase, still to be applied: x / 2 for
+    # the pair phase and x * delta / 2 for the popcount phase
+    carry_s = carry_a = 0.0
     times = schedule.breakpoint_times
     for t0, t1 in zip(times, times[1:]):
         segment = t1 - t0
         substeps = max(1, math.ceil(segment / step))
         h = segment / substeps
-        for k in range(substeps):
-            t = t0 + k * h
-            virtual = t
-            for w in (_W1, _W0, _W1):
-                tm = virtual + 0.5 * w * h
-                _strang_stage(psi, system, w * h, schedule.omega_at(tm), schedule.delta_at(tm))
-                virtual += w * h
+        pair_phase = {}  # by merged half length; about three per segment
+        for first in range(0, substeps, _CHUNK):
+            index = np.arange(first, min(first + _CHUNK, substeps))
+            mid = (t0 + (index[:, None] + _MIDPOINTS) * h).ravel()
+            half_s = np.tile(0.5 * h * _WEIGHTS, index.size)
+            theta = half_s * schedule.omega_at(mid)
+            half_a = half_s * schedule.delta_at(mid)
+            opening_s = np.concatenate(([carry_s], half_s[:-1])) + half_s
+            opening_a = np.concatenate(([carry_a], half_a[:-1])) + half_a
+            carry_s, carry_a = float(half_s[-1]), float(half_a[-1])
+            detuning = np.exp(1j * opening_a[:, None] * k)
+            drive = np.exp(-1j * theta[:, None] * (n - 2 * k)) * 0.5**n
+            for s, th, det, rot in zip(opening_s.tolist(), theta.tolist(), detuning, drive):
+                phase = pair_phase.get(s)
+                if phase is None:
+                    phase = pair_phase[s] = np.exp(-1j * s * pair)
+                psi *= phase
+                psi *= det[count]
+                if th != 0.0:
+                    for factor, src, dst in forward:
+                        np.matmul(factor, src, out=dst)
+                    rotated *= rot[count]
+                    for factor, src, dst in back:
+                        np.matmul(factor, src, out=dst)
+    psi *= np.exp(-1j * carry_s * pair) * np.exp(1j * carry_a * k)[count]
     return QuantumState(psi)
 
 

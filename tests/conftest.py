@@ -11,10 +11,15 @@ ground states are the maximum independent sets.
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from rydnash._bits import from_bitstring, node_mask
+from rydnash.dynamics import _W0, _W1, QuantumState, RydbergSystem
+from rydnash.errors import InvalidInput, InvalidState
 from rydnash.geometry import build_unit_disk_graph
+from rydnash.schedule import Schedule
 
 ROOT3 = math.sqrt(3.0)
 
@@ -91,3 +96,96 @@ def support_bitstring(members, n):
 def members(bits):
     """The node indices a support bitstring marks."""
     return frozenset(i for i, ch in enumerate(bits) if ch == "1")
+
+
+# Physics oracles: the matrix-free and dense Hamiltonians, the scalar energy,
+# and the per-atom split-operator integrator the fast propagate replaced.
+
+#: Nominal convergence order of ``propagate`` under step refinement.
+INTEGRATOR_ORDER = 4
+
+
+def apply_hamiltonian(system: RydbergSystem, omega: float, delta: float, psi) -> np.ndarray:
+    """H(omega, delta) applied to ``psi``, without materializing the matrix.
+
+    The drive couples each basis state to its n single-bit flips with
+    amplitude omega/2; the diagonal contributes ``-delta`` per excitation
+    plus the pairwise interaction energy. Returns the unnormalized product.
+    """
+    vec = psi.amplitudes if isinstance(psi, QuantumState) else np.asarray(psi, dtype=np.complex128)
+    if vec.ndim != 1 or vec.size != 1 << system.n:
+        raise InvalidState(f"state has dimension {vec.shape}, expected {1 << system.n}")
+    out = system.diagonal(delta) * vec
+    if omega != 0.0:
+        half = 0.5 * omega
+        for i in range(system.n):
+            view = out.reshape(1 << i, 2, -1)
+            view += half * vec.reshape(1 << i, 2, -1)[:, ::-1, :]
+    return out
+
+
+def dense_hamiltonian(system: RydbergSystem, omega: float, delta: float) -> np.ndarray:
+    """Explicit 2**n x 2**n real symmetric Hamiltonian matrix.
+
+    Intended for small systems: reference integrators, spectra, and
+    cross-checks of the matrix-free apply.
+    """
+    dim = 1 << system.n
+    h = np.zeros((dim, dim))
+    h[np.diag_indices(dim)] = system.diagonal(delta)
+    idx = np.arange(dim)
+    for i in range(system.n):
+        h[idx, idx ^ node_mask(i, system.n)] += 0.5 * omega
+    return h
+
+
+def diagonal_energy(system: RydbergSystem, delta: float, z: str) -> float:
+    """Energy of basis state ``z`` under the drive-off Hamiltonian:
+    ``-delta * (excitation count) + sum of V_ij over excited pairs``."""
+    from_bitstring(z, system.n)
+    members = [i for i, ch in enumerate(z) if ch == "1"]
+    v = system.interactions
+    energy = -delta * len(members)
+    for a in range(len(members)):
+        for b in range(a + 1, len(members)):
+            energy += v[members[a], members[b]]
+    return float(energy)
+
+
+def _strang_stage(psi: np.ndarray, system: RydbergSystem, h: float, omega: float, delta: float) -> None:
+    """One self-adjoint split step in place: half diagonal phase, uniform
+    single-atom drive rotation, half diagonal phase."""
+    half_phase = np.exp((-0.5j * h) * system.diagonal(delta))
+    psi *= half_phase
+    theta = 0.5 * h * omega
+    if theta != 0.0:
+        c, s = math.cos(theta), math.sin(theta)
+        for i in range(system.n):
+            view = psi.reshape(1 << i, 2, -1)
+            top = view[:, 0, :].copy()
+            view[:, 0, :] = c * top - 1j * s * view[:, 1, :]
+            view[:, 1, :] = c * view[:, 1, :] - 1j * s * top
+    psi *= half_phase
+
+
+def reference_propagate(system: RydbergSystem, schedule: Schedule, step: float) -> QuantumState:
+    """The same triple-jump scheme as ``propagate``, one stage at a time with
+    the drive rotation applied atom by atom."""
+    if not (step > 0 and math.isfinite(step)):
+        raise InvalidInput(f"step must be positive and finite, got {step!r}")
+    n = system.n
+    psi = np.zeros(1 << n, dtype=np.complex128)
+    psi[0] = 1.0
+    times = schedule.breakpoint_times
+    for t0, t1 in zip(times, times[1:]):
+        segment = t1 - t0
+        substeps = max(1, math.ceil(segment / step))
+        h = segment / substeps
+        for k in range(substeps):
+            t = t0 + k * h
+            virtual = t
+            for w in (_W1, _W0, _W1):
+                tm = virtual + 0.5 * w * h
+                _strang_stage(psi, system, w * h, schedule.omega_at(tm), schedule.delta_at(tm))
+                virtual += w * h
+    return QuantumState(psi)

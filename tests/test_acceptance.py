@@ -29,13 +29,14 @@ from conftest import (
     GRAPH_A_MIS_FAMILY,
     GRAPH_B_MIS_FAMILY,
     SEED,
+    apply_hamiltonian,
     brute_force_mis,
     members,
     random_unit_disk,
     support_bitstring,
 )
 from rydnash.cli import ANNEAL_REPORT, CLASSICAL_REPORT, COMPARE_REPORT, EXIT_OK, HISTOGRAM_CSV, main
-from rydnash.dynamics import RydbergSystem, apply_hamiltonian, evolve, exact_ground_states, propagate, sample
+from rydnash.dynamics import RydbergSystem, evolve, exact_ground_states, propagate, sample
 from rydnash.errors import ConstraintViolation
 from rydnash.game import GameParams, enumerate_specialized_nash
 from rydnash.geometry import build_unit_disk_graph, validate_embedding

@@ -2,15 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
-from conftest import C_A, C_B, GRAPH_A_MAXIMUM, GRAPH_B_MIS_FAMILY
-from rydnash.dynamics import (
+import rydnash.dynamics
+from conftest import (
+    C_A,
+    C_B,
+    GRAPH_A_MAXIMUM,
+    GRAPH_B_MIS_FAMILY,
     INTEGRATOR_ORDER,
-    QuantumState,
-    RydbergSystem,
     apply_hamiltonian,
     dense_hamiltonian,
     diagonal_energy,
+    reference_propagate,
+    unit_disk_layouts,
+)
+from rydnash.dynamics import (
+    QuantumState,
+    RydbergSystem,
     evolve,
     exact_ground_states,
     interaction_matrix,
@@ -289,6 +298,61 @@ class TestPropagateAndEvolve:
                 if (z >> (graph.n - 1 - i)) & 1 and (z >> (graph.n - 1 - j)) & 1
             )
             assert violating < 0.05
+
+
+# A short ramp whose first segment has the drive off, so stages there skip the
+# rotation while their phases still merge with the driven stages after them.
+SHORT_RAMP = Schedule(
+    ((0.0, 0.0), (0.01, 0.0), (0.02, 6.0), (0.03, 2.0)),
+    ((0.0, -5.0), (0.015, 1.0), (0.03, 7.27)),
+    0.03,
+)
+
+
+def assert_matches_reference(graph):
+    # pairs capped at 50 rad/us, so the merged and separate half phases stay
+    # at the same round-off
+    closest = min((graph.distance(i, j) for i in range(graph.n) for j in range(i)), default=1.0)
+    system = RydbergSystem(graph, 50.0 * closest**6)
+    for step in (1e-3, 4e-3):
+        fast = propagate(system, SHORT_RAMP, step).amplitudes
+        slow = reference_propagate(system, SHORT_RAMP, step).amplitudes
+        assert float(np.linalg.norm(fast - slow)) < 1e-10
+
+
+class TestWalshHadamardStage:
+    @pytest.mark.parametrize("n", [1, 2, 7, 13, 16])
+    def test_chain_matches_reference(self, n):
+        # n = 1 is a single one-qubit block; 7, 13 and 16 split unevenly
+        # into blocks of at most six qubits
+        assert_matches_reference(build_unit_disk_graph([(6.0 * i, 0.0) for i in range(n)], 6.0))
+
+    @settings(max_examples=25, deadline=None)
+    @given(graph=unit_disk_layouts(n_max=9))
+    def test_layouts_match_reference(self, graph):
+        # near-coincident atoms would underflow the coupling scale
+        assume(all(graph.distance(i, j) >= 0.1 for i in range(graph.n) for j in range(i)))
+        assert_matches_reference(graph)
+
+    @pytest.mark.parametrize(
+        "layout, c6, duration",
+        [("graph_a", C_A, 4.0), ("graph_b", C_B, 4.0), ("chain11", 1e6, 1.0)],
+    )
+    def test_evolve_pass_count(self, layout, c6, duration, request, monkeypatch):
+        if layout == "chain11":
+            graph = build_unit_disk_graph([(6.0 * i, 0.0) for i in range(11)], 6.0)
+        else:
+            graph = request.getfixturevalue(layout)
+        steps = []
+
+        def counted(system, schedule, step):
+            steps.append(step)
+            return propagate(system, schedule, step)
+
+        monkeypatch.setattr(rydnash.dynamics, "propagate", counted)
+        state = evolve(RydbergSystem(graph, c6), default_schedule(duration=duration))
+        assert steps == [1e-3, 5e-4]
+        assert abs(state.norm() - 1.0) < 1e-9
 
 
 class TestQuantumState:
