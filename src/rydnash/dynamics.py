@@ -45,9 +45,12 @@ _WEIGHTS = np.array([_W1, _W0, _W1])
 # Each stage's midpoint within its substep, in units of the substep.
 _MIDPOINTS = np.cumsum(_WEIGHTS) - 0.5 * _WEIGHTS
 
-# Qubits per Walsh-Hadamard block: one dense factor of at most 2**6 x 2**6
-# keeps the transform at O(2**n * n) work at every size.
-_BLOCK = 6
+# Drive-rotation blocks: up to _SINGLE_BLOCK qubits the whole rotation is one
+# matmul, which beats two smaller ones there; larger systems split into
+# ceil(n / _BLOCK) near-equal blocks, each at most 2**n * 2**_BLOCK complex
+# multiply-adds, so a stage stays O(2**n * n) at every size.
+_SINGLE_BLOCK = 6
+_BLOCK = 4
 # Substeps whose waveform samples and phase tables are computed together;
 # bounds the tables' memory on long segments.
 _CHUNK = 64
@@ -194,28 +197,53 @@ def exact_ground_states(
     return tuple(to_bitstring(int(i), system.n) for i in np.nonzero(energies <= cutoff)[0])
 
 
-def _walsh_hadamard(source: np.ndarray, spare: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The unnormalised Walsh-Hadamard transform of ``source`` as
-    ``np.matmul(factor, src, out=dst)`` calls, one per qubit block.
+def _block_bounds(n: int) -> list[int]:
+    """Qubit boundaries of the drive-rotation blocks, highest-order first."""
+    count = 1 if n <= _SINGLE_BLOCK else -(-n // _BLOCK)
+    return [n * i // count for i in range(count + 1)]
 
-    The n qubits split into ceil(n / _BLOCK) near-equal blocks. A block's
-    +-1 Sylvester factor acts on the middle axis of a float64 view reshaped
-    to ``(pre, 2**b, post)``, so real and imaginary parts ride along in
-    ``post`` and no axis is moved. Successive blocks alternate between the
-    two buffers: the result lands in ``source`` after an even number of
-    blocks and in ``spare`` after an odd one.
+
+def _hamming_distances(b: int) -> np.ndarray:
+    """``popcount(x ^ y)`` for every pair of ``b``-bit indices."""
+    x = np.arange(1 << b, dtype=np.uint64)
+    return np.bitwise_count(x[:, None] ^ x).astype(np.intp)
+
+
+def _rotation_entries(theta: np.ndarray, b: int) -> np.ndarray:
+    """Entries of ``R_x(2 theta)^(x b)`` by Hamming distance ``d = 0 .. b``
+    between row and column, ``cos(theta)**(b - d) * (-i sin(theta))**d``,
+    one row per angle."""
+    d = np.arange(b + 1)
+    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    return c ** (b - d) * s**d * np.array([1, -1j, -1, 1j])[d % 4]
+
+
+def _rotation_calls(
+    bounds: list[int], matrices: dict[int, np.ndarray], source: np.ndarray, spare: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The uniform drive rotation of ``source`` as ``np.matmul(a, b, out=c)``
+    argument triples, one per qubit block.
+
+    A block of ``b`` qubits multiplies the state, viewed as
+    ``(pre, 2**b, post)``, by that size's symmetric ``2**b x 2**b`` matrix
+    along the middle axis. The highest-order block is one ``M @ X`` and the
+    lowest-order one is one ``X @ M`` gemm; blocks between them are batched
+    over ``pre``. Successive blocks alternate between the two buffers: the
+    result lands in ``source`` after an even number of blocks and in
+    ``spare`` after an odd one.
     """
-    n = source.size.bit_length() - 1
-    count = -(-n // _BLOCK)
-    bounds = [n * i // count for i in range(count + 1)]
-    buffers = (source.view(np.float64), spare.view(np.float64))
+    n = bounds[-1]
+    buffers = (source, spare)
     calls = []
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        factor = np.ones((1, 1))
-        for _ in range(hi - lo):
-            factor = np.block([[factor, factor], [factor, -factor]])
-        shape = (1 << lo, len(factor), 2 << (n - hi))
-        calls.append((factor, buffers[i % 2].reshape(shape), buffers[(i + 1) % 2].reshape(shape)))
+        src, dst = buffers[i % 2], buffers[(i + 1) % 2]
+        matrix = matrices[hi - lo]
+        shape = (1 << lo, 1 << (hi - lo), 1 << (n - hi))
+        if hi == n:
+            calls.append((src.reshape(shape[:2]), matrix, dst.reshape(shape[:2])))
+        else:
+            shape = shape[1:] if lo == 0 else shape
+            calls.append((matrix, src.reshape(shape), dst.reshape(shape)))
     return calls
 
 
@@ -231,22 +259,32 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
     unitary, so the norm is conserved to round-off regardless of step size.
 
     A stage of length ``x`` is a half diagonal phase ``exp(-i x/2 D)``, the
-    uniform drive rotation ``R(theta)^n = W diag(exp(-i theta (n - 2|z|))) W / 2**n``
-    with ``theta = x omega / 2`` and ``W`` the Walsh-Hadamard transform
-    (``H R_x H = R_z``), and the other half phase. The closing half phase of
-    one stage and the opening one of the next are applied as one product.
+    uniform drive rotation ``R_x(2 theta)`` on every qubit with
+    ``theta = x omega / 2``, and the other half phase. The rotation is a
+    tensor product over qubits, so it is applied as one complex matmul per
+    qubit block, by ``R_x(2 theta)^(x b)`` with entries
+    ``cos(theta)**(b - d) * (-i sin(theta))**d`` at Hamming distance ``d``.
+    A block matrix is rebuilt only when the angle at its triple-jump
+    position changes, so constant-drive stretches build none. The closing
+    half phase of one stage and the opening one of the next are applied as
+    one product.
     """
     if not (step > 0 and math.isfinite(step)):
         raise InvalidInput(f"step must be positive and finite, got {step!r}")
     n = system.n
     pair, count = system.pair_energy, system.excitation_count
     k = np.arange(n + 1)
-    psi = np.zeros(1 << n, dtype=np.complex128)
-    psi[0] = 1.0
-    spare = np.empty_like(psi)
-    forward = _walsh_hadamard(psi, spare)
-    rotated, other = (spare, psi) if len(forward) % 2 else (psi, spare)
-    back = _walsh_hadamard(rotated, other)
+    buffers = (np.zeros(1 << n, dtype=np.complex128), np.empty(1 << n, dtype=np.complex128))
+    buffers[0][0] = 1.0
+    bounds = _block_bounds(n)
+    distances = {b: _hamming_distances(b) for b in {hi - lo for lo, hi in zip(bounds, bounds[1:])}}
+    # per triple-jump position: one matrix per block size, the angle it was
+    # last built for, and the rotation's calls starting from either buffer
+    matrices = [{b: np.empty(d.shape, dtype=np.complex128) for b, d in distances.items()} for _ in _WEIGHTS]
+    built = [None] * len(_WEIGHTS)
+    calls = [[_rotation_calls(bounds, m, buffers[i], buffers[1 - i]) for i in (0, 1)] for m in matrices]
+    swap = (len(bounds) - 1) % 2
+    current = 0  # index of the buffer holding the state
     # the last stage's closing half phase, still to be applied: x / 2 for
     # the pair phase and x * delta / 2 for the popcount phase
     carry_s = carry_a = 0.0
@@ -266,19 +304,24 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
             opening_a = np.concatenate(([carry_a], half_a[:-1])) + half_a
             carry_s, carry_a = float(half_s[-1]), float(half_a[-1])
             detuning = np.exp(1j * opening_a[:, None] * k)
-            drive = np.exp(-1j * theta[:, None] * (n - 2 * k)) * 0.5**n
-            for s, th, det, rot in zip(opening_s.tolist(), theta.tolist(), detuning, drive):
+            entries = {b: _rotation_entries(theta, b) for b in distances}
+            for i, (s, th, det) in enumerate(zip(opening_s.tolist(), theta.tolist(), detuning)):
                 phase = pair_phase.get(s)
                 if phase is None:
                     phase = pair_phase[s] = np.exp(-1j * s * pair)
+                psi = buffers[current]
                 psi *= phase
                 psi *= det[count]
                 if th != 0.0:
-                    for factor, src, dst in forward:
-                        np.matmul(factor, src, out=dst)
-                    rotated *= rot[count]
-                    for factor, src, dst in back:
-                        np.matmul(factor, src, out=dst)
+                    position = i % len(_WEIGHTS)
+                    if th != built[position]:
+                        built[position] = th
+                        for b, matrix in matrices[position].items():
+                            np.take(entries[b][i], distances[b], out=matrix)
+                    for left, right, out in calls[position][current]:
+                        np.matmul(left, right, out=out)
+                    current ^= swap
+    psi = buffers[current]
     psi *= np.exp(-1j * carry_s * pair) * np.exp(1j * carry_a * k)[count]
     return QuantumState(psi)
 

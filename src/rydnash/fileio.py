@@ -24,6 +24,10 @@ _GRAPH_FIELDS = {"nodes", "radius", "labels"}
 _GAME_FIELDS = {"e_star", "cost", "benefit"}
 _SCHEDULE_FIELDS = {"omega", "delta", "duration"}
 
+# libyaml's emitter writes the same bytes as the pure-Python one, about four
+# times faster on a report of a few hundred readouts.
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 HISTOGRAM_COLUMNS = ("bitstring", "count", "probability", "energy", "is_independent", "is_maximal", "is_mis")
 
 
@@ -152,7 +156,7 @@ def _write_yaml(path: str, data: dict, header: tuple[str, ...] = ()) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in header:
             fh.write(f"# {line}\n")
-        yaml.safe_dump(data, fh, sort_keys=True, default_flow_style=None)
+        yaml.dump(data, fh, Dumper=_DUMPER, sort_keys=True, default_flow_style=None)
 
 
 def write_report(path: str, data: dict) -> None:

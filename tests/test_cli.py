@@ -29,8 +29,9 @@ from rydnash.cli import (
 from rydnash.dynamics import RydbergSystem
 from rydnash.errors import InvalidInput
 from rydnash.fileio import read_report, save_graph, save_schedule, write_report
+from rydnash.geometry import build_unit_disk_graph
 from rydnash.pipeline import ClassicalResult, QuantumResult, RunConfig, compare, run_classical, run_quantum
-from rydnash.schedule import Schedule
+from rydnash.schedule import Schedule, default_schedule
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 GRAPH_A_FILE = os.path.join(CONFIGS, "graph_a.yaml")
@@ -296,6 +297,39 @@ class TestAllCommand:
         report = read_report(os.path.join(out, COMPARE_REPORT))
         assert report["verdicts"]["overall_pass"] is True
         assert report["top_k"] == ["100110"]
+
+    @pytest.mark.parametrize("layout", ["graph_b", "chain11"])
+    def test_libyaml_reports_match_pure_python(self, layout, tmp_path, monkeypatch):
+        # the libyaml emitter must write every report byte for byte as the
+        # pure-Python one does; chain11 has about 200 classification rows
+        if not yaml.__with_libyaml__:
+            pytest.skip("PyYAML is built without libyaml")
+        assert rydnash.fileio._DUMPER is yaml.CSafeDumper
+        if layout == "graph_b":
+            args = ["--graph", GRAPH_B_FILE, "--coupling-c", "6e5"]
+        else:
+            graph, ramp = str(tmp_path / "chain.yaml"), str(tmp_path / "ramp.yaml")
+            save_graph(graph, build_unit_disk_graph([(6.0 * i, 0.0) for i in range(11)], 6.0))
+            save_schedule(ramp, default_schedule(duration=1.0))
+            args = ["--graph", graph, "--schedule", ramp, "--coupling-c", "1e6"]
+        written = []
+        write_yaml = rydnash.fileio._write_yaml
+
+        def recording(path, data, header=()):
+            written.append((path, data, header))
+            write_yaml(path, data, header)
+
+        monkeypatch.setattr(rydnash.fileio, "_write_yaml", recording)
+        assert main(["all", *args, "--out", str(tmp_path / "out"), "--seed", "7"]) == EXIT_OK
+        assert {os.path.basename(path) for path, _, _ in written} >= {CLASSICAL_REPORT, ANNEAL_REPORT, COMPARE_REPORT}
+        monkeypatch.setattr(rydnash.fileio, "_DUMPER", yaml.SafeDumper)
+        for path, data, header in written:
+            again = str(tmp_path / "pure" / os.path.basename(path))
+            write_yaml(again, data, header)
+            with open(path, "rb") as fast, open(again, "rb") as pure:
+                assert fast.read() == pure.read()
+        if layout == "chain11":
+            assert len(read_report(os.path.join(tmp_path, "out", ANNEAL_REPORT))["classification"]) > 150
 
     def test_outdir_env_default(self, pair_graph_file, tmp_path, monkeypatch):
         env_dir = str(tmp_path / "envout")

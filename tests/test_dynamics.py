@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -18,8 +20,11 @@ from conftest import (
     unit_disk_layouts,
 )
 from rydnash.dynamics import (
+    _SINGLE_BLOCK,
     QuantumState,
     RydbergSystem,
+    _hamming_distances,
+    _rotation_entries,
     evolve,
     exact_ground_states,
     interaction_matrix,
@@ -314,17 +319,35 @@ def assert_matches_reference(graph):
     # at the same round-off
     closest = min((graph.distance(i, j) for i in range(graph.n) for j in range(i)), default=1.0)
     system = RydbergSystem(graph, 50.0 * closest**6)
-    for step in (1e-3, 4e-3):
-        fast = propagate(system, SHORT_RAMP, step).amplitudes
-        slow = reference_propagate(system, SHORT_RAMP, step).amplitudes
+    # the short default ramp holds the drive constant for most of its
+    # substeps, where the fast stage reuses its rotation matrices
+    for schedule, step in itertools.product((SHORT_RAMP, default_schedule(duration=0.05)), (1e-3, 4e-3)):
+        fast = propagate(system, schedule, step).amplitudes
+        slow = reference_propagate(system, schedule, step).amplitudes
         assert float(np.linalg.norm(fast - slow)) < 1e-10
 
 
+class TestBlockRotation:
+    @pytest.mark.parametrize("theta", [0.3, -0.7])  # the middle stage runs backward
+    @pytest.mark.parametrize("b", range(1, _SINGLE_BLOCK + 1))
+    def test_block_matrix_is_kronecker_power(self, b, theta):
+        c, s = math.cos(theta), math.sin(theta)
+        expected = functools.reduce(np.kron, [np.array([[c, -1j * s], [-1j * s, c]])] * b)
+        matrix = np.take(_rotation_entries(np.array([theta]), b)[0], _hamming_distances(b))
+        # a few ulps per factor of the product
+        np.testing.assert_allclose(matrix, expected, rtol=0, atol=1e-14)
+        assert np.array_equal(matrix, matrix.T)
+        np.testing.assert_allclose(matrix @ matrix.conj().T, np.eye(1 << b), rtol=0, atol=1e-14)
+
+
+# The stage the class is named after is gone; the name keeps the test ids of
+# the reference comparisons and pass-count pins stable.
 class TestWalshHadamardStage:
-    @pytest.mark.parametrize("n", [1, 2, 7, 13, 16])
+    @pytest.mark.parametrize("n", [1, 2, 6, 7, 11, 13, 16])
     def test_chain_matches_reference(self, n):
-        # n = 1 is a single one-qubit block; 7, 13 and 16 split unevenly
-        # into blocks of at most six qubits
+        # qubits per block by n: 1, 2 and 6 are one block; 7 is (3, 4); 11 is
+        # (3, 4, 4), with one batched middle block; 13 is (3, 3, 3, 4) and
+        # 16 is (4, 4, 4, 4), with two each
         assert_matches_reference(build_unit_disk_graph([(6.0 * i, 0.0) for i in range(n)], 6.0))
 
     @settings(max_examples=25, deadline=None)
