@@ -10,7 +10,9 @@ the atom is in the excited (Rydberg) state. The Hamiltonian is
            + sum_{i<j} V_ij n_i n_j,
 
 with ``x_i`` flipping atom i, ``n_i`` its excitation number, and
-``V_ij = c6 / r_ij**6``.
+``V_ij = c6 / r_ij**6``. Internally ``propagate`` carries the state in the
+twisted frame ``i**(-|z|) * psi``, where the drive rotation is real
+orthogonal; every state it returns is back in the frame above.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ _MIDPOINTS = np.cumsum(_WEIGHTS) - 0.5 * _WEIGHTS
 
 # Drive-rotation blocks: up to _SINGLE_BLOCK qubits the whole rotation is one
 # matmul, which beats two smaller ones there; larger systems split into
-# ceil(n / _BLOCK) near-equal blocks, each at most 2**n * 2**_BLOCK complex
+# ceil(n / _BLOCK) near-equal blocks, each at most 2**(n + _BLOCK + 2) real
 # multiply-adds, so a stage stays O(2**n * n) at every size.
 _SINGLE_BLOCK = 6
 _BLOCK = 4
@@ -203,47 +205,72 @@ def _block_bounds(n: int) -> list[int]:
     return [n * i // count for i in range(count + 1)]
 
 
-def _hamming_distances(b: int) -> np.ndarray:
-    """``popcount(x ^ y)`` for every pair of ``b``-bit indices."""
-    x = np.arange(1 << b, dtype=np.uint64)
-    return np.bitwise_count(x[:, None] ^ x).astype(np.intp)
+def _rotation_index(b: int, lowest: bool) -> np.ndarray:
+    """Where each entry of a ``b``-qubit drive-rotation matrix sits in its
+    row of ``_rotation_table``.
+
+    In the twisted frame the block rotation is the real orthogonal
+    ``K_b = [[cos, sin], [-sin, cos]]^(x b)``, whose entry at row ``r``,
+    column ``c`` is ``cos**(b - d) * sin**d * (-1)**u`` with
+    ``d = popcount(r ^ c)`` and ``u = popcount(r & ~c)``. The lowest-order
+    block multiplies the interleaved real and imaginary parts from the
+    right, so its matrix is ``kron(K_b.T, I_2)``, whose other entries index
+    the table's trailing zero.
+    """
+    rows = np.arange(1 << b, dtype=np.uint64)[:, None]
+    flips = rows ^ rows.T
+    # r & ~c written as (r ^ c) & r, and the arithmetic done on intp: this
+    # touches no integer loop the rest of a run does not, which keeps numpy
+    # code pages out of the peak resident memory
+    d = np.bitwise_count(flips).astype(np.intp)
+    u = np.bitwise_count(flips & rows).astype(np.intp)
+    index = d + (b + 1) * (u % 2)
+    if not lowest:
+        return index
+    spread = np.full((1 << b, 2, 1 << b, 2), 2 * b + 2, dtype=np.intp)
+    spread[:, 0, :, 0] = spread[:, 1, :, 1] = index.T
+    return spread.reshape(2 << b, 2 << b)
 
 
-def _rotation_entries(theta: np.ndarray, b: int) -> np.ndarray:
-    """Entries of ``R_x(2 theta)^(x b)`` by Hamming distance ``d = 0 .. b``
-    between row and column, ``cos(theta)**(b - d) * (-i sin(theta))**d``,
-    one row per angle."""
+def _rotation_table(theta: np.ndarray, b: int) -> np.ndarray:
+    """One row per angle: ``cos(theta)**(b - d) * sin(theta)**d`` for
+    ``d = 0 .. b``, then their negatives, then a zero."""
     d = np.arange(b + 1)
-    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    return c ** (b - d) * s**d * np.array([1, -1j, -1, 1j])[d % 4]
+    t = np.cos(theta)[:, None] ** (b - d) * np.sin(theta)[:, None] ** d
+    return np.concatenate((t, -t, np.zeros((theta.size, 1))), axis=1)
 
 
 def _rotation_calls(
-    bounds: list[int], matrices: dict[int, np.ndarray], source: np.ndarray, spare: np.ndarray
+    bounds: list[int],
+    matrices: dict[tuple[int, bool], np.ndarray],
+    source: np.ndarray,
+    spare: np.ndarray,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The uniform drive rotation of ``source`` as ``np.matmul(a, b, out=c)``
-    argument triples, one per qubit block.
+    argument triples, one real matmul per qubit block.
 
-    A block of ``b`` qubits multiplies the state, viewed as
-    ``(pre, 2**b, post)``, by that size's symmetric ``2**b x 2**b`` matrix
-    along the middle axis. The highest-order block is one ``M @ X`` and the
-    lowest-order one is one ``X @ M`` gemm; blocks between them are batched
-    over ``pre``. Successive blocks alternate between the two buffers: the
-    result lands in ``source`` after an even number of blocks and in
-    ``spare`` after an odd one.
+    The complex state is read as float64 pairs, so a block of ``b`` qubits
+    views it as ``(pre, 2**b, 2 * post)`` and multiplies by ``K_b`` along
+    the middle axis: one ``K @ X`` gemm for the highest-order block,
+    batched over ``pre`` for the blocks between. The lowest-order block,
+    where the pair is the innermost axis, is one ``X @ kron(K_b.T, I_2)``
+    gemm on the ``(pre, 2**(b + 1))`` view. Successive blocks alternate
+    between the two buffers: the result lands in ``source`` after an even
+    number of blocks and in ``spare`` after an odd one.
     """
     n = bounds[-1]
-    buffers = (source, spare)
+    buffers = (source.view(np.float64), spare.view(np.float64))
     calls = []
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         src, dst = buffers[i % 2], buffers[(i + 1) % 2]
-        matrix = matrices[hi - lo]
-        shape = (1 << lo, 1 << (hi - lo), 1 << (n - hi))
-        if hi == n:
-            calls.append((src.reshape(shape[:2]), matrix, dst.reshape(shape[:2])))
+        b = hi - lo
+        if lo > 0 and hi == n:
+            shape = (1 << lo, 2 << b)
+            calls.append((src.reshape(shape), matrices[b, True], dst.reshape(shape)))
         else:
+            shape = (1 << lo, 1 << b, 2 << (n - hi))
             shape = shape[1:] if lo == 0 else shape
-            calls.append((matrix, src.reshape(shape), dst.reshape(shape)))
+            calls.append((matrices[b, False], src.reshape(shape), dst.reshape(shape)))
     return calls
 
 
@@ -260,14 +287,16 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
 
     A stage of length ``x`` is a half diagonal phase ``exp(-i x/2 D)``, the
     uniform drive rotation ``R_x(2 theta)`` on every qubit with
-    ``theta = x omega / 2``, and the other half phase. The rotation is a
-    tensor product over qubits, so it is applied as one complex matmul per
-    qubit block, by ``R_x(2 theta)^(x b)`` with entries
-    ``cos(theta)**(b - d) * (-i sin(theta))**d`` at Hamming distance ``d``.
-    A block matrix is rebuilt only when the angle at its triple-jump
-    position changes, so constant-drive stretches build none. The closing
-    half phase of one stage and the opening one of the next are applied as
-    one product.
+    ``theta = x omega / 2``, and the other half phase. The state is carried
+    in the twisted frame ``phi = i**(-|z|) psi``: diagonals commute with the
+    twist, and since ``S^-1 R_x(2 theta) S = [[cos, sin], [-sin, cos]]``
+    for the phase gate ``S = diag(1, i)``, the rotation there is real. It
+    is a tensor product over qubits, so it is applied as one float64 matmul
+    per qubit block on the state's real view (see ``_rotation_index``). A
+    block matrix is rebuilt only when the angle at its triple-jump position
+    changes, so constant-drive stretches build none. The closing half phase
+    of one stage and the opening one of the next are applied as one
+    product, and the last one also untwists the state.
     """
     if not (step > 0 and math.isfinite(step)):
         raise InvalidInput(f"step must be positive and finite, got {step!r}")
@@ -275,12 +304,14 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
     pair, count = system.pair_energy, system.excitation_count
     k = np.arange(n + 1)
     buffers = (np.zeros(1 << n, dtype=np.complex128), np.empty(1 << n, dtype=np.complex128))
-    buffers[0][0] = 1.0
+    buffers[0][0] = 1.0  # the all-ground state is its own twist
     bounds = _block_bounds(n)
-    distances = {b: _hamming_distances(b) for b in {hi - lo for lo, hi in zip(bounds, bounds[1:])}}
-    # per triple-jump position: one matrix per block size, the angle it was
+    blocks = {(hi - lo, lo > 0 and hi == n) for lo, hi in zip(bounds, bounds[1:])}
+    slots = {key: _rotation_index(*key) for key in blocks}
+    sizes = {b for b, _ in blocks}
+    # per triple-jump position: one matrix per block kind, the angle it was
     # last built for, and the rotation's calls starting from either buffer
-    matrices = [{b: np.empty(d.shape, dtype=np.complex128) for b, d in distances.items()} for _ in _WEIGHTS]
+    matrices = [{key: np.empty(ix.shape) for key, ix in slots.items()} for _ in _WEIGHTS]
     built = [None] * len(_WEIGHTS)
     calls = [[_rotation_calls(bounds, m, buffers[i], buffers[1 - i]) for i in (0, 1)] for m in matrices]
     swap = (len(bounds) - 1) % 2
@@ -304,7 +335,7 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
             opening_a = np.concatenate(([carry_a], half_a[:-1])) + half_a
             carry_s, carry_a = float(half_s[-1]), float(half_a[-1])
             detuning = np.exp(1j * opening_a[:, None] * k)
-            entries = {b: _rotation_entries(theta, b) for b in distances}
+            tables = {b: _rotation_table(theta, b) for b in sizes}
             for i, (s, th, det) in enumerate(zip(opening_s.tolist(), theta.tolist(), detuning)):
                 phase = pair_phase.get(s)
                 if phase is None:
@@ -316,13 +347,15 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
                     position = i % len(_WEIGHTS)
                     if th != built[position]:
                         built[position] = th
-                        for b, matrix in matrices[position].items():
-                            np.take(entries[b][i], distances[b], out=matrix)
+                        for (b, lowest), matrix in matrices[position].items():
+                            # mode="clip" lets numpy write into out directly
+                            np.take(tables[b][i], slots[b, lowest], out=matrix, mode="clip")
                     for left, right, out in calls[position][current]:
                         np.matmul(left, right, out=out)
                     current ^= swap
     psi = buffers[current]
-    psi *= np.exp(-1j * carry_s * pair) * np.exp(1j * carry_a * k)[count]
+    untwist = np.array([1, 1j, -1, -1j])[k % 4]
+    psi *= np.exp(-1j * carry_s * pair) * (np.exp(1j * carry_a * k) * untwist)[count]
     return QuantumState(psi)
 
 

@@ -23,8 +23,8 @@ from rydnash.dynamics import (
     _SINGLE_BLOCK,
     QuantumState,
     RydbergSystem,
-    _hamming_distances,
-    _rotation_entries,
+    _rotation_index,
+    _rotation_table,
     evolve,
     exact_ground_states,
     interaction_matrix,
@@ -332,12 +332,23 @@ class TestBlockRotation:
     @pytest.mark.parametrize("b", range(1, _SINGLE_BLOCK + 1))
     def test_block_matrix_is_kronecker_power(self, b, theta):
         c, s = math.cos(theta), math.sin(theta)
-        expected = functools.reduce(np.kron, [np.array([[c, -1j * s], [-1j * s, c]])] * b)
-        matrix = np.take(_rotation_entries(np.array([theta]), b)[0], _hamming_distances(b))
+        table = _rotation_table(np.array([theta]), b)[0]
+        matrix = np.take(table, _rotation_index(b, False))
         # a few ulps per factor of the product
+        expected = functools.reduce(np.kron, [np.array([[c, s], [-s, c]])] * b)
         np.testing.assert_allclose(matrix, expected, rtol=0, atol=1e-14)
-        assert np.array_equal(matrix, matrix.T)
-        np.testing.assert_allclose(matrix @ matrix.conj().T, np.eye(1 << b), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(matrix @ matrix.T, np.eye(1 << b), rtol=0, atol=1e-14)
+        # the drive rotation seen from the twisted frame: S^-1 R_x^(x b) S
+        # with S = diag(i**|z|)
+        rotation = functools.reduce(np.kron, [np.array([[c, -1j * s], [-1j * s, c]])] * b)
+        twist = np.array([1, 1j, -1, -1j])[np.bitwise_count(np.arange(1 << b)) % 4]
+        np.testing.assert_allclose(matrix, rotation * twist / twist[:, None], rtol=0, atol=1e-14)
+        # the lowest-order block acts on the interleaved float64 view
+        rng = np.random.default_rng(b)
+        x = rng.normal(size=(4, 1 << b)) + 1j * rng.normal(size=(4, 1 << b))
+        lowest = np.take(table, _rotation_index(b, True))
+        product = (x.view(np.float64) @ lowest).view(np.complex128)
+        np.testing.assert_allclose(product, x @ matrix.T, rtol=0, atol=1e-14)
 
 
 # The stage the class is named after is gone; the name keeps the test ids of
