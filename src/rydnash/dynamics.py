@@ -12,14 +12,16 @@ the atom is in the excited (Rydberg) state. The Hamiltonian is
 with ``x_i`` flipping atom i, ``n_i`` its excitation number, and
 ``V_ij = c6 / r_ij**6``. Internally ``propagate`` carries the state in the
 twisted frame ``i**(-|z|) * psi``, where the drive rotation is real
-orthogonal; every state it returns is back in the frame above.
+orthogonal; every state it returns is back in the frame above. Each of its
+stages applies the diagonal part as one multiply by a row of a phase table
+that is filled in bulk for a group of stages.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -53,9 +55,15 @@ _MIDPOINTS = np.cumsum(_WEIGHTS) - 0.5 * _WEIGHTS
 # multiply-adds, so a stage stays O(2**n * n) at every size.
 _SINGLE_BLOCK = 6
 _BLOCK = 4
-# Substeps whose waveform samples and phase tables are computed together;
+# Substeps whose waveform samples and rotation tables are computed together;
 # bounds the tables' memory on long segments.
 _CHUNK = 64
+# Bytes of the fused diagonal-phase table, one 2**n-entry complex row per
+# stage: as many rows as fit, at least one and at most a chunk's stages.
+# 128 KiB keeps four rows at n = 11, where one or two rows per fill slowed
+# the anneal, and costs less peak memory at n = 6 than 256 KiB: there the
+# table and numpy's buffers for its broadcast multiplies are the growth.
+_TABLE_BYTES = 1 << 17
 
 
 def interaction_matrix(graph: EmbeddedGraph, c6: float) -> np.ndarray:
@@ -128,7 +136,7 @@ class QuantumState:
         if a.ndim != 1 or a.size < 2 or (a.size & (a.size - 1)) != 0:
             raise InvalidState(f"amplitude vector length must be a power of two >= 2, got shape {a.shape}")
         norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > 1e-6:
+        if not (abs(norm - 1.0) <= 1e-6):  # also rejects a NaN norm
             raise InvalidState(f"state norm {norm} deviates from 1 by more than 1e-6")
         a.flags.writeable = False
         object.__setattr__(self, "amplitudes", a)
@@ -205,6 +213,7 @@ def _block_bounds(n: int) -> list[int]:
     return [n * i // count for i in range(count + 1)]
 
 
+@cache
 def _rotation_index(b: int, lowest: bool) -> np.ndarray:
     """Where each entry of a ``b``-qubit drive-rotation matrix sits in its
     row of ``_rotation_table``.
@@ -215,7 +224,7 @@ def _rotation_index(b: int, lowest: bool) -> np.ndarray:
     ``d = popcount(r ^ c)`` and ``u = popcount(r & ~c)``. The lowest-order
     block multiplies the interleaved real and imaginary parts from the
     right, so its matrix is ``kron(K_b.T, I_2)``, whose other entries index
-    the table's trailing zero.
+    the table's trailing zero. Each index is built once and kept, read-only.
     """
     rows = np.arange(1 << b, dtype=np.uint64)[:, None]
     flips = rows ^ rows.T
@@ -225,11 +234,12 @@ def _rotation_index(b: int, lowest: bool) -> np.ndarray:
     d = np.bitwise_count(flips).astype(np.intp)
     u = np.bitwise_count(flips & rows).astype(np.intp)
     index = d + (b + 1) * (u % 2)
-    if not lowest:
-        return index
-    spread = np.full((1 << b, 2, 1 << b, 2), 2 * b + 2, dtype=np.intp)
-    spread[:, 0, :, 0] = spread[:, 1, :, 1] = index.T
-    return spread.reshape(2 << b, 2 << b)
+    if lowest:
+        spread = np.full((1 << b, 2, 1 << b, 2), 2 * b + 2, dtype=np.intp)
+        spread[:, 0, :, 0] = spread[:, 1, :, 1] = index.T
+        index = spread.reshape(2 << b, 2 << b)
+    index.flags.writeable = False
+    return index
 
 
 def _rotation_table(theta: np.ndarray, b: int) -> np.ndarray:
@@ -274,6 +284,19 @@ def _rotation_calls(
     return calls
 
 
+def _phase(angle: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``exp(i angle)`` written into the complex ``out`` as its cosine and
+    sine, which costs less than the complex exponential."""
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
+def _pair_phase(pair: np.ndarray, s: float, out: np.ndarray) -> None:
+    """``exp(-i s pair)`` written into ``out``."""
+    _phase(np.multiply(pair, -s, out=out.imag), out)
+
+
 def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> QuantumState:
     """Integrate the Schrodinger equation from the all-ground state at a
     fixed internal step.
@@ -294,9 +317,17 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
     is a tensor product over qubits, so it is applied as one float64 matmul
     per qubit block on the state's real view (see ``_rotation_index``). A
     block matrix is rebuilt only when the angle at its triple-jump position
-    changes, so constant-drive stretches build none. The closing half phase
-    of one stage and the opening one of the next are applied as one
-    product, and the last one also untwists the state.
+    changes, so constant-drive stretches build none.
+
+    The closing half phase of one stage and the opening one of the next are
+    one diagonal, and each stage applies it as a single multiply by a row of
+    a phase table filled in bulk: one ``take`` of the rows' popcount phases
+    over the excitation counts, then one multiply per triple-jump position
+    by the segment's pair phase for that merged length (``(w1 + w1) h / 2``
+    at the first position, ``(w1 + w0) h / 2`` at the other two). A
+    segment's first stage also closes the previous segment, so its row
+    takes its own pair phase, and the run's last phase also untwists the
+    state. The table holds ``_TABLE_BYTES`` of rows, at least one.
     """
     if not (step > 0 and math.isfinite(step)):
         raise InvalidInput(f"step must be positive and finite, got {step!r}")
@@ -316,46 +347,74 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
     calls = [[_rotation_calls(bounds, m, buffers[i], buffers[1 - i]) for i in (0, 1)] for m in matrices]
     swap = (len(bounds) - 1) % 2
     current = 0  # index of the buffer holding the state
+    times = schedule.breakpoint_times
+    segments = [(t0, t1 - t0, max(1, math.ceil((t1 - t0) / step))) for t0, t1 in zip(times, times[1:])]
+    longest = 3 * min(_CHUNK, max(substeps for _, _, substeps in segments))
+    # one row of fused diagonal phases per stage, for a group of stages
+    # within a chunk; no more rows than any chunk has stages
+    table = np.empty((max(1, min(longest, _TABLE_BYTES >> (n + 4))), 1 << n), dtype=np.complex128)
+    rows = list(table)
+    # the segment's pair phase by triple-jump position; the last two match
+    first_pair = np.empty(1 << n, dtype=np.complex128)
+    inner_pair = np.empty(1 << n, dtype=np.complex128)
+    pattern = (first_pair, inner_pair, inner_pair)
     # the last stage's closing half phase, still to be applied: x / 2 for
     # the pair phase and x * delta / 2 for the popcount phase
     carry_s = carry_a = 0.0
-    times = schedule.breakpoint_times
-    for t0, t1 in zip(times, times[1:]):
-        segment = t1 - t0
-        substeps = max(1, math.ceil(segment / step))
+    # per stage of a chunk: its midpoint from the chunk's start and its half
+    # length, in substeps (built here, not at import, so that runs without
+    # dynamics touch none of the numpy code behind them)
+    offsets = (np.arange(_CHUNK)[:, None] + _MIDPOINTS).ravel()
+    halves = np.tile(0.5 * _WEIGHTS, _CHUNK)
+    for t0, segment, substeps in segments:
         h = segment / substeps
-        pair_phase = {}  # by merged half length; about three per segment
         for first in range(0, substeps, _CHUNK):
-            index = np.arange(first, min(first + _CHUNK, substeps))
-            mid = (t0 + (index[:, None] + _MIDPOINTS) * h).ravel()
-            half_s = np.tile(0.5 * h * _WEIGHTS, index.size)
+            stages = 3 * (min(first + _CHUNK, substeps) - first)
+            mid = t0 + (first + offsets[:stages]) * h
+            half_s = h * halves[:stages]
             theta = half_s * schedule.omega_at(mid)
             half_a = half_s * schedule.delta_at(mid)
-            opening_s = np.concatenate(([carry_s], half_s[:-1])) + half_s
             opening_a = np.concatenate(([carry_a], half_a[:-1])) + half_a
+            detuning = np.empty((stages, n + 1), dtype=np.complex128)
+            _phase(np.multiply(opening_a[:, None], k, out=detuning.imag), detuning)
+            thetas = theta.tolist()
+            tables = None  # the chunk's rotation tables, once a matrix needs them
+            for j in range(0, stages, len(rows)):
+                r = min(len(rows), stages - j)
+                detuning[j : j + r].take(count, axis=1, out=table[:r], mode="clip")
+                start = 0  # the first row the segment's pattern applies to
+                if first == j == 0:
+                    _pair_phase(pair, carry_s + half_s[0], first_pair)
+                    table[0] *= first_pair
+                    _pair_phase(pair, half_s[0] + half_s[0], first_pair)
+                    _pair_phase(pair, half_s[0] + half_s[1], inner_pair)
+                    start = 1
+                # chunk stage j + row sits at triple-jump position (j + row) % 3
+                for offset, phase in enumerate(pattern):
+                    table[start + (offset - j - start) % 3 : r : 3] *= phase
+                for i, row in enumerate(rows[:r], j):
+                    psi = buffers[current]
+                    psi *= row
+                    th = thetas[i]
+                    if th != 0.0:
+                        position = i % len(_WEIGHTS)
+                        if th != built[position]:
+                            built[position] = th
+                            if tables is None:
+                                tables = {b: _rotation_table(theta, b) for b in sizes}
+                            for (b, lowest), matrix in matrices[position].items():
+                                # mode="clip" lets numpy write into out directly
+                                tables[b][i].take(slots[b, lowest], out=matrix, mode="clip")
+                        for left, right, out in calls[position][current]:
+                            np.matmul(left, right, out=out)
+                        current ^= swap
             carry_s, carry_a = float(half_s[-1]), float(half_a[-1])
-            detuning = np.exp(1j * opening_a[:, None] * k)
-            tables = {b: _rotation_table(theta, b) for b in sizes}
-            for i, (s, th, det) in enumerate(zip(opening_s.tolist(), theta.tolist(), detuning)):
-                phase = pair_phase.get(s)
-                if phase is None:
-                    phase = pair_phase[s] = np.exp(-1j * s * pair)
-                psi = buffers[current]
-                psi *= phase
-                psi *= det[count]
-                if th != 0.0:
-                    position = i % len(_WEIGHTS)
-                    if th != built[position]:
-                        built[position] = th
-                        for (b, lowest), matrix in matrices[position].items():
-                            # mode="clip" lets numpy write into out directly
-                            np.take(tables[b][i], slots[b, lowest], out=matrix, mode="clip")
-                    for left, right, out in calls[position][current]:
-                        np.matmul(left, right, out=out)
-                    current ^= swap
-    psi = buffers[current]
     untwist = np.array([1, 1j, -1, -1j])[k % 4]
-    psi *= np.exp(-1j * carry_s * pair) * (np.exp(1j * carry_a * k) * untwist)[count]
+    (np.exp(1j * carry_a * k) * untwist).take(count, out=rows[0], mode="clip")
+    _pair_phase(pair, carry_s, first_pair)
+    rows[0] *= first_pair
+    psi = buffers[current]
+    psi *= rows[0]
     return QuantumState(psi)
 
 
@@ -401,7 +460,7 @@ def sample(state: QuantumState, shots: int, seed: int) -> ShotHistogram:
         raise InvalidInput(f"shots must be a positive integer, got {shots!r}")
     p = state.probabilities()
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-6:
+    if not (abs(total - 1.0) <= 1e-6):  # also rejects a NaN total
         raise InvalidState(f"probabilities sum to {total}, state is not normalized")
     rng = np.random.default_rng(seed)
     counts_vec = rng.multinomial(int(shots), p / total)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,6 +273,20 @@ class TestPropagateAndEvolve:
         finer = propagate(system, default_schedule(), 2.5e-4)
         assert float(np.linalg.norm(state.amplitudes - finer.amplitudes)) < 1e-6
 
+    def test_propagate_peak_memory(self):
+        # the state, its spare, a one-row phase table, two pair phases and
+        # the returned copy: about 96 bytes per amplitude at this size
+        n = 16
+        system = RydbergSystem(build_unit_disk_graph([(6.0 * i, 0.0) for i in range(n)], 6.0), 1e6)
+        system.pair_energy, system.excitation_count  # cached tables, not propagate's own
+        tracemalloc.start()
+        try:
+            propagate(system, default_schedule(duration=0.01), 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 << n) * 100
+
     def test_integration_failure_at_step_floor(self, graph_a):
         system = RydbergSystem(graph_a, C_A)
         with pytest.raises(IntegrationFailure):
@@ -319,9 +334,12 @@ def assert_matches_reference(graph):
     # at the same round-off
     closest = min((graph.distance(i, j) for i in range(graph.n) for j in range(i)), default=1.0)
     system = RydbergSystem(graph, 50.0 * closest**6)
-    # the short default ramp holds the drive constant for most of its
-    # substeps, where the fast stage reuses its rotation matrices
-    for schedule, step in itertools.product((SHORT_RAMP, default_schedule(duration=0.05)), (1e-3, 4e-3)):
+    # the short default ramps hold the drive constant for most of their
+    # substeps, where the fast stage reuses its rotation matrices; at step
+    # 1e-3 the longer one has a 240-substep segment, which crosses sampling
+    # chunks and phase tables inside one segment
+    schedules = (SHORT_RAMP, default_schedule(duration=0.05), default_schedule(duration=0.4))
+    for schedule, step in itertools.product(schedules, (1e-3, 4e-3)):
         fast = propagate(system, schedule, step).amplitudes
         slow = reference_propagate(system, schedule, step).amplitudes
         assert float(np.linalg.norm(fast - slow)) < 1e-10
@@ -361,6 +379,15 @@ class TestWalshHadamardStage:
         # 16 is (4, 4, 4, 4), with two each
         assert_matches_reference(build_unit_disk_graph([(6.0 * i, 0.0) for i in range(n)], 6.0))
 
+    @pytest.mark.parametrize("rows", [1, 2, 4, 5])
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_table_rows_match_reference(self, n, rows, monkeypatch):
+        # phase tables whose row counts divide neither the three-stage
+        # pattern nor the chunk, so groups start at every triple-jump
+        # position and a segment's first row falls inside or outside them
+        monkeypatch.setattr(rydnash.dynamics, "_TABLE_BYTES", rows * 16 << n)
+        assert_matches_reference(build_unit_disk_graph([(6.0 * i, 0.0) for i in range(n)], 6.0))
+
     @settings(max_examples=25, deadline=None)
     @given(graph=unit_disk_layouts(n_max=9))
     def test_layouts_match_reference(self, graph):
@@ -393,6 +420,13 @@ class TestQuantumState:
     def test_rejects_unnormalized(self):
         with pytest.raises(InvalidState):
             QuantumState(np.array([1.0, 1.0], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidState):
+            QuantumState(np.full(4, bad, dtype=complex))
+        with pytest.raises(InvalidState):
+            QuantumState(np.array([bad, 1.0], dtype=complex))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidState):
@@ -437,6 +471,15 @@ class TestSample:
         h1 = sample(state, 1000, seed=42)
         h2 = sample(state, 1000, seed=42)
         assert h1.counts == h2.counts
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_probabilities(self, bad):
+        # a state that bypassed validation still gets a typed error, not
+        # numpy's ValueError from the multinomial draw
+        state = QuantumState.all_ground(1)
+        object.__setattr__(state, "amplitudes", np.array([bad, 0.0], dtype=complex))
+        with pytest.raises(InvalidState):
+            sample(state, 10, seed=1)
 
     def test_bad_shots(self):
         with pytest.raises(InvalidInput):
