@@ -13,8 +13,9 @@ with ``x_i`` flipping atom i, ``n_i`` its excitation number, and
 ``V_ij = c6 / r_ij**6``. Internally ``propagate`` carries the state in the
 twisted frame ``i**(-|z|) * psi``, where the drive rotation is real
 orthogonal; every state it returns is back in the frame above. Each of its
-stages applies the diagonal part as one multiply by a row of a phase table
-that is filled in bulk for a group of stages.
+stages is the same two steps, with no stage treated apart: one multiply by a
+row of a phase table that is filled in bulk for a group of stages, then the
+drive rotation.
 """
 
 from __future__ import annotations
@@ -59,10 +60,10 @@ _BLOCK = 4
 # bounds the tables' memory on long segments.
 _CHUNK = 64
 # Bytes of the fused diagonal-phase table, one 2**n-entry complex row per
-# stage: as many rows as fit, at least one and at most a chunk's stages.
-# 128 KiB keeps four rows at n = 11, where one or two rows per fill slowed
-# the anneal, and costs less peak memory at n = 6 than 256 KiB: there the
-# table and numpy's buffers for its broadcast multiplies are the growth.
+# stage: as many rows as fit, at least one. 128 KiB keeps four rows at
+# n = 11, where one or two rows per fill slowed the anneal, and costs less
+# peak memory at n = 6 than 256 KiB: there the table and numpy's buffers for
+# its broadcast multiplies are the growth.
 _TABLE_BYTES = 1 << 17
 
 
@@ -284,17 +285,11 @@ def _rotation_calls(
     return calls
 
 
-def _phase(angle: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``exp(i angle)`` written into the complex ``out`` as its cosine and
-    sine, which costs less than the complex exponential."""
-    np.cos(angle, out=out.real)
-    np.sin(angle, out=out.imag)
-    return out
-
-
 def _pair_phase(pair: np.ndarray, s: float, out: np.ndarray) -> None:
     """``exp(-i s pair)`` written into ``out``."""
-    _phase(np.multiply(pair, -s, out=out.imag), out)
+    out.real = 0.0
+    np.multiply(pair, -s, out=out.imag)
+    np.exp(out, out=out)
 
 
 def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> QuantumState:
@@ -319,14 +314,15 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
     block matrix is rebuilt only when the angle at its triple-jump position
     changes, so constant-drive stretches build none.
 
-    The closing half phase of one stage and the opening one of the next are
-    one diagonal, and each stage applies it as a single multiply by a row of
-    a phase table filled in bulk: one ``take`` of the rows' popcount phases
-    over the excitation counts, then one multiply per triple-jump position
-    by the segment's pair phase for that merged length (``(w1 + w1) h / 2``
-    at the first position, ``(w1 + w0) h / 2`` at the other two). A
-    segment's first stage also closes the previous segment, so its row
-    takes its own pair phase, and the run's last phase also untwists the
+    Every stage is one multiply by a row of a phase table, then the
+    rotation. A row holds one stage's closing half phase merged with the
+    next one's opening half; rows are filled in bulk for a group of stages:
+    one ``take`` of their popcount phases over the excitation counts, then
+    one multiply per triple-jump position by the segment's pair phase
+    (``(w1 + w1) h / 2`` at the first position, ``(w1 + w0) h / 2`` at the
+    other two). Each segment opens with one multiply of the state by the
+    pair phase that takes the previous segment's closing half to the
+    ``w1 h / 2`` its first row assumes; the last phase also untwists the
     state. The table holds ``_TABLE_BYTES`` of rows, at least one.
     """
     if not (step > 0 and math.isfinite(step)):
@@ -347,17 +343,12 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
     calls = [[_rotation_calls(bounds, m, buffers[i], buffers[1 - i]) for i in (0, 1)] for m in matrices]
     swap = (len(bounds) - 1) % 2
     current = 0  # index of the buffer holding the state
-    times = schedule.breakpoint_times
-    segments = [(t0, t1 - t0, max(1, math.ceil((t1 - t0) / step))) for t0, t1 in zip(times, times[1:])]
-    longest = 3 * min(_CHUNK, max(substeps for _, _, substeps in segments))
     # one row of fused diagonal phases per stage, for a group of stages
-    # within a chunk; no more rows than any chunk has stages
-    table = np.empty((max(1, min(longest, _TABLE_BYTES >> (n + 4))), 1 << n), dtype=np.complex128)
+    # within a chunk
+    table = np.empty((max(1, _TABLE_BYTES >> (n + 4)), 1 << n), dtype=np.complex128)
     rows = list(table)
-    # the segment's pair phase by triple-jump position; the last two match
-    first_pair = np.empty(1 << n, dtype=np.complex128)
-    inner_pair = np.empty(1 << n, dtype=np.complex128)
-    pattern = (first_pair, inner_pair, inner_pair)
+    # the segment's pair phase at triple-jump position 0, and at 1 and 2
+    pattern = np.empty((2, 1 << n), dtype=np.complex128)
     # the last stage's closing half phase, still to be applied: x / 2 for
     # the pair phase and x * delta / 2 for the popcount phase
     carry_s = carry_a = 0.0
@@ -366,8 +357,16 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
     # dynamics touch none of the numpy code behind them)
     offsets = (np.arange(_CHUNK)[:, None] + _MIDPOINTS).ravel()
     halves = np.tile(0.5 * _WEIGHTS, _CHUNK)
-    for t0, segment, substeps in segments:
-        h = segment / substeps
+    times = schedule.breakpoint_times
+    for t0, t1 in zip(times, times[1:]):
+        substeps = max(1, math.ceil((t1 - t0) / step))
+        h = (t1 - t0) / substeps
+        outer, inner = h * halves[:2]
+        # bring the last closing half to the w1 h / 2 the first row assumes
+        _pair_phase(pair, carry_s - outer, pattern[0])
+        np.multiply(buffers[current], pattern[0], out=buffers[current])
+        _pair_phase(pair, outer + outer, pattern[0])
+        _pair_phase(pair, outer + inner, pattern[1])
         for first in range(0, substeps, _CHUNK):
             stages = 3 * (min(first + _CHUNK, substeps) - first)
             mid = t0 + (first + offsets[:stages]) * h
@@ -375,44 +374,35 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
             theta = half_s * schedule.omega_at(mid)
             half_a = half_s * schedule.delta_at(mid)
             opening_a = np.concatenate(([carry_a], half_a[:-1])) + half_a
-            detuning = np.empty((stages, n + 1), dtype=np.complex128)
-            _phase(np.multiply(opening_a[:, None], k, out=detuning.imag), detuning)
+            detuning = np.multiply.outer(opening_a, 1j * k)
+            np.exp(detuning, out=detuning)
             thetas = theta.tolist()
             tables = None  # the chunk's rotation tables, once a matrix needs them
             for j in range(0, stages, len(rows)):
                 r = min(len(rows), stages - j)
                 detuning[j : j + r].take(count, axis=1, out=table[:r], mode="clip")
-                start = 0  # the first row the segment's pattern applies to
-                if first == j == 0:
-                    _pair_phase(pair, carry_s + half_s[0], first_pair)
-                    table[0] *= first_pair
-                    _pair_phase(pair, half_s[0] + half_s[0], first_pair)
-                    _pair_phase(pair, half_s[0] + half_s[1], inner_pair)
-                    start = 1
                 # chunk stage j + row sits at triple-jump position (j + row) % 3
-                for offset, phase in enumerate(pattern):
-                    table[start + (offset - j - start) % 3 : r : 3] *= phase
+                for position in range(len(_WEIGHTS)):
+                    table[(position - j) % 3 : r : 3] *= pattern[min(position, 1)]
                 for i, row in enumerate(rows[:r], j):
                     psi = buffers[current]
                     psi *= row
-                    th = thetas[i]
-                    if th != 0.0:
-                        position = i % len(_WEIGHTS)
-                        if th != built[position]:
-                            built[position] = th
-                            if tables is None:
-                                tables = {b: _rotation_table(theta, b) for b in sizes}
-                            for (b, lowest), matrix in matrices[position].items():
-                                # mode="clip" lets numpy write into out directly
-                                tables[b][i].take(slots[b, lowest], out=matrix, mode="clip")
-                        for left, right, out in calls[position][current]:
-                            np.matmul(left, right, out=out)
-                        current ^= swap
+                    position = i % len(_WEIGHTS)
+                    if thetas[i] != built[position]:
+                        built[position] = thetas[i]
+                        if tables is None:
+                            tables = {b: _rotation_table(theta, b) for b in sizes}
+                        for (b, lowest), matrix in matrices[position].items():
+                            # mode="clip" lets numpy write into out directly
+                            tables[b][i].take(slots[b, lowest], out=matrix, mode="clip")
+                    for left, right, out in calls[position][current]:
+                        np.matmul(left, right, out=out)
+                    current ^= swap
             carry_s, carry_a = float(half_s[-1]), float(half_a[-1])
     untwist = np.array([1, 1j, -1, -1j])[k % 4]
     (np.exp(1j * carry_a * k) * untwist).take(count, out=rows[0], mode="clip")
-    _pair_phase(pair, carry_s, first_pair)
-    rows[0] *= first_pair
+    _pair_phase(pair, carry_s, pattern[0])
+    rows[0] *= pattern[0]
     psi = buffers[current]
     psi *= rows[0]
     return QuantumState(psi)

@@ -3,8 +3,9 @@ files, histogram CSV exports, and structured report files.
 
 All schemas are documented in the README. Parsers reject unknown fields so a
 typo fails loudly instead of being silently ignored, and parse errors carry
-the file path (plus the line for YAML syntax errors). Writers emit sorted
-keys and repr-exact floats, so identical data produces byte-identical files.
+the file path (plus the line for YAML syntax errors), as do values that
+parse but that the domain types refuse. Writers emit sorted keys and
+repr-exact floats, so identical data produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Any
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, RydnashError
 from .game import GameParams
 from .geometry import EmbeddedGraph, build_unit_disk_graph
 from .schedule import Schedule
@@ -58,6 +59,15 @@ def _number(value, path: str, field: str) -> float:
     return float(value)
 
 
+def _construct(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a refused value reported as a
+    ConfigError that names ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except RydnashError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def load_graph(path: str) -> EmbeddedGraph:
     """Parse a graph file: ``nodes`` (list of [x, y] in um), ``radius`` (um),
     optional ``labels`` (list of strings, annotation only)."""
@@ -83,7 +93,7 @@ def load_graph(path: str) -> EmbeddedGraph:
             or any(not isinstance(s, str) for s in labels)
         ):
             raise ConfigError(f"{path}: 'labels' must be a list of {len(points)} strings")
-    return build_unit_disk_graph(points, radius)
+    return _construct(path, build_unit_disk_graph, points, radius)
 
 
 def load_game(path: str) -> GameParams:
@@ -99,7 +109,7 @@ def load_game(path: str) -> GameParams:
         if not isinstance(data["benefit"], str):
             raise ConfigError(f"{path}: 'benefit' must be a string")
         kwargs["benefit"] = data["benefit"]
-    return GameParams(**kwargs)
+    return _construct(path, GameParams, **kwargs)
 
 
 def _waveform(data: dict, field: str, path: str) -> tuple[tuple[float, float], ...]:
@@ -120,7 +130,9 @@ def load_schedule(path: str) -> Schedule:
     for field in ("omega", "delta", "duration"):
         if field not in data:
             raise ConfigError(f"{path}: missing required field {field!r}")
-    return Schedule(
+    return _construct(
+        path,
+        Schedule,
         omega=_waveform(data, "omega", path),
         delta=_waveform(data, "delta", path),
         duration=_number(data["duration"], path, "duration"),

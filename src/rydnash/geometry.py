@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 from .errors import DegenerateLayout, InvalidInput, UndefinedRadius
 
@@ -58,9 +58,6 @@ class EmbeddedGraph:
     def distance(self, i: int, j: int) -> float:
         return math.dist(self.positions[i], self.positions[j])
 
-    def is_edge(self, i: int, j: int) -> bool:
-        return i != j and self.distance(i, j) <= self.radius
-
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Adjacent pairs ``(i, j)`` with ``i < j``."""
@@ -88,8 +85,6 @@ class HardwareConstraints:
     max_evolution_time: float = 4.0  # us
     max_rabi: float = 15.8  # rad/us
     max_detuning_abs: float = 125.0  # rad/us
-
-    dimensions: ClassVar[int] = 2  # planar traps only
 
     def __post_init__(self):
         for name in ("min_pair_distance", "max_evolution_time", "max_rabi", "max_detuning_abs"):

@@ -139,6 +139,44 @@ class TestClassicalCommand:
         assert main(["classical", "--graph", str(tmp_path / "nope.yaml"), "--out", out]) == EXIT_ERROR
 
 
+# Files that parse but hold a value the domain types refuse.
+REFUSED_FILES = {
+    "graph": {"nodes": [[0.0, 0.0]], "radius": -1.0},
+    "game": {"cost": 2.0},
+    "schedule": {
+        "omega": [[0.0, 1.0], [0.6, 1.0], [0.4, 1.0], [1.0, 1.0]],
+        "delta": [[0.0, 0.0], [1.0, 0.0]],
+        "duration": 1.0,
+    },
+}
+
+
+class TestRefusedConfigFile:
+    @pytest.mark.parametrize(
+        "command, kind",
+        [
+            ("validate", "graph"),
+            ("validate", "schedule"),
+            ("classical", "graph"),
+            ("classical", "game"),
+            ("anneal", "graph"),
+            ("anneal", "schedule"),
+            ("all", "graph"),
+            ("all", "game"),
+            ("all", "schedule"),
+        ],
+    )
+    def test_error_names_file(self, command, kind, tmp_path, capsys):
+        path = str(tmp_path / f"{kind}.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(REFUSED_FILES[kind], fh)
+        args = [command, "--graph", path if kind == "graph" else GRAPH_A_FILE, "--out", str(tmp_path / "out")]
+        if kind != "graph":
+            args += [f"--{kind}", path]
+        assert main(args) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 class TestAnnealCommand:
     def test_pair_graph_anneal(self, pair_graph_file, tmp_path):
         out = str(tmp_path / "out")

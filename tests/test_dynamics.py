@@ -292,13 +292,18 @@ class TestPropagateAndEvolve:
         with pytest.raises(IntegrationFailure):
             evolve(system, default_schedule(), tolerance=1e-15, initial_step=1e-3, min_step=5e-4)
 
-    def test_initial_state_is_all_ground(self):
-        # zero-duration-like limit: a very short schedule leaves the
-        # register essentially where it started
-        g = build_unit_disk_graph([(0.0, 0.0), (4.0, 0.0)], 8.0)
-        system = RydbergSystem(g, 5.42e6)
-        state = propagate(system, constant_schedule(0.0, 0.0, 1.0), 0.5)
-        assert state.amplitudes[0] == pytest.approx(1.0)
+    @pytest.mark.parametrize(
+        "positions",
+        [[(0.0, 0.0), (4.0, 0.0)], [(6.0 * i, 0.0) for i in range(7)]],
+        ids=["one-block", "blocks-3-4"],
+    )
+    def test_initial_state_is_all_ground(self, positions):
+        # with the drive off, every rotation is the identity and every phase
+        # on the all-ground state is exp(0), so the register stays exactly
+        # where it started; the 7-atom chain also runs the kron-form block
+        system = RydbergSystem(build_unit_disk_graph(positions, 8.0), 5.42e6)
+        state = propagate(system, constant_schedule(0.0, 3.0, 1.0), 0.5)
+        np.testing.assert_array_equal(state.amplitudes, QuantumState.all_ground(system.n).amplitudes)
 
     @pytest.mark.parametrize("layout", ["graph_a", "graph_b"])
     def test_blockade_holds_on_every_edge(self, layout, request):
@@ -320,8 +325,9 @@ class TestPropagateAndEvolve:
             assert violating < 0.05
 
 
-# A short ramp whose first segment has the drive off, so stages there skip the
-# rotation while their phases still merge with the driven stages after them.
+# A short ramp whose first segment has the drive off, so stages there rotate
+# by the identity while their phases still merge with the driven stages after
+# them.
 SHORT_RAMP = Schedule(
     ((0.0, 0.0), (0.01, 0.0), (0.02, 6.0), (0.03, 2.0)),
     ((0.0, -5.0), (0.015, 1.0), (0.03, 7.27)),

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import yaml
 
@@ -60,6 +62,19 @@ class TestGraphFiles:
         with pytest.raises(ConfigError, match="line"):
             load_graph(str(path))
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"nodes": [[0.0, 0.0]], "radius": -1.0},
+            {"nodes": [[0.0, 0.0], [0.0, 0.0]], "radius": 1.0},
+        ],
+        ids=["negative-radius", "coinciding-atoms"],
+    )
+    def test_invalid_layout_names_file(self, tmp_path, data):
+        path = dump(tmp_path, "g.yaml", data)
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
+            load_graph(path)
+
     def test_non_mapping_rejected(self, tmp_path):
         path = tmp_path / "list.yaml"
         path.write_text("- 1\n- 2\n")
@@ -85,7 +100,7 @@ class TestGameFiles:
 
     def test_invalid_params_surface(self, tmp_path):
         path = dump(tmp_path, "game.yaml", {"cost": 2.0})
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: .*cost"):
             load_game(path)
 
 
@@ -114,6 +129,20 @@ class TestScheduleFiles:
     def test_bad_waveform_shape(self, tmp_path):
         path = dump(tmp_path, "sched.yaml", {"omega": [[0.0]], "delta": [[0.0, 0.0], [1.0, 0.0]], "duration": 1.0})
         with pytest.raises(ConfigError, match="omega"):
+            load_schedule(path)
+
+
+    def test_decreasing_breakpoints_name_file(self, tmp_path):
+        path = dump(
+            tmp_path,
+            "sched.yaml",
+            {
+                "omega": [[0.0, 1.0], [0.6, 1.0], [0.4, 1.0], [1.0, 1.0]],
+                "delta": [[0.0, 0.0], [1.0, 0.0]],
+                "duration": 1.0,
+            },
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: omega: .*increasing"):
             load_schedule(path)
 
 

@@ -68,10 +68,10 @@ class TestBuildUnitDiskGraph:
         rng = np.random.default_rng(101)
         for _ in range(20):
             g = random_unit_disk(rng)
-            for i in range(g.n):
-                assert not g.is_edge(i, i)
-                for j in range(g.n):
-                    assert g.is_edge(i, j) == g.is_edge(j, i)
+            for i, nbrs in enumerate(g.neighbors):
+                assert i not in nbrs
+                for j in nbrs:
+                    assert i in g.neighbors[j]
 
     def test_radius_monotonicity(self):
         rng = np.random.default_rng(102)
