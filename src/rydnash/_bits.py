@@ -9,8 +9,8 @@ convention; :func:`to_bitstring` and :func:`from_bitstring` convert both ways.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Sequence
+import itertools
+from typing import Sequence
 
 import numpy as np
 
@@ -42,26 +42,61 @@ def index_of(members, n: int) -> int:
     return z
 
 
-def popcount_map(f: Callable[..., np.ndarray], masks: Sequence[int], n: int, out: np.ndarray) -> np.ndarray:
-    """Fill ``out[z] = f(popcount(z & masks[0]), popcount(z & masks[1]), ...)``
-    for every basis index ``z`` in ``0 .. 2**n - 1``, and return ``out``.
+def rule_supports(neighbors: Sequence[Sequence[int]], rule: np.ndarray) -> tuple[str, ...]:
+    """Every support on ``n = len(neighbors)`` nodes at which each node passes
+    the local rule, as bitstrings in canonical order.
 
-    ``f`` maps integer count arrays elementwise to ``out``'s dtype. Every
-    index splits into high and low bits, ``z = hi * 2**(n//2) + lo``, and so
-    does each popcount. Rows of equal high-bit counts hold equal values, so
-    ``f`` runs once per combination of high-bit counts, on small arrays, and
-    the rows are copied into ``out``: no other 2**n-long array is made.
+    Node ``v`` passes when ``rule[own_v, k_v]`` holds, with ``own_v`` 1 for a
+    member and ``k_v`` its neighbors inside the support; ``rule`` is a
+    ``(2, n + 1)`` boolean table.
+
+    Meet in the middle: every index splits into high and low bits,
+    ``z = hi * 2**low + lo`` with ``low = n // 2``, and so does each count.
+    One ``bitwise_count`` per half tabulates every node's neighbor and own
+    counts on every half assignment (``n * 2**ceil(n/2)`` entries). A half
+    assignment is dropped when one of its own nodes can reach no passing
+    count: no ``k`` from its count in this half to that plus its degree into
+    the other half has ``rule[own, k]``. The rule is evaluated only on the
+    surviving grid, one node at a time. Grid rows of equal high-half counts
+    hold equal values, so each node's rule runs once per combination of its
+    high-half own and neighbor counts, and the rows are gathered into a
+    buffer: with nothing dropped, the grid is all ``2**n`` indices and holds
+    two bytes per index.
     """
+    n = len(neighbors)
     low = n // 2
-    hi = np.arange(1 << (n - low), dtype=np.uint64)
-    lo = np.arange(1 << low, dtype=np.uint64)
-    hi_counts = [np.bitwise_count(hi & np.uint64(m >> low)) for m in masks]
-    lo_counts = [np.bitwise_count(lo & np.uint64(m & ((1 << low) - 1))) for m in masks]
-    shape = tuple(int(c.max()) + 1 for c in hi_counts)
-    combos = np.unravel_index(np.arange(math.prod(shape)), shape)
-    rows = f(*(c[:, None] + l for c, l in zip(combos, lo_counts)))
-    np.take(rows, np.ravel_multi_index(hi_counts, shape), axis=0, out=out.reshape(hi.size, lo.size))
-    return out
+    stride = n + 2  # a row of rule's n + 1 counts, plus one for its prefix counts
+    masks = [index_of(nbrs, n) for nbrs in neighbors] + [node_mask(v, n) for v in range(n)]
+    # keys[half][v] = own * stride + count for node v on every assignment of
+    # that half: own is v's bit (0 outside the node's own half) and count its
+    # neighbors there, so a node's two keys add up to its flat index into rule
+    # (uint8: at most 2 * stride for the n <= 64 that 64-bit masks allow)
+    keys = []
+    for shift, bits in ((low, n - low), (0, low)):
+        part = np.array([(m >> shift) & ((1 << bits) - 1) for m in masks], dtype=np.uint64)
+        counts = np.bitwise_count(part[:, None] & np.arange(1 << bits, dtype=np.uint64))
+        keys.append(counts[n:] * stride + counts[:n])
+    # rule[own, k] holds for some k in a .. b - 1 iff reached[own, b] > reached[own, a]
+    reached = np.array([list(itertools.accumulate(map(int, row), initial=0)) for row in rule]).ravel()
+    alive = []
+    for half, nodes in enumerate((slice(0, n - low), slice(n - low, n))):
+        key = keys[half][nodes]
+        other = keys[1 - half][nodes, -1:]  # degree into the other half
+        alive.append(np.flatnonzero((reached[key + other + 1] > reached[key]).all(axis=0)))
+    hi, lo = alive
+    if not (hi.size and lo.size):
+        return ()
+    hi_key, lo_key = keys[0][:, hi].astype(np.intp), keys[1][:, lo]  # take indexes by intp
+    flat = np.zeros((2, stride), dtype=bool)
+    flat[:, :-1] = rule
+    flat = flat.ravel()
+    keep = np.ones((hi.size, lo.size), dtype=bool)
+    verdict = np.empty_like(keep)
+    for v, top in enumerate(hi_key.max(axis=1) + 1):
+        rows = flat[np.arange(top, dtype=lo_key.dtype)[:, None] + lo_key[v]]
+        keep &= np.take(rows, hi_key[v], axis=0, out=verdict, mode="clip")
+    h, l = np.unravel_index(np.flatnonzero(keep), keep.shape)
+    return tuple(to_bitstring(int(z), n) for z in hi[h] * (1 << low) + lo[l])
 
 
 def popcounts(n: int) -> np.ndarray:

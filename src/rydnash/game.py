@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._bits import from_bitstring, index_of, node_mask, popcount_map, to_bitstring
+from ._bits import from_bitstring, rule_supports
 from .errors import InvalidAgent, InvalidInput, TooLarge
 from .geometry import EmbeddedGraph
 
@@ -120,14 +120,18 @@ def is_nash(graph: EmbeddedGraph, params: GameParams, bits: str) -> bool:
 def enumerate_specialized_nash(
     graph: EmbeddedGraph, params: GameParams, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
 ) -> tuple[str, ...]:
-    """The support of every specialized Nash profile, found by sweeping all
-    2**n supports.
+    """The support of every specialized Nash profile, as bitstrings in
+    canonical order.
 
     An agent's payoffs for abstaining and contributing depend only on its
-    contributing-neighbor count, so both are tabulated once per count, and
-    each agent's best-response check over all supports is a lookup by its
-    own effort and that count. Supports come back as bitstrings in
-    canonical order.
+    contributing-neighbor count, so both are tabulated once per count into a
+    best-response table over (own effort, count), derived from the payoffs
+    alone. :func:`~rydnash._bits.rule_supports` finds every support at which
+    each agent's effort passes that table: it drops each half of the support
+    that some agent there cannot pass whatever the other half holds, and
+    checks only the surviving combinations, so it visits far fewer than 2**n
+    supports when the table rules many out. It assumes nothing about which
+    supports qualify, so ties that admit adjacent contributors are kept.
     """
     n = graph.n
     if n > limit:
@@ -138,9 +142,4 @@ def enumerate_specialized_nash(
     u1 = params.b(e * (k + 1.0)) - params.c * e
     # is_best[own, k]: with k contributing neighbors, effort own * e* is a best response
     is_best = np.stack([u0 >= u1, u1 >= u0])
-    keep = np.ones(1 << n, dtype=bool)
-    verdict = np.empty_like(keep)
-    for agent in range(n):
-        masks = (index_of(graph.neighbors[agent], n), node_mask(agent, n))
-        keep &= popcount_map(lambda nbrs, own: is_best[own, nbrs], masks, n, out=verdict)
-    return tuple(to_bitstring(int(i), n) for i in np.flatnonzero(keep))
+    return rule_supports(graph.neighbors, is_best)

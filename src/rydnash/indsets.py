@@ -6,7 +6,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._bits import from_bitstring, index_of, node_mask, popcount_map, to_bitstring
+from ._bits import from_bitstring, rule_supports
 from .errors import NotIndependent, TooLarge
 from .game import DEFAULT_EXHAUSTIVE_LIMIT, GameParams, enumerate_specialized_nash
 from .geometry import EmbeddedGraph
@@ -29,21 +29,19 @@ def is_maximal(graph: EmbeddedGraph, bits: str) -> bool:
 def enumerate_mis(graph: EmbeddedGraph, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> tuple[str, ...]:
     """Every maximal independent set, as bitstrings in canonical order.
 
-    Exhaustive scan of all 2**n subsets, vectorized on bit masks one node
-    at a time. A member with a neighbor inside the subset breaks
-    independence and a non-member without one breaks maximality, so a
-    subset qualifies when, at every node, membership and having a neighbor
-    inside differ.
+    A member with a neighbor inside the subset breaks independence and a
+    non-member without one breaks maximality, so a subset qualifies when,
+    at every node, membership and having a neighbor inside differ. That
+    local rule goes to :func:`~rydnash._bits.rule_supports`, which drops each
+    half of the subset that already breaks it at one of its own nodes (two
+    adjacent members, or a non-member with no neighbor in the subset and
+    none in the other half) and checks only the surviving combinations.
     """
     n = graph.n
     if n > limit:
         raise TooLarge(n, limit)
-    ok = np.ones(1 << n, dtype=bool)
-    verdict = np.empty_like(ok)
-    for v in range(n):
-        masks = (index_of(graph.neighbors[v], n), node_mask(v, n))
-        ok &= popcount_map(lambda nbrs, member: (nbrs > 0) != (member > 0), masks, n, out=verdict)
-    return tuple(to_bitstring(int(i), n) for i in np.flatnonzero(ok))
+    k = np.arange(n + 1)
+    return rule_supports(graph.neighbors, np.stack([k > 0, k == 0]))
 
 
 def largest(sets: tuple[str, ...]) -> tuple[str, ...]:

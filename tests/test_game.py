@@ -1,11 +1,16 @@
+import ast
+import contextlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GRAPH_A_MIS_FAMILY, GRAPH_B_MIS_FAMILY, members, random_unit_disk, unit_disk_layouts
+import rydnash.game
 from rydnash.errors import InvalidAgent, InvalidInput, TooLarge
 from rydnash.game import (
+    BENEFITS,
     GameParams,
     best_responses,
     enumerate_specialized_nash,
@@ -15,9 +20,29 @@ from rydnash.game import (
 from rydnash.geometry import build_unit_disk_graph
 
 
+PAIR = build_unit_disk_graph([(0.0, 0.0), (1.0, 0.0)], 1.0)
+
+
 @pytest.fixture
 def pair_graph():
-    return build_unit_disk_graph([(0.0, 0.0), (1.0, 0.0)], 1.0)
+    return PAIR
+
+
+@contextlib.contextmanager
+def wide_benefit():
+    """Params whose benefit satiates at 1.5 * e_star, registered for the
+    duration of the block.
+
+    The default cost bound keeps ties out of reach for the satiating
+    benefit, so realize one through the registry: an agent with one
+    contributing neighbor compares u0 = b(1) = 1 against
+    u1 = b(2) - 0.5 = 1, an exact dyadic tie.
+    """
+    BENEFITS["satiating_linear_wide"] = lambda x, e_star: np.minimum(x, 1.5 * e_star)
+    try:
+        yield GameParams(e_star=1.0, c=0.5, benefit="satiating_linear_wide")
+    finally:
+        del BENEFITS["satiating_linear_wide"]
 
 
 @pytest.fixture
@@ -94,21 +119,11 @@ class TestBestResponses:
         assert best_responses(g, params, "11", 0) == frozenset({0.0})
 
     def test_exact_tie_returns_both_levels(self, pair_graph):
-        # the default cost bound keeps ties out of reach for the satiating
-        # benefit, so realize one through the registry: with satiation at
-        # 1.5 * e_star, an agent with one contributing neighbor compares
-        # u0 = b(1) = 1 against u1 = b(2) - 0.5 = 1, an exact dyadic tie
-        from rydnash.game import BENEFITS
-
-        BENEFITS["satiating_linear_wide"] = lambda x, e_star: np.minimum(x, 1.5 * e_star)
-        try:
-            params = GameParams(e_star=1.0, c=0.5, benefit="satiating_linear_wide")
+        with wide_benefit() as params:
             assert best_responses(pair_graph, params, "01", 0) == frozenset({0.0, 1.0})
             # is_nash accepts on a tie: both completions are equilibria
             assert is_nash(pair_graph, params, "01")
             assert is_nash(pair_graph, params, "11")
-        finally:
-            del BENEFITS["satiating_linear_wide"]
 
     def test_closed_form_on_random_graphs(self):
         # default params: contribute iff no neighbor contributes
@@ -205,6 +220,35 @@ class TestEnumerate:
             if is_nash(g, params, bits):
                 expected.add(bits)
         assert found == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(g=unit_disk_layouts(n_max=9), wide=st.booleans())
+    @example(g=PAIR, wide=True)
+    def test_every_support_matches_is_nash(self, g, wide):
+        # Under the wide benefit, supports with adjacent contributors are
+        # equilibria, so a sweep that assumed independent supports fails here.
+        with wide_benefit() as wide_params:
+            params = wide_params if wide else GameParams()
+            found = enumerate_specialized_nash(g, params)
+            profiles = (format(z, f"0{g.n}b") for z in range(1 << g.n))
+            assert set(found) == {bits for bits in profiles if is_nash(g, params, bits)}
+
+    def test_wide_benefit_admits_adjacent_contributors(self, pair_graph):
+        with wide_benefit() as params:
+            assert enumerate_specialized_nash(pair_graph, params) == ("01", "10", "11")
+
+    def test_game_does_not_import_indsets(self):
+        # The Nash sweep must derive its rule from payoffs alone, so that the
+        # cross-check against the independent sets stays independent.
+        tree = ast.parse(open(rydnash.game.__file__, encoding="utf-8").read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+        assert not any("indsets" in name.split(".") for name in imported)
 
     def test_closed_under_automorphism(self):
         # relabeling nodes permutes the equilibrium set
