@@ -50,11 +50,9 @@ _WEIGHTS = np.array([_W1, _W0, _W1])
 # Each stage's midpoint within its substep, in units of the substep.
 _MIDPOINTS = np.cumsum(_WEIGHTS) - 0.5 * _WEIGHTS
 
-# Drive-rotation blocks: up to _SINGLE_BLOCK qubits the whole rotation is one
-# matmul, which beats two smaller ones there; larger systems split into
-# ceil(n / _BLOCK) near-equal blocks, each at most 2**(n + _BLOCK + 2) real
-# multiply-adds, so a stage stays O(2**n * n) at every size.
-_SINGLE_BLOCK = 6
+# Drive-rotation blocks: ceil(n / _BLOCK) near-equal blocks, each at most
+# 2**(n + _BLOCK + 2) real multiply-adds, so a stage stays O(2**n * n) at
+# every size and a block matrix stays within 2**(2 * _BLOCK + 2) entries.
 _BLOCK = 4
 # Substeps whose waveform samples and rotation tables are computed together;
 # bounds the tables' memory on long segments.
@@ -210,7 +208,7 @@ def exact_ground_states(
 
 def _block_bounds(n: int) -> list[int]:
     """Qubit boundaries of the drive-rotation blocks, highest-order first."""
-    count = 1 if n <= _SINGLE_BLOCK else -(-n // _BLOCK)
+    count = -(-n // _BLOCK)
     return [n * i // count for i in range(count + 1)]
 
 
@@ -256,9 +254,9 @@ def _rotation_calls(
     matrices: dict[tuple[int, bool], np.ndarray],
     source: np.ndarray,
     spare: np.ndarray,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The uniform drive rotation of ``source`` as ``np.matmul(a, b, out=c)``
-    argument triples, one real matmul per qubit block.
+) -> list[tuple]:
+    """The uniform drive rotation of ``source`` as ``(product, a, b, c)``
+    calls ``product(a, b, out=c)``, one real matrix product per qubit block.
 
     The complex state is read as float64 pairs, so a block of ``b`` qubits
     views it as ``(pre, 2**b, 2 * post)`` and multiplies by ``K_b`` along
@@ -267,7 +265,9 @@ def _rotation_calls(
     where the pair is the innermost axis, is one ``X @ kron(K_b.T, I_2)``
     gemm on the ``(pre, 2**(b + 1))`` view. Successive blocks alternate
     between the two buffers: the result lands in ``source`` after an even
-    number of blocks and in ``spare`` after an odd one.
+    number of blocks and in ``spare`` after an odd one. The two 2-D products
+    go through ``np.dot``, which costs less per call than ``np.matmul`` and
+    gives the same bits; only the batched middle blocks need ``np.matmul``.
     """
     n = bounds[-1]
     buffers = (source.view(np.float64), spare.view(np.float64))
@@ -277,11 +277,13 @@ def _rotation_calls(
         b = hi - lo
         if lo > 0 and hi == n:
             shape = (1 << lo, 2 << b)
-            calls.append((src.reshape(shape), matrices[b, True], dst.reshape(shape)))
+            calls.append((np.dot, src.reshape(shape), matrices[b, True], dst.reshape(shape)))
+        elif lo == 0:
+            shape = (1 << b, 2 << (n - hi))
+            calls.append((np.dot, matrices[b, False], src.reshape(shape), dst.reshape(shape)))
         else:
             shape = (1 << lo, 1 << b, 2 << (n - hi))
-            shape = shape[1:] if lo == 0 else shape
-            calls.append((matrices[b, False], src.reshape(shape), dst.reshape(shape)))
+            calls.append((np.matmul, matrices[b, False], src.reshape(shape), dst.reshape(shape)))
     return calls
 
 
@@ -309,10 +311,11 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
     in the twisted frame ``phi = i**(-|z|) psi``: diagonals commute with the
     twist, and since ``S^-1 R_x(2 theta) S = [[cos, sin], [-sin, cos]]``
     for the phase gate ``S = diag(1, i)``, the rotation there is real. It
-    is a tensor product over qubits, so it is applied as one float64 matmul
-    per qubit block on the state's real view (see ``_rotation_index``). A
-    block matrix is rebuilt only when the angle at its triple-jump position
-    changes, so constant-drive stretches build none.
+    is a tensor product over qubits, so it is applied as one float64 matrix
+    product per qubit block on the state's real view (see
+    ``_rotation_index`` and ``_rotation_calls``). A block matrix is rebuilt
+    only when the angle at its triple-jump position changes, so
+    constant-drive stretches build none.
 
     Every stage is one multiply by a row of a phase table, then the
     rotation. A row holds one stage's closing half phase merged with the
@@ -395,8 +398,8 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
                         for (b, lowest), matrix in matrices[position].items():
                             # mode="clip" lets numpy write into out directly
                             tables[b][i].take(slots[b, lowest], out=matrix, mode="clip")
-                    for left, right, out in calls[position][current]:
-                        np.matmul(left, right, out=out)
+                    for product, left, right, out in calls[position][current]:
+                        product(left, right, out=out)
                     current ^= swap
             carry_s, carry_a = float(half_s[-1]), float(half_a[-1])
     untwist = np.array([1, 1j, -1, -1j])[k % 4]

@@ -11,7 +11,7 @@ repr-exact floats, so identical data produces byte-identical files.
 from __future__ import annotations
 
 import os
-from dataclasses import astuple
+from dataclasses import fields
 from typing import Any
 
 import yaml
@@ -198,7 +198,7 @@ def write_histogram_csv(path: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(HISTOGRAM_COLUMNS) + "\n")
         for row in rows:
-            fh.write(",".join(_csv_value(v) for v in astuple(row)) + "\n")
+            fh.write(",".join(_csv_value(getattr(row, f.name)) for f in fields(row)) + "\n")
 
 
 def write_schedule_series(path: str, schedule: Schedule, samples: int = 401) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from ._bits import from_bitstring
@@ -143,6 +143,13 @@ class BitstringRow:
     mis: bool
 
 
+def _row_dicts(rows: tuple[BitstringRow, ...]) -> list[dict]:
+    """Rows as field-ordered dicts; the fields are plain values, so they
+    are read as they are rather than deep-copied as ``asdict`` would."""
+    names = [f.name for f in fields(BitstringRow)]
+    return [{name: getattr(row, name) for name in names} for row in rows]
+
+
 @dataclass(frozen=True)
 class QuantumResult:
     """Annealing readout statistics plus per-bitstring classification."""
@@ -169,7 +176,7 @@ class QuantumResult:
             "seed": self.seed,
             "duration": self.duration,
             "counts": dict(self.histogram.counts),
-            "classification": [asdict(r) for r in self.rows],
+            "classification": _row_dicts(self.rows),
             "maximum_independent_sets": list(self.maximum_sets),
             "top_k": list(self.top_k),
             "mis_aggregate_probability": self.mis_aggregate_probability,
@@ -216,7 +223,7 @@ class ComparisonReport:
             "maximal_independent_sets": list(self.maximal_sets),
             "maximum_independent_sets": list(self.maximum_sets),
             "top_k": list(self.top_k),
-            "classification": [asdict(r) for r in self.classification],
+            "classification": _row_dicts(self.classification),
             "mis_aggregate_probability": self.mis_aggregate_probability,
             "verdicts": {
                 "nash_equals_mis": self.nash_equals_mis,

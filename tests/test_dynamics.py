@@ -21,9 +21,10 @@ from conftest import (
     unit_disk_layouts,
 )
 from rydnash.dynamics import (
-    _SINGLE_BLOCK,
+    _BLOCK,
     QuantumState,
     RydbergSystem,
+    _block_bounds,
     _rotation_index,
     _rotation_table,
     evolve,
@@ -353,7 +354,7 @@ def assert_matches_reference(graph):
 
 class TestBlockRotation:
     @pytest.mark.parametrize("theta", [0.3, -0.7])  # the middle stage runs backward
-    @pytest.mark.parametrize("b", range(1, _SINGLE_BLOCK + 1))
+    @pytest.mark.parametrize("b", range(1, 7))
     def test_block_matrix_is_kronecker_power(self, b, theta):
         c, s = math.cos(theta), math.sin(theta)
         table = _rotation_table(np.array([theta]), b)[0]
@@ -374,15 +375,26 @@ class TestBlockRotation:
         product = (x.view(np.float64) @ lowest).view(np.complex128)
         np.testing.assert_allclose(product, x @ matrix.T, rtol=0, atol=1e-14)
 
+    def test_block_bounds_stay_within_block(self):
+        for n in range(1, 25):
+            bounds = _block_bounds(n)
+            widths = np.diff(bounds)
+            assert bounds[0] == 0 and bounds[-1] == n
+            assert (len(widths) == 1) == (n <= 4)
+            # keeps every rotation matrix, kron(K_b.T, I_2) included, at
+            # 2**(2 * _BLOCK + 2) entries or fewer
+            assert 1 <= widths.min() and widths.max() <= _BLOCK
+            assert widths.max() - widths.min() <= 1
+
 
 # The stage the class is named after is gone; the name keeps the test ids of
 # the reference comparisons and pass-count pins stable.
 class TestWalshHadamardStage:
-    @pytest.mark.parametrize("n", [1, 2, 6, 7, 11, 13, 16])
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 11, 13, 16])
     def test_chain_matches_reference(self, n):
-        # qubits per block by n: 1, 2 and 6 are one block; 7 is (3, 4); 11 is
-        # (3, 4, 4), with one batched middle block; 13 is (3, 3, 3, 4) and
-        # 16 is (4, 4, 4, 4), with two each
+        # qubits per block by n: 1 and 2 are one block; 5 is (2, 3); 6 is
+        # (3, 3); 7 is (3, 4); 11 is (3, 4, 4), with one batched middle
+        # block; 13 is (3, 3, 3, 4) and 16 is (4, 4, 4, 4), with two each
         assert_matches_reference(build_unit_disk_graph([(6.0 * i, 0.0) for i in range(n)], 6.0))
 
     @pytest.mark.parametrize("rows", [1, 2, 4, 5])
