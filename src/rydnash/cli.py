@@ -28,6 +28,7 @@ from .pipeline import (
     QuantumResult,
     RunConfig,
     compare,
+    report_of,
     run_classical,
     run_quantum,
     validate_run,
@@ -59,7 +60,7 @@ def _add_out(p: argparse.ArgumentParser) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--graph", dest="graph_path", metavar="GRAPH", required=True, help="graph file (YAML: nodes, radius, labels)"
+        "--graph", dest="graph_path", metavar="GRAPH", required=True, help="graph file (YAML: nodes, radius)"
     )
     _add_out(p)
     p.add_argument("--limit", type=int, help="exhaustive enumeration node limit")
@@ -128,17 +129,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _validation_report_dict(report) -> dict:
-    return {
-        "ok": report.ok,
-        "violations": [
-            {"kind": v.kind, "subject": list(v.subject), "value": v.value, "limit": v.limit}
-            for v in report.violations
-        ],
-        "warnings": [
-            {"kind": w.kind, "pair": list(w.pair), "distance": w.distance, "threshold": w.threshold}
-            for w in report.warnings
-        ],
-    }
+    return {"ok": report.ok, **report_of(report)}
 
 
 def _write(outdir: str, name: str, data: dict) -> str:

@@ -21,7 +21,7 @@ from .game import GameParams
 from .geometry import EmbeddedGraph, build_unit_disk_graph
 from .schedule import Schedule
 
-_GRAPH_FIELDS = {"nodes", "radius", "labels"}
+_GRAPH_FIELDS = {"nodes", "radius"}
 _GAME_FIELDS = {"e_star", "cost", "benefit"}
 _SCHEDULE_FIELDS = {"omega", "delta", "duration"}
 
@@ -69,8 +69,7 @@ def _construct(path: str, build, *args, **kwargs):
 
 
 def load_graph(path: str) -> EmbeddedGraph:
-    """Parse a graph file: ``nodes`` (list of [x, y] in um), ``radius`` (um),
-    optional ``labels`` (list of strings, annotation only)."""
+    """Parse a graph file: ``nodes`` (list of [x, y] in um) and ``radius`` (um)."""
     data = _load_mapping(path)
     _reject_unknown(data, _GRAPH_FIELDS, path)
     for field in ("nodes", "radius"):
@@ -85,14 +84,6 @@ def load_graph(path: str) -> EmbeddedGraph:
             raise ConfigError(f"{path}: nodes[{k}] must be an [x, y] pair, got {entry!r}")
         points.append((_number(entry[0], path, f"nodes[{k}][0]"), _number(entry[1], path, f"nodes[{k}][1]")))
     radius = _number(data["radius"], path, "radius")
-    labels = data.get("labels")
-    if labels is not None:
-        if (
-            not isinstance(labels, list)
-            or len(labels) != len(points)
-            or any(not isinstance(s, str) for s in labels)
-        ):
-            raise ConfigError(f"{path}: 'labels' must be a list of {len(points)} strings")
     return _construct(path, build_unit_disk_graph, points, radius)
 
 
@@ -139,13 +130,8 @@ def load_schedule(path: str) -> Schedule:
     )
 
 
-def save_graph(path: str, graph: EmbeddedGraph, labels: list[str] | None = None) -> None:
-    data: dict[str, Any] = {
-        "nodes": [[x, y] for x, y in graph.positions],
-        "radius": graph.radius,
-    }
-    if labels is not None:
-        data["labels"] = list(labels)
+def save_graph(path: str, graph: EmbeddedGraph) -> None:
+    data = {"nodes": [[x, y] for x, y in graph.positions], "radius": graph.radius}
     _write_yaml(path, data, header=("unit-disk graph: coordinates and radius in um",))
 
 

@@ -1,18 +1,21 @@
 """End-to-end orchestration: load configs, run the classical and annealing
 analyses on the same graph, and compare the two.
 
-Every result type round-trips through a plain-dict report form so runs can
-be persisted, reloaded, and compared across processes. Reports contain no
-timestamps or absolute paths: identical configuration and seed produce
-byte-identical files.
+Every report is derived from the fields of its result dataclass: one key
+per field, named after the field unless ``_REPORT_KEYS`` renames it, with
+tuples written as lists and a ``ShotHistogram`` as its counts. The classical
+and annealing results load back from that form, so runs can be persisted,
+reloaded, and compared across processes. Reports contain no timestamps or
+absolute paths: identical configuration and seed produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache, cached_property
 
 from ._bits import from_bitstring
 from .dynamics import (
@@ -91,8 +94,70 @@ def graph_fingerprint(graph: EmbeddedGraph) -> str:
     return h.hexdigest()[:16]
 
 
+#: Report keys that differ from the names of the fields they come from.
+_REPORT_KEYS = {
+    "nash": "nash_supports",
+    "maximal_sets": "maximal_independent_sets",
+    "maximum_sets": "maximum_independent_sets",
+    "rows": "classification",
+    "histogram": "counts",
+}
+
+
+@cache
+def _report_keys(cls) -> tuple[tuple[str, str], ...]:
+    """(field, report key) pairs of a dataclass, in field order."""
+    return tuple((f.name, _REPORT_KEYS.get(f.name, f.name)) for f in fields(cls))
+
+
+def report_of(result) -> dict:
+    """The report mapping of any result dataclass: one key per field."""
+    return {key: _report_value(getattr(result, name)) for name, key in _report_keys(type(result))}
+
+
+#: Values written as they are; checked first, so each field of a readout row
+#: costs one set lookup.
+_PLAIN = frozenset((str, int, float, bool))
+
+
+def _report_value(value):
+    """Tuples as lists, a histogram as its counts, and a nested dataclass (a
+    readout row, a violation, a warning) as its own report mapping."""
+    if type(value) in _PLAIN:
+        return value
+    if isinstance(value, tuple):
+        return [_report_value(item) for item in value]
+    if isinstance(value, ShotHistogram):
+        return dict(value.counts)
+    if is_dataclass(value):
+        return report_of(value)
+    return value
+
+
+class _Persisted:
+    """A result dataclass whose report loads back into it. Each field is read
+    from its report key, with lists as tuples; then each of ``_loaders``
+    rebuilds one field from the values read."""
+
+    _loaders: dict = {}
+
+    def to_report(self) -> dict:
+        return report_of(self)
+
+    @classmethod
+    def from_report(cls, data: dict):
+        values = {name: _tupled(data[key]) for name, key in _report_keys(cls)}
+        for name, load in cls._loaders.items():
+            values[name] = load(values)
+        return cls(**values)
+
+
+def _tupled(value):
+    return tuple(value) if isinstance(value, list) else value
+
+
 @dataclass(frozen=True)
-class ClassicalResult:
+class ClassicalResult(_Persisted):
     """Equilibrium and independent-set families plus their match verdict."""
 
     graph_hash: str
@@ -103,28 +168,7 @@ class ClassicalResult:
     nash_equals_mis: bool
     witnesses: tuple[tuple[str, str], ...]
 
-    def to_report(self) -> dict:
-        return {
-            "graph_hash": self.graph_hash,
-            "n": self.n,
-            "nash_supports": list(self.nash),
-            "maximal_independent_sets": list(self.maximal_sets),
-            "maximum_independent_sets": list(self.maximum_sets),
-            "nash_equals_mis": self.nash_equals_mis,
-            "witnesses": [list(w) for w in self.witnesses],
-        }
-
-    @classmethod
-    def from_report(cls, data: dict) -> "ClassicalResult":
-        return cls(
-            graph_hash=data["graph_hash"],
-            n=data["n"],
-            nash=tuple(data["nash_supports"]),
-            maximal_sets=tuple(data["maximal_independent_sets"]),
-            maximum_sets=tuple(data["maximum_independent_sets"]),
-            nash_equals_mis=data["nash_equals_mis"],
-            witnesses=tuple((w[0], w[1]) for w in data["witnesses"]),
-        )
+    _loaders = {"witnesses": lambda v: tuple((a, b) for a, b in v["witnesses"])}
 
 
 @dataclass(frozen=True)
@@ -143,15 +187,8 @@ class BitstringRow:
     mis: bool
 
 
-def _row_dicts(rows: tuple[BitstringRow, ...]) -> list[dict]:
-    """Rows as field-ordered dicts; the fields are plain values, so they
-    are read as they are rather than deep-copied as ``asdict`` would."""
-    names = [f.name for f in fields(BitstringRow)]
-    return [{name: getattr(row, name) for name in names} for row in rows]
-
-
 @dataclass(frozen=True)
-class QuantumResult:
+class QuantumResult(_Persisted):
     """Annealing readout statistics plus per-bitstring classification."""
 
     graph_hash: str
@@ -167,38 +204,10 @@ class QuantumResult:
     mis_aggregate_probability: float
     mis_in_topk: bool
 
-    def to_report(self) -> dict:
-        return {
-            "graph_hash": self.graph_hash,
-            "n": self.n,
-            "c6": self.c6,
-            "shots": self.shots,
-            "seed": self.seed,
-            "duration": self.duration,
-            "counts": dict(self.histogram.counts),
-            "classification": _row_dicts(self.rows),
-            "maximum_independent_sets": list(self.maximum_sets),
-            "top_k": list(self.top_k),
-            "mis_aggregate_probability": self.mis_aggregate_probability,
-            "mis_in_topk": self.mis_in_topk,
-        }
-
-    @classmethod
-    def from_report(cls, data: dict) -> "QuantumResult":
-        return cls(
-            graph_hash=data["graph_hash"],
-            n=data["n"],
-            c6=data["c6"],
-            shots=data["shots"],
-            seed=data["seed"],
-            duration=data["duration"],
-            histogram=ShotHistogram(dict(data["counts"]), data["shots"], data["seed"]),
-            rows=tuple(BitstringRow(**r) for r in data["classification"]),
-            maximum_sets=tuple(data["maximum_independent_sets"]),
-            top_k=tuple(data["top_k"]),
-            mis_aggregate_probability=data["mis_aggregate_probability"],
-            mis_in_topk=data["mis_in_topk"],
-        )
+    _loaders = {
+        "histogram": lambda v: ShotHistogram(dict(v["histogram"]), v["shots"], v["seed"]),
+        "rows": lambda v: tuple(BitstringRow(**row) for row in v["rows"]),
+    }
 
 
 @dataclass(frozen=True)
@@ -217,20 +226,10 @@ class ComparisonReport:
     overall_pass: bool
 
     def to_report(self) -> dict:
-        return {
-            "graph_hash": self.graph_hash,
-            "nash_supports": list(self.nash),
-            "maximal_independent_sets": list(self.maximal_sets),
-            "maximum_independent_sets": list(self.maximum_sets),
-            "top_k": list(self.top_k),
-            "classification": _row_dicts(self.classification),
-            "mis_aggregate_probability": self.mis_aggregate_probability,
-            "verdicts": {
-                "nash_equals_mis": self.nash_equals_mis,
-                "mis_in_topk": self.mis_in_topk,
-                "overall_pass": self.overall_pass,
-            },
-        }
+        """``report_of`` with the three verdicts under ``verdicts``."""
+        report = report_of(self)
+        report["verdicts"] = {name: report.pop(name) for name in ("nash_equals_mis", "mis_in_topk", "overall_pass")}
+        return report
 
 
 def run_classical(config: RunConfig) -> ClassicalResult:

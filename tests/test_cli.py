@@ -308,8 +308,16 @@ class TestCompareCommand:
             (CLASSICAL_REPORT, lambda d: d.pop("witnesses"), "missing required field 'witnesses'"),
             (ANNEAL_REPORT, lambda d: d.pop("top_k"), "missing required field 'top_k'"),
             (ANNEAL_REPORT, lambda d: d.update(shots=d["shots"] + 1), "malformed report: counts sum to"),
+            (ANNEAL_REPORT, lambda d: d["classification"][0].pop("mis"), "malformed report: "),
+            (CLASSICAL_REPORT, lambda d: d.update(witnesses=[["100110"]]), "malformed report: "),
         ],
-        ids=["classical-no-witnesses", "anneal-no-top_k", "anneal-shots-mismatch"],
+        ids=[
+            "classical-no-witnesses",
+            "anneal-no-top_k",
+            "anneal-shots-mismatch",
+            "anneal-row-no-mis",
+            "classical-witness-not-pair",
+        ],
     )
     def test_malformed_report(self, name, edit, message, graph_a_results, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -470,3 +478,48 @@ class TestPipelineApi:
         classical = ClassicalResult.from_report(read_report(os.path.join(out, CLASSICAL_REPORT)))
         quantum = QuantumResult.from_report(read_report(os.path.join(out, ANNEAL_REPORT)))
         assert compare(classical, quantum) == compare(*graph_a_results)
+
+
+class TestReportSchema:
+    """Pins every report's keys, so a new result field that changes a
+    report's schema shows up here."""
+
+    def test_all_reports(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["all", "--graph", GRAPH_A_FILE, "--coupling-c", str(C_A), "--out", out]) == EXIT_OK
+        classical = read_report(os.path.join(out, CLASSICAL_REPORT))
+        anneal = read_report(os.path.join(out, ANNEAL_REPORT))
+        report = read_report(os.path.join(out, COMPARE_REPORT))
+        assert set(classical) == {
+            "graph_hash", "n", "nash_supports", "maximal_independent_sets", "maximum_independent_sets",
+            "nash_equals_mis", "witnesses",
+        }
+        assert set(anneal) == {
+            "graph_hash", "n", "c6", "shots", "seed", "duration", "counts", "classification",
+            "maximum_independent_sets", "top_k", "mis_aggregate_probability", "mis_in_topk",
+        }
+        assert set(report) == {
+            "graph_hash", "nash_supports", "maximal_independent_sets", "maximum_independent_sets", "top_k",
+            "classification", "mis_aggregate_probability", "verdicts",
+        }
+        assert set(report["verdicts"]) == {"nash_equals_mis", "mis_in_topk", "overall_pass"}
+        row_keys = {"bitstring", "count", "probability", "energy", "independent", "maximal", "mis"}
+        for rows in (anneal["classification"], report["classification"]):
+            assert rows and all(set(row) == row_keys for row in rows)
+
+    def test_validation_report(self, tmp_path):
+        out = str(tmp_path / "b")
+        assert main(["validate", "--graph", GRAPH_B_FILE, "--margin", "0.3", "--out", out]) == EXIT_OK
+        report = read_report(os.path.join(out, VALIDATION_REPORT))
+        assert set(report) == {"ok", "violations", "warnings"}
+        assert len(report["warnings"]) == 10
+        for w in report["warnings"]:
+            assert set(w) == {"kind", "pair", "distance", "threshold"} and isinstance(w["pair"], list)
+
+        graph = str(tmp_path / "close.yaml")
+        with open(graph, "w") as fh:
+            yaml.safe_dump({"nodes": [[0.0, 0.0], [3.0, 0.0]], "radius": 4.0}, fh)
+        out = str(tmp_path / "close")
+        assert main(["validate", "--graph", graph, "--out", out]) == EXIT_VERDICT
+        (v,) = read_report(os.path.join(out, VALIDATION_REPORT))["violations"]
+        assert set(v) == {"kind", "subject", "value", "limit"} and v["subject"] == [0, 1]
