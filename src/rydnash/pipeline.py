@@ -16,6 +16,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache, cached_property
+from typing import get_origin, get_type_hints
 
 from ._bits import from_bitstring
 from .dynamics import (
@@ -134,10 +135,17 @@ def _report_value(value):
     return value
 
 
+@cache
+def _tuple_fields(cls) -> frozenset[str]:
+    """The tuple-typed fields of a dataclass, which its report writes as lists."""
+    return frozenset(name for name, hint in get_type_hints(cls).items() if get_origin(hint) is tuple)
+
+
 class _Persisted:
     """A result dataclass whose report loads back into it. Each field is read
-    from its report key, with lists as tuples; then each of ``_loaders``
-    rebuilds one field from the values read."""
+    from its report key, a tuple-typed one from a list, which is refused
+    otherwise; then each of ``_loaders`` rebuilds one field from the values
+    read."""
 
     _loaders: dict = {}
 
@@ -146,14 +154,18 @@ class _Persisted:
 
     @classmethod
     def from_report(cls, data: dict):
-        values = {name: _tupled(data[key]) for name, key in _report_keys(cls)}
+        tuples = _tuple_fields(cls)
+        values = {}
+        for name, key in _report_keys(cls):
+            value = data[key]
+            if name in tuples:
+                if type(value) is not list:
+                    raise TypeError(f"{key!r} must be a list, got {value!r}")
+                value = tuple(value)
+            values[name] = value
         for name, load in cls._loaders.items():
             values[name] = load(values)
         return cls(**values)
-
-
-def _tupled(value):
-    return tuple(value) if isinstance(value, list) else value
 
 
 @dataclass(frozen=True)

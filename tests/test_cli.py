@@ -310,6 +310,7 @@ class TestCompareCommand:
             (ANNEAL_REPORT, lambda d: d.update(shots=d["shots"] + 1), "malformed report: counts sum to"),
             (ANNEAL_REPORT, lambda d: d["classification"][0].pop("mis"), "malformed report: "),
             (CLASSICAL_REPORT, lambda d: d.update(witnesses=[["100110"]]), "malformed report: "),
+            (CLASSICAL_REPORT, lambda d: d.update(nash_supports="100110"), "malformed report: "),
         ],
         ids=[
             "classical-no-witnesses",
@@ -317,6 +318,7 @@ class TestCompareCommand:
             "anneal-shots-mismatch",
             "anneal-row-no-mis",
             "classical-witness-not-pair",
+            "classical-supports-not-list",
         ],
     )
     def test_malformed_report(self, name, edit, message, graph_a_results, tmp_path, capsys):
@@ -346,18 +348,12 @@ class TestAllCommand:
 
     @pytest.mark.parametrize("layout", ["graph_b", "chain11"])
     def test_libyaml_reports_match_pure_python(self, layout, tmp_path, monkeypatch):
-        # the libyaml emitter must write every report byte for byte as the
-        # pure-Python one does; chain11 has about 200 classification rows
+        # every file that all writes, and chain11's graph and ramp files, must
+        # hold byte for byte what both PyYAML dumpers write for the same data,
+        # and read back as that data under both PyYAML loaders; chain11 has
+        # about 200 classification rows
         if not yaml.__with_libyaml__:
             pytest.skip("PyYAML is built without libyaml")
-        assert rydnash.fileio._DUMPER is yaml.CSafeDumper
-        if layout == "graph_b":
-            args = ["--graph", GRAPH_B_FILE, "--coupling-c", "6e5"]
-        else:
-            graph, ramp = str(tmp_path / "chain.yaml"), str(tmp_path / "ramp.yaml")
-            save_graph(graph, build_unit_disk_graph([(6.0 * i, 0.0) for i in range(11)], 6.0))
-            save_schedule(ramp, default_schedule(duration=1.0))
-            args = ["--graph", graph, "--schedule", ramp, "--coupling-c", "1e6"]
         written = []
         write_yaml = rydnash.fileio._write_yaml
 
@@ -366,14 +362,23 @@ class TestAllCommand:
             write_yaml(path, data, header)
 
         monkeypatch.setattr(rydnash.fileio, "_write_yaml", recording)
+        if layout == "graph_b":
+            args = ["--graph", GRAPH_B_FILE, "--coupling-c", "6e5"]
+        else:
+            graph, ramp = str(tmp_path / "chain.yaml"), str(tmp_path / "ramp.yaml")
+            save_graph(graph, build_unit_disk_graph([(6.0 * i, 0.0) for i in range(11)], 6.0))
+            save_schedule(ramp, default_schedule(duration=1.0))
+            args = ["--graph", graph, "--schedule", ramp, "--coupling-c", "1e6"]
         assert main(["all", *args, "--out", str(tmp_path / "out"), "--seed", "7"]) == EXIT_OK
         assert {os.path.basename(path) for path, _, _ in written} >= {CLASSICAL_REPORT, ANNEAL_REPORT, COMPARE_REPORT}
-        monkeypatch.setattr(rydnash.fileio, "_DUMPER", yaml.SafeDumper)
         for path, data, header in written:
-            again = str(tmp_path / "pure" / os.path.basename(path))
-            write_yaml(again, data, header)
-            with open(path, "rb") as fast, open(again, "rb") as pure:
-                assert fast.read() == pure.read()
+            with open(path, encoding="utf-8", newline="") as fh:
+                text = fh.read()
+            comments = "".join(f"# {line}\n" for line in header)
+            for dumper in (yaml.SafeDumper, yaml.CSafeDumper):
+                assert text == comments + yaml.dump(data, Dumper=dumper, sort_keys=True, default_flow_style=None)
+            for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+                assert yaml.load(text, Loader=loader) == data
         if layout == "chain11":
             assert len(read_report(os.path.join(tmp_path, "out", ANNEAL_REPORT))["classification"]) > 150
 

@@ -1,21 +1,36 @@
+import glob
+import math
+import os
 import re
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import rydnash.fileio
 from rydnash.errors import ConfigError
 from rydnash.fileio import (
+    _dump,
     load_game,
     load_graph,
     load_schedule,
+    read_report,
     save_game,
     save_graph,
     save_schedule,
     write_histogram_csv,
+    write_report,
 )
 from rydnash.game import GameParams
 from rydnash.pipeline import BitstringRow
 from rydnash.schedule import default_schedule
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+DUMPERS = [yaml.SafeDumper] + ([yaml.CSafeDumper] if yaml.__with_libyaml__ else [])
 
 
 def dump(tmp_path, name, data):
@@ -52,11 +67,13 @@ class TestGraphFiles:
         with pytest.raises(ConfigError, match="not found"):
             load_graph(str(tmp_path / "nope.yaml"))
 
-    def test_yaml_error_carries_line(self, tmp_path):
+    def test_yaml_error_carries_line(self, tmp_path, monkeypatch):
         path = tmp_path / "broken.yaml"
         path.write_text("nodes: [[0, 0]\nradius: 1\n")
-        with pytest.raises(ConfigError, match="line"):
-            load_graph(str(path))
+        for loader in LOADERS:
+            monkeypatch.setattr(rydnash.fileio, "_LOADER", loader)
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(path))} \\(line 2\\): not valid YAML"):
+                load_graph(str(path))
 
     @pytest.mark.parametrize(
         "data",
@@ -154,3 +171,75 @@ class TestHistogramCsv:
         assert lines[0] == "bitstring,count,probability,energy,is_independent,is_maximal,is_mis"
         assert lines[1] == "10,7,0.5,-7.27,true,true,false"
         assert lines[2] == "01,3,0.25,-7.27,true,false,false"
+
+
+class TestYamlReading:
+    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.yaml"))), ids=os.path.basename)
+    def test_bundled_configs_load_equal_under_both_loaders(self, path):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert all(yaml.load(text, Loader=loader) == read_report(path) for loader in LOADERS)
+
+
+# Report-grammar strings, with every token PyYAML's resolver reads as a
+# non-string (so the writer must quote it) that the alphabet can spell.
+RESOLVER_TOKENS = ["0", "0777", "1_0", "0b1", "0x1f", "0o7", "190_20_30", "1e5", "true", "Yes", "null", "NULL",
+                   "on", "Off", "n", "y", "_", "inf", "nan", "100110"]
+words = st.sampled_from(RESOLVER_TOKENS) | st.text("0123456789_abcdefoxyzABCDEFOXYZ", min_size=1, max_size=40)
+scalars = st.booleans() | st.integers(-(10**20), 10**20) | st.floats() | words
+values = st.recursive(
+    scalars, lambda inner: st.lists(inner, max_size=12) | st.dictionaries(words, inner, max_size=6), max_leaves=24
+)
+
+
+def pyyaml_dumps(data) -> list[str]:
+    return [yaml.dump(data, Dumper=dumper, sort_keys=True, default_flow_style=None) for dumper in DUMPERS]
+
+
+class TestYamlWriter:
+    """``_dump`` writes what PyYAML's dumpers write for the report grammar."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(words, values, max_size=8))
+    @example({"witnesses": [["100110", "011001"], ["0", "1"]], "empty": [], "none": {}})
+    @example({"warnings": [{"distance": 6.0, "kind": "edge_near_radius", "pair": [0, 1], "threshold": 4.9}]})
+    @example({"floats": [1e-05, 1e16, -0.0, math.inf, -math.inf, math.nan, 1e17, 5e-324]})
+    @example({token: token for token in RESOLVER_TOKENS})
+    @example({"benefit": "satiating_linear", "cost": 0.5, "e_star": 1.0})
+    def test_matches_pyyaml(self, data):
+        assert pyyaml_dumps(data) == [_dump(data)] * len(DUMPERS)
+
+    @pytest.mark.parametrize("width", range(1, 11))
+    def test_flow_wraps_at_every_offset(self, width):
+        # key lengths 1 ... width + 2 put the item that crosses column 80 at
+        # every offset from it, for lists and flow mappings, top-level and nested
+        for key_length in range(1, width + 3):
+            key = "k" * key_length
+            items = ["9" * width] * 40
+            for data in (
+                {key: items},
+                {key: dict(zip((f"x{i:0{width}d}" for i in range(40)), items))},
+                {"rows": [{key: items, "z": [list(items)]}]},
+                dict.fromkeys((f"{key}{i}" for i in range(12)), 1.5),
+            ):
+                assert pyyaml_dumps(data) == [_dump(data)] * len(DUMPERS)
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"n": None}, "n"),
+            ({"p": np.float64(0.5)}, "p"),
+            ({"rows": [{"kind": "a b"}]}, "kind"),
+            ({"subject": ["a:b"]}, "subject"),
+            ({"pair": (0, 1)}, "pair"),
+            ({"counts": {1: 2}}, 1),
+            ({"s": ""}, "s"),
+            ({"k" * 128: 1}, "k" * 128),
+        ],
+        ids=["none", "np-float64", "space", "colon", "tuple", "int-key", "empty-str", "long-key"],
+    )
+    def test_refuses_values_outside_grammar(self, data, key, tmp_path):
+        path = tmp_path / "report.yaml"
+        with pytest.raises(TypeError, match=f"under key {re.escape(repr(key))}"):
+            write_report(str(path), data)
+        assert not path.exists()
