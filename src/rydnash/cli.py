@@ -19,6 +19,7 @@ from .fileio import (
     load_game,
     load_schedule,
     read_report,
+    to_mapping,
     write_histogram_csv,
     write_report,
     write_schedule_series,
@@ -28,7 +29,6 @@ from .pipeline import (
     QuantumResult,
     RunConfig,
     compare,
-    report_of,
     run_classical,
     run_quantum,
     validate_run,
@@ -129,7 +129,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _validation_report_dict(report) -> dict:
-    return {"ok": report.ok, **report_of(report)}
+    return {"ok": report.ok, **to_mapping(report)}
 
 
 def _write(outdir: str, name: str, data: dict) -> str:
@@ -192,7 +192,7 @@ def _read_result(outdir: str, name: str, result_type):
         return result_type.from_report(data)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing required field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, IndexError, InvalidInput) as exc:
+    except (TypeError, ValueError, InvalidInput) as exc:
         raise ConfigError(f"{path}: malformed report: {exc}") from None
 
 

@@ -1,11 +1,13 @@
 """Reading and writing the on-disk formats: graph, game, and schedule YAML
 files, histogram CSV exports, and structured report files.
 
-All schemas are documented in the README. Parsers reject unknown fields so a
-typo fails loudly instead of being silently ignored, and parse errors carry
-the file path (plus the line for YAML syntax errors), as do values that
-parse but that the domain types refuse. Reading goes through libyaml when
-PyYAML is built with it.
+Every YAML file is the mapping of one dataclass (``EmbeddedGraph``,
+``GameParams``, ``Schedule`` or a result of ``rydnash.pipeline``), written
+by ``to_mapping`` and read by ``from_mapping``: one key per field, named
+after the field unless ``_FILE_KEYS`` renames it. All schemas are documented
+in the README. Parse errors carry the file path (plus the line for YAML
+syntax errors), as do values that parse but that the domain types refuse.
+Reading goes through libyaml when PyYAML is built with it.
 
 Every YAML file is written by ``_dump``, which writes byte for byte what
 PyYAML's safe representer and emitter write with sorted keys and
@@ -23,25 +25,146 @@ from __future__ import annotations
 import functools
 import os
 import re
-from dataclasses import fields
-from typing import Any
+from dataclasses import MISSING, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
+from .dynamics import ShotHistogram
 from .errors import ConfigError, RydnashError
 from .game import GameParams
-from .geometry import EmbeddedGraph, build_unit_disk_graph
+from .geometry import EmbeddedGraph
 from .schedule import Schedule
-
-_GRAPH_FIELDS = {"nodes", "radius"}
-_GAME_FIELDS = {"e_star", "cost", "benefit"}
-_SCHEDULE_FIELDS = {"omega", "delta", "duration"}
 
 # libyaml's parser reads a report of a few hundred readouts about six times
 # faster than the pure-Python one, into the same values.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 HISTOGRAM_COLUMNS = ("bitstring", "count", "probability", "energy", "is_independent", "is_maximal", "is_mis")
+
+#: File keys that differ from the names of the fields they come from.
+_FILE_KEYS = {
+    "positions": "nodes",
+    "c": "cost",
+    "nash": "nash_supports",
+    "maximal_sets": "maximal_independent_sets",
+    "maximum_sets": "maximum_independent_sets",
+    "rows": "classification",
+    "histogram": "counts",
+}
+
+
+@functools.cache
+def _keys(cls) -> tuple[tuple[str, str], ...]:
+    """(field, file key) pairs of a dataclass, in field order: the writer's
+    table, kept apart from ``_schema`` because unpacking pairs costs a
+    readout row less than unpacking its 4-tuples."""
+    return tuple((f.name, _FILE_KEYS.get(f.name, f.name)) for f in fields(cls))
+
+
+@functools.cache
+def _schema(cls) -> tuple[tuple[str, str, object, bool], ...]:
+    """``_keys`` with each field's type hint and whether it has no default."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (name, key, hints[name], f.default is MISSING and f.default_factory is MISSING)
+        for (name, key), f in zip(_keys(cls), fields(cls))
+    )
+
+
+def to_mapping(obj) -> dict:
+    """The file mapping of a dataclass: one key per field."""
+    return _mapping(obj)
+
+
+def _mapping(obj) -> dict:
+    # Nested values recurse here, not through the public name, so a tracing
+    # wrapper around ``to_mapping`` sees one call per file, not one per row.
+    return {key: _value(getattr(obj, name)) for name, key in _keys(type(obj))}
+
+
+#: Values written as they are; checked first, so each field of a readout row
+#: costs one set lookup.
+_PLAIN = frozenset((str, int, float, bool))
+
+
+def _value(value):
+    """Tuples as lists, a histogram as its counts, and a nested dataclass (a
+    readout row, a violation, a warning) as its own mapping."""
+    if type(value) in _PLAIN:
+        return value
+    if isinstance(value, tuple):
+        return [_value(item) for item in value]
+    if isinstance(value, ShotHistogram):
+        return dict(value.counts)
+    if is_dataclass(value):
+        return _mapping(value)
+    return value
+
+
+def from_mapping(cls, data: dict):
+    """The dataclass ``cls`` read from its file mapping ``data``.
+
+    Unknown keys are refused, and a key is required exactly when its field
+    has no default. Each value must fit its field's type hint: a tuple is
+    read from a list, item by item, a nested dataclass from a mapping and a
+    histogram from its counts; a float takes an int or a float, never a
+    bool. Then each of the class's ``_loaders`` (field name to a function of
+    the values read) rebuilds its field. A key missing from ``data`` raises
+    KeyError, any other refusal TypeError or ValueError naming the value's
+    place in the file.
+    """
+    return _instance(cls, data, "")
+
+
+def _instance(cls, data: dict, where: str):
+    """``from_mapping`` for the mapping at ``where``, empty at the top."""
+    at = f"{where!r}: " if where else ""
+    allowed = [key for _, key in _keys(cls)]
+    unknown = sorted(set(data).difference(allowed), key=str)
+    if unknown:
+        raise ValueError(f"{at}unknown fields {unknown}; allowed fields are {sorted(allowed)}")
+    values = {}
+    for name, key, hint, required in _schema(cls):
+        if key in data:
+            values[name] = _read(hint, data[key], f"{where}.{key}" if where else key)
+        elif required and where:
+            raise TypeError(f"{at}missing required field {key!r}")
+        elif required:
+            raise KeyError(key)
+    for name, load in getattr(cls, "_loaders", {}).items():
+        values[name] = load(values)
+    return cls(**values)
+
+
+_KINDS = {str: "a string", int: "an integer", float: "a number", bool: "a bool"}
+
+
+def _read(hint, value, where: str):
+    """``value`` read as type ``hint``; ``where`` is its place in the file."""
+    kind = type(value)
+    if hint in _KINDS:
+        if kind is hint:
+            return value
+        if hint is float and kind is int:
+            return float(value)
+        raise TypeError(f"{where!r} must be {_KINDS[hint]}, got {value!r}")
+    if hint is ShotHistogram:
+        hint = dict[str, int]
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple:
+        if kind is not list:
+            raise TypeError(f"{where!r} must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise TypeError(f"{where!r} must be a list of {len(args)} items, got {value!r}")
+        return tuple(_read(arg, item, f"{where}[{k}]") for k, (arg, item) in enumerate(zip(args, value)))
+    if kind is not dict:
+        raise TypeError(f"{where!r} must be a mapping, got {value!r}")
+    if origin is dict:
+        return {_read(args[0], k, where): _read(args[1], v, f"{where}[{k!r}]") for k, v in value.items()}
+    return _instance(hint, value, where)
 
 
 def _load_mapping(path: str) -> dict:
@@ -59,106 +182,44 @@ def _load_mapping(path: str) -> dict:
     return data
 
 
-def _reject_unknown(data: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown fields {unknown}; allowed fields are {sorted(allowed)}")
-
-
-def _number(value, path: str, field: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}: field {field!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def _construct(path: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, with a refused value reported as a
-    ConfigError that names ``path``."""
+def _load(path: str, cls):
+    """The ``cls`` read from the YAML file at ``path``; every refusal, the
+    domain type's included, is a ConfigError naming the file."""
+    data = _load_mapping(path)
     try:
-        return build(*args, **kwargs)
-    except RydnashError as exc:
+        return from_mapping(cls, data)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing required field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, RydnashError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_graph(path: str) -> EmbeddedGraph:
-    """Parse a graph file: ``nodes`` (list of [x, y] in um) and ``radius`` (um)."""
-    data = _load_mapping(path)
-    _reject_unknown(data, _GRAPH_FIELDS, path)
-    for field in ("nodes", "radius"):
-        if field not in data:
-            raise ConfigError(f"{path}: missing required field {field!r}")
-    nodes = data["nodes"]
-    if not isinstance(nodes, list) or not nodes:
-        raise ConfigError(f"{path}: 'nodes' must be a nonempty list of [x, y] pairs")
-    points = []
-    for k, entry in enumerate(nodes):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ConfigError(f"{path}: nodes[{k}] must be an [x, y] pair, got {entry!r}")
-        points.append((_number(entry[0], path, f"nodes[{k}][0]"), _number(entry[1], path, f"nodes[{k}][1]")))
-    radius = _number(data["radius"], path, "radius")
-    return _construct(path, build_unit_disk_graph, points, radius)
+    """Parse a graph file, the mapping of an ``EmbeddedGraph``."""
+    return _load(path, EmbeddedGraph)
 
 
 def load_game(path: str) -> GameParams:
-    """Parse a game parameter file: ``e_star``, ``cost``, ``benefit``."""
-    data = _load_mapping(path)
-    _reject_unknown(data, _GAME_FIELDS, path)
-    kwargs: dict[str, Any] = {}
-    if "e_star" in data:
-        kwargs["e_star"] = _number(data["e_star"], path, "e_star")
-    if "cost" in data:
-        kwargs["c"] = _number(data["cost"], path, "cost")
-    if "benefit" in data:
-        if not isinstance(data["benefit"], str):
-            raise ConfigError(f"{path}: 'benefit' must be a string")
-        kwargs["benefit"] = data["benefit"]
-    return _construct(path, GameParams, **kwargs)
-
-
-def _waveform(data: dict, field: str, path: str) -> tuple[tuple[float, float], ...]:
-    raw = data.get(field)
-    if not isinstance(raw, list) or any(not isinstance(p, list) or len(p) != 2 for p in raw):
-        raise ConfigError(f"{path}: {field!r} must be a list of [time, value] pairs")
-    return tuple(
-        (_number(p[0], path, f"{field}[{k}][0]"), _number(p[1], path, f"{field}[{k}][1]"))
-        for k, p in enumerate(raw)
-    )
+    """Parse a game parameter file, the mapping of a ``GameParams``."""
+    return _load(path, GameParams)
 
 
 def load_schedule(path: str) -> Schedule:
-    """Parse a schedule file: ``omega`` and ``delta`` breakpoint lists plus
-    ``duration``; times in us, values in rad/us."""
-    data = _load_mapping(path)
-    _reject_unknown(data, _SCHEDULE_FIELDS, path)
-    for field in ("omega", "delta", "duration"):
-        if field not in data:
-            raise ConfigError(f"{path}: missing required field {field!r}")
-    return _construct(
-        path,
-        Schedule,
-        omega=_waveform(data, "omega", path),
-        delta=_waveform(data, "delta", path),
-        duration=_number(data["duration"], path, "duration"),
-    )
+    """Parse a schedule file, the mapping of a ``Schedule``; times in us,
+    values in rad/us."""
+    return _load(path, Schedule)
 
 
 def save_graph(path: str, graph: EmbeddedGraph) -> None:
-    data = {"nodes": [[x, y] for x, y in graph.positions], "radius": graph.radius}
-    _write_yaml(path, data, header=("unit-disk graph: coordinates and radius in um",))
+    _write_yaml(path, _mapping(graph), header=("unit-disk graph: coordinates and radius in um",))
 
 
 def save_game(path: str, params: GameParams) -> None:
-    data = {"e_star": params.e_star, "cost": params.c, "benefit": params.benefit}
-    _write_yaml(path, data, header=("public-goods game parameters",))
+    _write_yaml(path, _mapping(params), header=("public-goods game parameters",))
 
 
 def save_schedule(path: str, schedule: Schedule) -> None:
-    data = {
-        "omega": [[t, v] for t, v in schedule.omega],
-        "delta": [[t, v] for t, v in schedule.delta],
-        "duration": schedule.duration,
-    }
-    _write_yaml(path, data, header=("piecewise-linear drive waveforms", "times in us, values in rad/us"))
+    _write_yaml(path, _mapping(schedule), header=("piecewise-linear drive waveforms", "times in us, values in rad/us"))
 
 
 def _write_yaml(path: str, data: dict, header: tuple[str, ...] = ()) -> None:

@@ -1,22 +1,19 @@
 """End-to-end orchestration: load configs, run the classical and annealing
 analyses on the same graph, and compare the two.
 
-Every report is derived from the fields of its result dataclass: one key
-per field, named after the field unless ``_REPORT_KEYS`` renames it, with
-tuples written as lists and a ``ShotHistogram`` as its counts. The classical
-and annealing results load back from that form, so runs can be persisted,
-reloaded, and compared across processes. Reports contain no timestamps or
-absolute paths: identical configuration and seed produce byte-identical
-files.
+Every report is the mapping of its result dataclass, written and read by
+the codec in ``rydnash.fileio``. The classical and annealing results load
+back from that form, so runs can be persisted, reloaded, and compared across
+processes. Reports contain no timestamps or absolute paths: identical
+configuration and seed produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
-from functools import cache, cached_property
-from typing import get_origin, get_type_hints
+from dataclasses import dataclass
+from functools import cached_property
 
 from ._bits import from_bitstring
 from .dynamics import (
@@ -27,15 +24,9 @@ from .dynamics import (
     sample,
 )
 from .errors import ConstraintViolation, IncompatibleRuns, InvalidInput
-from .fileio import load_graph
+from .fileio import from_mapping, load_graph, to_mapping
 from .game import DEFAULT_EXHAUSTIVE_LIMIT, GameParams, enumerate_specialized_nash
-from .geometry import (
-    EmbeddedGraph,
-    HardwareConstraints,
-    ValidationReport,
-    ambiguity_warnings,
-    validate_embedding,
-)
+from .geometry import EmbeddedGraph, ValidationReport, ambiguity_warnings, validate_embedding
 from .indsets import correspondence_witnesses, enumerate_mis, is_independent, largest
 from .schedule import Schedule, default_schedule, validate_schedule
 
@@ -61,7 +52,6 @@ class RunConfig:
     limit: int = DEFAULT_EXHAUSTIVE_LIMIT
     margin: float = 0.15
     plot_data: bool = False
-    hw: HardwareConstraints = field(default_factory=HardwareConstraints)
 
     def __post_init__(self):
         if self.shots < 1:
@@ -71,7 +61,7 @@ class RunConfig:
         if not (self.c6 > 0 and math.isfinite(self.c6)):
             raise InvalidInput(f"c6 must be positive and finite, got {self.c6!r}")
         if self.schedule is None:
-            object.__setattr__(self, "schedule", default_schedule(hw=self.hw))
+            object.__setattr__(self, "schedule", default_schedule())
 
     @cached_property
     def graph(self) -> EmbeddedGraph:
@@ -95,77 +85,19 @@ def graph_fingerprint(graph: EmbeddedGraph) -> str:
     return h.hexdigest()[:16]
 
 
-#: Report keys that differ from the names of the fields they come from.
-_REPORT_KEYS = {
-    "nash": "nash_supports",
-    "maximal_sets": "maximal_independent_sets",
-    "maximum_sets": "maximum_independent_sets",
-    "rows": "classification",
-    "histogram": "counts",
-}
-
-
-@cache
-def _report_keys(cls) -> tuple[tuple[str, str], ...]:
-    """(field, report key) pairs of a dataclass, in field order."""
-    return tuple((f.name, _REPORT_KEYS.get(f.name, f.name)) for f in fields(cls))
-
-
-def report_of(result) -> dict:
-    """The report mapping of any result dataclass: one key per field."""
-    return {key: _report_value(getattr(result, name)) for name, key in _report_keys(type(result))}
-
-
-#: Values written as they are; checked first, so each field of a readout row
-#: costs one set lookup.
-_PLAIN = frozenset((str, int, float, bool))
-
-
-def _report_value(value):
-    """Tuples as lists, a histogram as its counts, and a nested dataclass (a
-    readout row, a violation, a warning) as its own report mapping."""
-    if type(value) in _PLAIN:
-        return value
-    if isinstance(value, tuple):
-        return [_report_value(item) for item in value]
-    if isinstance(value, ShotHistogram):
-        return dict(value.counts)
-    if is_dataclass(value):
-        return report_of(value)
-    return value
-
-
-@cache
-def _tuple_fields(cls) -> frozenset[str]:
-    """The tuple-typed fields of a dataclass, which its report writes as lists."""
-    return frozenset(name for name, hint in get_type_hints(cls).items() if get_origin(hint) is tuple)
-
-
 class _Persisted:
-    """A result dataclass whose report loads back into it. Each field is read
-    from its report key, a tuple-typed one from a list, which is refused
-    otherwise; then each of ``_loaders`` rebuilds one field from the values
-    read."""
+    """A result dataclass whose report loads back into it through
+    ``fileio.from_mapping``; each of ``_loaders`` rebuilds a field whose
+    report form is not the field itself."""
 
     _loaders: dict = {}
 
     def to_report(self) -> dict:
-        return report_of(self)
+        return to_mapping(self)
 
     @classmethod
     def from_report(cls, data: dict):
-        tuples = _tuple_fields(cls)
-        values = {}
-        for name, key in _report_keys(cls):
-            value = data[key]
-            if name in tuples:
-                if type(value) is not list:
-                    raise TypeError(f"{key!r} must be a list, got {value!r}")
-                value = tuple(value)
-            values[name] = value
-        for name, load in cls._loaders.items():
-            values[name] = load(values)
-        return cls(**values)
+        return from_mapping(cls, data)
 
 
 @dataclass(frozen=True)
@@ -179,8 +111,6 @@ class ClassicalResult(_Persisted):
     maximum_sets: tuple[str, ...]
     nash_equals_mis: bool
     witnesses: tuple[tuple[str, str], ...]
-
-    _loaders = {"witnesses": lambda v: tuple((a, b) for a, b in v["witnesses"])}
 
 
 @dataclass(frozen=True)
@@ -216,10 +146,7 @@ class QuantumResult(_Persisted):
     mis_aggregate_probability: float
     mis_in_topk: bool
 
-    _loaders = {
-        "histogram": lambda v: ShotHistogram(dict(v["histogram"]), v["shots"], v["seed"]),
-        "rows": lambda v: tuple(BitstringRow(**row) for row in v["rows"]),
-    }
+    _loaders = {"histogram": lambda v: ShotHistogram(v["histogram"], v["shots"], v["seed"])}
 
 
 @dataclass(frozen=True)
@@ -238,9 +165,11 @@ class ComparisonReport:
     overall_pass: bool
 
     def to_report(self) -> dict:
-        """``report_of`` with the three verdicts under ``verdicts``."""
-        report = report_of(self)
-        report["verdicts"] = {name: report.pop(name) for name in ("nash_equals_mis", "mis_in_topk", "overall_pass")}
+        """``to_mapping`` with the verdicts, the bool fields, under ``verdicts``."""
+        report = to_mapping(self)
+        verdicts = {key: value for key, value in report.items() if type(value) is bool}
+        report = {key: value for key, value in report.items() if key not in verdicts}
+        report["verdicts"] = verdicts
         return report
 
 
@@ -265,7 +194,7 @@ def validate_run(config: RunConfig) -> ValidationReport:
     """Hardware validation for a run: spacing floor, waveform limits, and
     boundary-ambiguity warnings, merged into one report."""
     graph = config.graph
-    report = validate_embedding(graph, config.hw).merged(validate_schedule(config.schedule, config.hw))
+    report = validate_embedding(graph).merged(validate_schedule(config.schedule))
     return ValidationReport(report.violations, report.warnings + ambiguity_warnings(graph, config.margin))
 
 

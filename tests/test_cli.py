@@ -311,6 +311,9 @@ class TestCompareCommand:
             (ANNEAL_REPORT, lambda d: d["classification"][0].pop("mis"), "malformed report: "),
             (CLASSICAL_REPORT, lambda d: d.update(witnesses=[["100110"]]), "malformed report: "),
             (CLASSICAL_REPORT, lambda d: d.update(nash_supports="100110"), "malformed report: "),
+            (CLASSICAL_REPORT, lambda d: d.update(nash_supports=[1, 2]), "malformed report: 'nash_supports[0]'"),
+            (ANNEAL_REPORT, lambda d: d["classification"][0].update(count="7"), "malformed report: "),
+            (CLASSICAL_REPORT, lambda d: d.update(colour="red"), "malformed report: unknown fields ['colour']"),
         ],
         ids=[
             "classical-no-witnesses",
@@ -319,6 +322,9 @@ class TestCompareCommand:
             "anneal-row-no-mis",
             "classical-witness-not-pair",
             "classical-supports-not-list",
+            "classical-supports-not-strings",
+            "anneal-row-count-string",
+            "classical-unknown-key",
         ],
     )
     def test_malformed_report(self, name, edit, message, graph_a_results, tmp_path, capsys):

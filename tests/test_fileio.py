@@ -173,12 +173,37 @@ class TestHistogramCsv:
         assert lines[2] == "01,3,0.25,-7.27,true,false,false"
 
 
+@pytest.mark.parametrize(
+    "load, data, key",
+    [
+        (load_graph, {"nodes": [[0.0, 0.0]], "radius": True}, "radius"),
+        (load_graph, {"nodes": [[0.0, 0.0], [6.0, "0.0"]], "radius": 8.0}, "nodes[1][1]"),
+        (load_schedule, {"omega": [[0.0, 0.0], [1.0, 0.0]], "delta": [[0.0, 0.0], [1.0, 0.0]], "duration": True},
+         "duration"),
+        (load_game, {"benefit": 1}, "benefit"),
+    ],
+    ids=["bool-radius", "string-coordinate", "bool-duration", "int-benefit"],
+)
+def test_mistyped_scalar_names_file_and_key(tmp_path, load, data, key):
+    path = dump(tmp_path, "config.yaml", data)
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: '{re.escape(key)}' must be"):
+        load(path)
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.yaml"))), ids=os.path.basename)
 class TestYamlReading:
-    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.yaml"))), ids=os.path.basename)
     def test_bundled_configs_load_equal_under_both_loaders(self, path):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         assert all(yaml.load(text, Loader=loader) == read_report(path) for loader in LOADERS)
+
+    def test_bundled_configs_are_canonical(self, path, tmp_path):
+        kind = os.path.basename(path).split("_")[0]
+        load, save = getattr(rydnash.fileio, f"load_{kind}"), getattr(rydnash.fileio, f"save_{kind}")
+        saved = tmp_path / "saved.yaml"
+        save(str(saved), load(path))
+        with open(path, "rb") as fh:
+            assert saved.read_bytes() == fh.read()
 
 
 # Report-grammar strings, with every token PyYAML's resolver reads as a
