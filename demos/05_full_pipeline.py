@@ -11,7 +11,7 @@ import os
 
 from rydnash import RunConfig, compare, run_classical, run_quantum
 from rydnash.cli import HISTOGRAM_CSV
-from rydnash.fileio import write_histogram_csv, write_report
+from rydnash.fileio import to_mapping, write_histogram_csv, write_report
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUT = os.path.join(os.getcwd(), "demo_out")
@@ -33,12 +33,13 @@ print(f"anneal: modal readout {quantum.top_k[0]}, "
       f"optimum weight {quantum.mis_aggregate_probability:.3f}")
 
 report = compare(classical, quantum)
-print(f"verdicts: nash==mis {report.nash_equals_mis}, "
-      f"optima in top-{len(report.maximum_sets)} {report.mis_in_topk}, "
-      f"overall {'PASS' if report.overall_pass else 'FAIL'}")
+verdicts = report.verdicts
+print(f"verdicts: nash==mis {verdicts.nash_equals_mis}, "
+      f"optima in top-{len(report.maximum_sets)} {verdicts.mis_in_topk}, "
+      f"overall {'PASS' if verdicts.overall_pass else 'FAIL'}")
 
-write_report(os.path.join(OUT, "classical_report.yaml"), classical.to_report())
-write_report(os.path.join(OUT, "anneal_report.yaml"), quantum.to_report())
-write_report(os.path.join(OUT, "compare_report.yaml"), report.to_report())
+write_report(os.path.join(OUT, "classical_report.yaml"), to_mapping(classical))
+write_report(os.path.join(OUT, "anneal_report.yaml"), to_mapping(quantum))
+write_report(os.path.join(OUT, "compare_report.yaml"), to_mapping(report))
 write_histogram_csv(os.path.join(OUT, HISTOGRAM_CSV), quantum.rows)
 print(f"reports in {OUT}")

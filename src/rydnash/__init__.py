@@ -68,6 +68,7 @@ from .pipeline import (
     ComparisonReport,
     QuantumResult,
     RunConfig,
+    Verdicts,
     compare,
     graph_fingerprint,
     run_classical,

@@ -14,11 +14,11 @@ import functools
 import os
 import sys
 
-from .errors import ConfigError, ConstraintViolation, InvalidInput, RydnashError
+from .errors import ConstraintViolation, RydnashError
 from .fileio import (
+    load,
     load_game,
     load_schedule,
-    read_report,
     to_mapping,
     write_histogram_csv,
     write_report,
@@ -149,7 +149,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_classical(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     result = run_classical(config)
-    path = _write(config.outdir, CLASSICAL_REPORT, result.to_report())
+    path = _write(config.outdir, CLASSICAL_REPORT, to_mapping(result))
     print(
         f"classical: {len(result.nash)} equilibria, {len(result.maximal_sets)} maximal sets, "
         f"{len(result.maximum_sets)} maximum sets; match={result.nash_equals_mis}: {path}"
@@ -167,7 +167,7 @@ def _run_anneal(config: RunConfig):
         path = _write(config.outdir, VALIDATION_REPORT, _validation_report_dict(exc.report))
         print(f"anneal refused, hardware validation failed: {path}", file=sys.stderr)
         return None, EXIT_VERDICT
-    _write(config.outdir, ANNEAL_REPORT, result.to_report())
+    _write(config.outdir, ANNEAL_REPORT, to_mapping(result))
     write_histogram_csv(os.path.join(config.outdir, HISTOGRAM_CSV), result.rows)
     if config.plot_data:
         write_schedule_series(os.path.join(config.outdir, SCHEDULE_SERIES_CSV), config.schedule)
@@ -184,38 +184,26 @@ def cmd_anneal(args: argparse.Namespace) -> int:
     return code
 
 
-def _read_result(outdir: str, name: str, result_type):
-    """Reload a persisted report as ``result_type``; ConfigError if malformed."""
-    path = os.path.join(outdir, name)
-    data = read_report(path)
-    try:
-        return result_type.from_report(data)
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing required field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, InvalidInput) as exc:
-        raise ConfigError(f"{path}: malformed report: {exc}") from None
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
-    classical = _read_result(args.outdir, CLASSICAL_REPORT, ClassicalResult)
-    quantum = _read_result(args.outdir, ANNEAL_REPORT, QuantumResult)
+    classical = load(os.path.join(args.outdir, CLASSICAL_REPORT), ClassicalResult)
+    quantum = load(os.path.join(args.outdir, ANNEAL_REPORT), QuantumResult)
     report = compare(classical, quantum)
-    path = _write(args.outdir, COMPARE_REPORT, report.to_report())
-    print(f"compare: overall {'PASS' if report.overall_pass else 'FAIL'}: {path}")
-    return EXIT_OK if report.overall_pass else EXIT_VERDICT
+    path = _write(args.outdir, COMPARE_REPORT, to_mapping(report))
+    print(f"compare: overall {'PASS' if report.verdicts.overall_pass else 'FAIL'}: {path}")
+    return EXIT_OK if report.verdicts.overall_pass else EXIT_VERDICT
 
 
 def cmd_all(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     classical = run_classical(config)
-    _write(config.outdir, CLASSICAL_REPORT, classical.to_report())
+    _write(config.outdir, CLASSICAL_REPORT, to_mapping(classical))
     quantum, code = _run_anneal(config)
     if quantum is None:
         return code
     report = compare(classical, quantum)
-    path = _write(config.outdir, COMPARE_REPORT, report.to_report())
-    print(f"all: overall {'PASS' if report.overall_pass else 'FAIL'}: {path}")
-    return EXIT_OK if report.overall_pass else EXIT_VERDICT
+    path = _write(config.outdir, COMPARE_REPORT, to_mapping(report))
+    print(f"all: overall {'PASS' if report.verdicts.overall_pass else 'FAIL'}: {path}")
+    return EXIT_OK if report.verdicts.overall_pass else EXIT_VERDICT
 
 
 def main(argv=None) -> int:

@@ -26,7 +26,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from ._bits import from_bitstring, node_mask, popcounts, to_bitstring
+from ._bits import from_bitstring, popcounts, to_bitstring
 from .errors import (
     IntegrationFailure,
     InvalidInput,
@@ -101,14 +101,16 @@ class RydbergSystem:
 
     @cached_property
     def pair_energy(self) -> np.ndarray:
-        """Sum of V_ij over excited pairs, for every basis index."""
+        """Sum of V_ij over excited pairs, for every basis index.
+
+        Each pair adds in place on the strided view of the indices where
+        both of its bits are 1: axis 1 is node i's bit and axis 3 node j's.
+        """
         n = self.n
-        z = np.arange(1 << n, dtype=np.uint64)
         q = np.zeros(1 << n)
         for i in range(n):
             for j in range(i + 1, n):
-                both = np.uint64(node_mask(i, n) | node_mask(j, n))
-                q[(z & both) == both] += self.interactions[i, j]
+                q.reshape(1 << i, 2, 1 << (j - i - 1), 2, 1 << (n - 1 - j))[:, 1, :, 1, :] += self.interactions[i, j]
         q.flags.writeable = False
         return q
 

@@ -4,10 +4,11 @@ files, histogram CSV exports, and structured report files.
 Every YAML file is the mapping of one dataclass (``EmbeddedGraph``,
 ``GameParams``, ``Schedule`` or a result of ``rydnash.pipeline``), written
 by ``to_mapping`` and read by ``from_mapping``: one key per field, named
-after the field unless ``_FILE_KEYS`` renames it. All schemas are documented
-in the README. Parse errors carry the file path (plus the line for YAML
-syntax errors), as do values that parse but that the domain types refuse.
-Reading goes through libyaml when PyYAML is built with it.
+after the field unless ``_FILE_KEYS`` renames it. ``load`` reads every such
+file and ``write_report`` writes a report. All schemas are documented in the
+README. Parse errors carry the file path (plus the line for YAML syntax
+errors), as do values that parse but that the domain types refuse. Reading
+goes through libyaml when PyYAML is built with it.
 
 Every YAML file is written by ``_dump``, which writes byte for byte what
 PyYAML's safe representer and emitter write with sorted keys and
@@ -30,7 +31,6 @@ from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .dynamics import ShotHistogram
 from .errors import ConfigError, RydnashError
 from .game import GameParams
 from .geometry import EmbeddedGraph
@@ -50,7 +50,6 @@ _FILE_KEYS = {
     "maximal_sets": "maximal_independent_sets",
     "maximum_sets": "maximum_independent_sets",
     "rows": "classification",
-    "histogram": "counts",
 }
 
 
@@ -89,14 +88,12 @@ _PLAIN = frozenset((str, int, float, bool))
 
 
 def _value(value):
-    """Tuples as lists, a histogram as its counts, and a nested dataclass (a
-    readout row, a violation, a warning) as its own mapping."""
+    """Tuples as lists, and a nested dataclass (a readout row, a violation, a
+    warning, the verdicts) as its own mapping."""
     if type(value) in _PLAIN:
         return value
     if isinstance(value, tuple):
         return [_value(item) for item in value]
-    if isinstance(value, ShotHistogram):
-        return dict(value.counts)
     if is_dataclass(value):
         return _mapping(value)
     return value
@@ -107,13 +104,14 @@ def from_mapping(cls, data: dict):
 
     Unknown keys are refused, and a key is required exactly when its field
     has no default. Each value must fit its field's type hint: a tuple is
-    read from a list, item by item, a nested dataclass from a mapping and a
-    histogram from its counts; a float takes an int or a float, never a
-    bool. Then each of the class's ``_loaders`` (field name to a function of
-    the values read) rebuilds its field. A key missing from ``data`` raises
-    KeyError, any other refusal TypeError or ValueError naming the value's
-    place in the file.
+    read from a list, item by item, and a nested dataclass or a dict from a
+    mapping; a float takes an int or a float, never a bool. A ``data`` that
+    is no mapping raises TypeError naming ``cls``, a key missing from it
+    KeyError, and any other refusal TypeError or ValueError naming the
+    value's place in the file.
     """
+    if type(data) is not dict:
+        raise TypeError(f"{cls.__name__} is read from a mapping, got {type(data).__name__}")
     return _instance(cls, data, "")
 
 
@@ -132,8 +130,6 @@ def _instance(cls, data: dict, where: str):
             raise TypeError(f"{at}missing required field {key!r}")
         elif required:
             raise KeyError(key)
-    for name, load in getattr(cls, "_loaders", {}).items():
-        values[name] = load(values)
     return cls(**values)
 
 
@@ -149,8 +145,6 @@ def _read(hint, value, where: str):
         if hint is float and kind is int:
             return float(value)
         raise TypeError(f"{where!r} must be {_KINDS[hint]}, got {value!r}")
-    if hint is ShotHistogram:
-        hint = dict[str, int]
     origin, args = get_origin(hint), get_args(hint)
     if origin is tuple:
         if kind is not list:
@@ -167,7 +161,9 @@ def _read(hint, value, where: str):
     return _instance(hint, value, where)
 
 
-def _load_mapping(path: str) -> dict:
+def read_report(path: str) -> dict:
+    """The mapping at the top of the YAML file at ``path``; a ConfigError
+    naming the file if there is none."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.load(fh, Loader=_LOADER)
@@ -182,10 +178,11 @@ def _load_mapping(path: str) -> dict:
     return data
 
 
-def _load(path: str, cls):
-    """The ``cls`` read from the YAML file at ``path``; every refusal, the
-    domain type's included, is a ConfigError naming the file."""
-    data = _load_mapping(path)
+def load(path: str, cls):
+    """The dataclass ``cls`` read from the YAML file at ``path``, a config
+    file or a report; every refusal, the domain type's included, is a
+    ConfigError naming the file."""
+    data = read_report(path)
     try:
         return from_mapping(cls, data)
     except KeyError as exc:
@@ -196,18 +193,18 @@ def _load(path: str, cls):
 
 def load_graph(path: str) -> EmbeddedGraph:
     """Parse a graph file, the mapping of an ``EmbeddedGraph``."""
-    return _load(path, EmbeddedGraph)
+    return load(path, EmbeddedGraph)
 
 
 def load_game(path: str) -> GameParams:
     """Parse a game parameter file, the mapping of a ``GameParams``."""
-    return _load(path, GameParams)
+    return load(path, GameParams)
 
 
 def load_schedule(path: str) -> Schedule:
     """Parse a schedule file, the mapping of a ``Schedule``; times in us,
     values in rad/us."""
-    return _load(path, Schedule)
+    return load(path, Schedule)
 
 
 def save_graph(path: str, graph: EmbeddedGraph) -> None:
@@ -395,12 +392,9 @@ def _dump(data: dict) -> str:
 
 
 def write_report(path: str, data: dict) -> None:
-    """Write a structured report; keys sorted so output is byte-stable."""
+    """Write a structured report, ``to_mapping`` of a result; keys sorted so
+    output is byte-stable."""
     _write_yaml(path, data)
-
-
-def read_report(path: str) -> dict:
-    return _load_mapping(path)
 
 
 def _csv_value(value) -> str:

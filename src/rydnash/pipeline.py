@@ -1,10 +1,10 @@
 """End-to-end orchestration: load configs, run the classical and annealing
 analyses on the same graph, and compare the two.
 
-Every report is the mapping of its result dataclass, written and read by
-the codec in ``rydnash.fileio``. The classical and annealing results load
-back from that form, so runs can be persisted, reloaded, and compared across
-processes. Reports contain no timestamps or absolute paths: identical
+Every report is the mapping of its result dataclass, written with
+``fileio.write_report(path, fileio.to_mapping(result))`` and read back with
+``fileio.load(path, cls)``, so runs can be persisted, reloaded, and compared
+across processes. Reports contain no timestamps or absolute paths: identical
 configuration and seed produce byte-identical files.
 """
 
@@ -24,7 +24,7 @@ from .dynamics import (
     sample,
 )
 from .errors import ConstraintViolation, IncompatibleRuns, InvalidInput
-from .fileio import from_mapping, load_graph, to_mapping
+from .fileio import load_graph
 from .game import DEFAULT_EXHAUSTIVE_LIMIT, GameParams, enumerate_specialized_nash
 from .geometry import EmbeddedGraph, ValidationReport, ambiguity_warnings, validate_embedding
 from .indsets import correspondence_witnesses, enumerate_mis, is_independent, largest
@@ -85,23 +85,8 @@ def graph_fingerprint(graph: EmbeddedGraph) -> str:
     return h.hexdigest()[:16]
 
 
-class _Persisted:
-    """A result dataclass whose report loads back into it through
-    ``fileio.from_mapping``; each of ``_loaders`` rebuilds a field whose
-    report form is not the field itself."""
-
-    _loaders: dict = {}
-
-    def to_report(self) -> dict:
-        return to_mapping(self)
-
-    @classmethod
-    def from_report(cls, data: dict):
-        return from_mapping(cls, data)
-
-
 @dataclass(frozen=True)
-class ClassicalResult(_Persisted):
+class ClassicalResult:
     """Equilibrium and independent-set families plus their match verdict."""
 
     graph_hash: str
@@ -130,7 +115,7 @@ class BitstringRow:
 
 
 @dataclass(frozen=True)
-class QuantumResult(_Persisted):
+class QuantumResult:
     """Annealing readout statistics plus per-bitstring classification."""
 
     graph_hash: str
@@ -139,19 +124,30 @@ class QuantumResult(_Persisted):
     shots: int
     seed: int
     duration: float
-    histogram: ShotHistogram
+    counts: dict[str, int]
     rows: tuple[BitstringRow, ...]
     maximum_sets: tuple[str, ...]
     top_k: tuple[str, ...]
     mis_aggregate_probability: float
     mis_in_topk: bool
 
-    _loaders = {"histogram": lambda v: ShotHistogram(v["histogram"], v["shots"], v["seed"])}
+    def __post_init__(self):
+        ShotHistogram(self.counts, self.shots, self.seed)  # refuses counts that are negative or miss shots
+
+
+@dataclass(frozen=True)
+class Verdicts:
+    """The cross-check's three verdicts."""
+
+    nash_equals_mis: bool
+    mis_in_topk: bool
+    overall_pass: bool
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Side-by-side verdicts; every verdict is recomputable from the fields."""
+    """Side-by-side families and readouts; every verdict is recomputable
+    from the fields next to it."""
 
     graph_hash: str
     nash: tuple[str, ...]
@@ -160,17 +156,7 @@ class ComparisonReport:
     top_k: tuple[str, ...]
     classification: tuple[BitstringRow, ...]
     mis_aggregate_probability: float
-    nash_equals_mis: bool
-    mis_in_topk: bool
-    overall_pass: bool
-
-    def to_report(self) -> dict:
-        """``to_mapping`` with the verdicts, the bool fields, under ``verdicts``."""
-        report = to_mapping(self)
-        verdicts = {key: value for key, value in report.items() if type(value) is bool}
-        report = {key: value for key, value in report.items() if key not in verdicts}
-        report["verdicts"] = verdicts
-        return report
+    verdicts: Verdicts
 
 
 def run_classical(config: RunConfig) -> ClassicalResult:
@@ -242,7 +228,7 @@ def run_quantum(config: RunConfig) -> QuantumResult:
         shots=config.shots,
         seed=config.seed,
         duration=schedule.duration,
-        histogram=histogram,
+        counts=histogram.counts,
         rows=tuple(rows),
         maximum_sets=maximum,
         top_k=top_k,
@@ -270,7 +256,5 @@ def compare(classical: ClassicalResult, quantum: QuantumResult) -> ComparisonRep
         top_k=quantum.top_k,
         classification=quantum.rows,
         mis_aggregate_probability=quantum.mis_aggregate_probability,
-        nash_equals_mis=nash_equals_mis,
-        mis_in_topk=mis_in_topk,
-        overall_pass=nash_equals_mis and mis_in_topk,
+        verdicts=Verdicts(nash_equals_mis, mis_in_topk, nash_equals_mis and mis_in_topk),
     )

@@ -28,9 +28,17 @@ from rydnash.cli import (
 )
 from rydnash.dynamics import RydbergSystem
 from rydnash.errors import InvalidInput
-from rydnash.fileio import read_report, save_graph, save_schedule, write_report
+from rydnash.fileio import load, read_report, save_graph, save_schedule, to_mapping, write_report
 from rydnash.geometry import build_unit_disk_graph
-from rydnash.pipeline import ClassicalResult, QuantumResult, RunConfig, compare, run_classical, run_quantum
+from rydnash.pipeline import (
+    ClassicalResult,
+    ComparisonReport,
+    QuantumResult,
+    RunConfig,
+    compare,
+    run_classical,
+    run_quantum,
+)
 from rydnash.schedule import Schedule, default_schedule
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -55,9 +63,21 @@ def graph_a_results():
     return run_classical(config), run_quantum(config)
 
 
+@pytest.fixture(scope="module")
+def graph_a_all_run(tmp_path_factory):
+    """``all`` on graph_a at its pinned coupling, and the results it wrote,
+    by report name."""
+    out = str(tmp_path_factory.mktemp("all_a"))
+    assert main(["all", "--graph", GRAPH_A_FILE, "--coupling-c", str(C_A), "--out", out]) == EXIT_OK
+    config = RunConfig(graph_path=GRAPH_A_FILE, c6=C_A)
+    classical, quantum = run_classical(config), run_quantum(config)
+    results = {CLASSICAL_REPORT: classical, ANNEAL_REPORT: quantum, COMPARE_REPORT: compare(classical, quantum)}
+    return out, results
+
+
 def _write_results(out, classical, quantum):
-    write_report(os.path.join(out, CLASSICAL_REPORT), classical.to_report())
-    write_report(os.path.join(out, ANNEAL_REPORT), quantum.to_report())
+    write_report(os.path.join(out, CLASSICAL_REPORT), to_mapping(classical))
+    write_report(os.path.join(out, ANNEAL_REPORT), to_mapping(quantum))
 
 
 class TestValidateCommand:
@@ -307,18 +327,20 @@ class TestCompareCommand:
         [
             (CLASSICAL_REPORT, lambda d: d.pop("witnesses"), "missing required field 'witnesses'"),
             (ANNEAL_REPORT, lambda d: d.pop("top_k"), "missing required field 'top_k'"),
-            (ANNEAL_REPORT, lambda d: d.update(shots=d["shots"] + 1), "malformed report: counts sum to"),
-            (ANNEAL_REPORT, lambda d: d["classification"][0].pop("mis"), "malformed report: "),
-            (CLASSICAL_REPORT, lambda d: d.update(witnesses=[["100110"]]), "malformed report: "),
-            (CLASSICAL_REPORT, lambda d: d.update(nash_supports="100110"), "malformed report: "),
-            (CLASSICAL_REPORT, lambda d: d.update(nash_supports=[1, 2]), "malformed report: 'nash_supports[0]'"),
-            (ANNEAL_REPORT, lambda d: d["classification"][0].update(count="7"), "malformed report: "),
-            (CLASSICAL_REPORT, lambda d: d.update(colour="red"), "malformed report: unknown fields ['colour']"),
+            (ANNEAL_REPORT, lambda d: d.update(shots=d["shots"] + 1), "counts sum to"),
+            (ANNEAL_REPORT, lambda d: d["counts"].update({"0" * 6: -1}), "counts must be nonnegative"),
+            (ANNEAL_REPORT, lambda d: d["classification"][0].pop("mis"), "'classification[0]': missing required"),
+            (CLASSICAL_REPORT, lambda d: d.update(witnesses=[["100110"]]), "'witnesses[0]' must be a list of 2"),
+            (CLASSICAL_REPORT, lambda d: d.update(nash_supports="100110"), "'nash_supports' must be a list"),
+            (CLASSICAL_REPORT, lambda d: d.update(nash_supports=[1, 2]), "'nash_supports[0]' must be a string"),
+            (ANNEAL_REPORT, lambda d: d["classification"][0].update(count="7"), "'classification[0].count' must be"),
+            (CLASSICAL_REPORT, lambda d: d.update(colour="red"), "unknown fields ['colour']"),
         ],
         ids=[
             "classical-no-witnesses",
             "anneal-no-top_k",
             "anneal-shots-mismatch",
+            "anneal-negative-count",
             "anneal-row-no-mis",
             "classical-witness-not-pair",
             "classical-supports-not-list",
@@ -337,6 +359,15 @@ class TestCompareCommand:
         assert main(["compare", "--out", out]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
         assert not os.path.exists(os.path.join(out, COMPARE_REPORT))
+
+    def test_non_mapping_report(self, graph_a_results, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        _write_results(out, *graph_a_results)
+        path = os.path.join(out, CLASSICAL_REPORT)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("- graph_hash\n")
+        assert main(["compare", "--out", out]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {path}: expected a mapping at the top level, got list")
 
 
 class TestAllCommand:
@@ -436,9 +467,10 @@ class TestPipelineApi:
         classical = run_classical(config)
         quantum = run_quantum(config)
         report = compare(classical, quantum)
-        assert report.nash_equals_mis == (set(report.nash) == set(report.maximal_sets))
-        assert report.mis_in_topk == (set(report.maximum_sets) <= set(report.top_k))
-        assert report.overall_pass == (report.nash_equals_mis and report.mis_in_topk)
+        verdicts = report.verdicts
+        assert verdicts.nash_equals_mis == (set(report.nash) == set(report.maximal_sets))
+        assert verdicts.mis_in_topk == (set(report.maximum_sets) <= set(report.top_k))
+        assert verdicts.overall_pass == (verdicts.nash_equals_mis and verdicts.mis_in_topk)
 
     def test_run_classical_sweeps_each_family_once(self, monkeypatch):
         calls = {"nash": 0, "mis": 0}
@@ -472,22 +504,36 @@ class TestPipelineApi:
             assert row.energy == energies[from_bitstring(row.bitstring, result.n)]
             assert str(row.energy) != "-0.0"
 
-    def test_classical_result_round_trip(self):
-        config = RunConfig(graph_path=GRAPH_A_FILE)
-        result = run_classical(config)
-        assert ClassicalResult.from_report(result.to_report()) == result
+    @pytest.mark.parametrize(
+        "name, cls",
+        [(CLASSICAL_REPORT, ClassicalResult), (ANNEAL_REPORT, QuantumResult), (COMPARE_REPORT, ComparisonReport)],
+        ids=lambda v: v.__name__ if isinstance(v, type) else None,
+    )
+    def test_result_round_trip(self, name, cls, graph_a_all_run, tmp_path):
+        # each report that all writes loads back through the shared reader
+        # into the result it was written from, and rewrites byte for byte
+        out, results = graph_a_all_run
+        path = os.path.join(out, name)
+        loaded = load(path, cls)
+        assert loaded == results[name]
+        again = str(tmp_path / name)
+        write_report(again, to_mapping(loaded))
+        with open(path, "rb") as written, open(again, "rb") as rewritten:
+            assert written.read() == rewritten.read()
 
-    def test_quantum_result_round_trip(self, graph_a_results, tmp_path):
-        _, result = graph_a_results
-        path = str(tmp_path / ANNEAL_REPORT)
-        write_report(path, result.to_report())
-        assert QuantumResult.from_report(read_report(path)) == result
+    def test_compare_report_file_unchanged(self, graph_a_all_run):
+        # the nested Verdicts dataclass writes the line the flat bool fields
+        # were written as: one flow mapping under verdicts, written last
+        out, _ = graph_a_all_run
+        with open(os.path.join(out, COMPARE_REPORT), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert lines[-1] == "verdicts: {mis_in_topk: true, nash_equals_mis: true, overall_pass: true}"
 
     def test_compare_on_reloaded_reports(self, graph_a_results, tmp_path):
         out = str(tmp_path)
         _write_results(out, *graph_a_results)
-        classical = ClassicalResult.from_report(read_report(os.path.join(out, CLASSICAL_REPORT)))
-        quantum = QuantumResult.from_report(read_report(os.path.join(out, ANNEAL_REPORT)))
+        classical = load(os.path.join(out, CLASSICAL_REPORT), ClassicalResult)
+        quantum = load(os.path.join(out, ANNEAL_REPORT), QuantumResult)
         assert compare(classical, quantum) == compare(*graph_a_results)
 
 

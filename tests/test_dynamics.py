@@ -154,6 +154,17 @@ class TestDiagonalEnergy:
         with pytest.raises(InvalidInput):
             diagonal_energy(triangle_system, 0.0, "0101")
 
+    @settings(max_examples=40, deadline=None)
+    @given(graph=unit_disk_layouts())
+    def test_pair_energy_is_the_direct_sum(self, graph):
+        # each pair adds on its strided view in the direct sum's pair order,
+        # so the table matches the scalar sum bit for bit at every index
+        assume(all(graph.distance(i, j) >= 0.1 for i in range(graph.n) for j in range(i)))
+        system = RydbergSystem(graph, C_A)
+        n = graph.n
+        direct = [diagonal_energy(system, 0.0, format(z, f"0{n}b")) for z in range(1 << n)]
+        assert np.array_equal(system.pair_energy, direct)
+
 
 class TestExactGroundStates:
     def test_graph_a_unique_mis(self, graph_a):

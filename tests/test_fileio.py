@@ -13,6 +13,7 @@ import rydnash.fileio
 from rydnash.errors import ConfigError
 from rydnash.fileio import (
     _dump,
+    from_mapping,
     load_game,
     load_graph,
     load_schedule,
@@ -24,7 +25,7 @@ from rydnash.fileio import (
     write_report,
 )
 from rydnash.game import GameParams
-from rydnash.pipeline import BitstringRow
+from rydnash.pipeline import BitstringRow, ClassicalResult
 from rydnash.schedule import default_schedule
 
 
@@ -188,6 +189,12 @@ def test_mistyped_scalar_names_file_and_key(tmp_path, load, data, key):
     path = dump(tmp_path, "config.yaml", data)
     with pytest.raises(ConfigError, match=f"^{re.escape(path)}: '{re.escape(key)}' must be"):
         load(path)
+
+
+@pytest.mark.parametrize("data", [["graph_hash"], "abc", None], ids=["list", "str", "none"])
+def test_from_mapping_refuses_non_mapping(data):
+    with pytest.raises(TypeError, match=r"^ClassicalResult is read from a mapping, got "):
+        from_mapping(ClassicalResult, data)
 
 
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.yaml"))), ids=os.path.basename)
