@@ -8,15 +8,20 @@ Two six-atom layouts, both with 6 um nearest-neighbor spacing:
   below, disk radius 7 um.
 
 The script builds both, shows the derived adjacency, and checks them
-against the hardware spacing floor and the disk-boundary ambiguity margin.
+against the hardware spacing floor. It then prints each layout's drive-off
+C6 window: the couplings at which the maximum independent sets are exactly
+the lowest energies once the drive is off at the ramp's final detuning.
 """
 
 import math
 
 from rydnash import (
-    ambiguity_warnings,
+    RydbergSystem,
     blockade_radius,
     build_unit_disk_graph,
+    default_schedule,
+    drive_off_window,
+    maximum_independent_sets,
     validate_embedding,
 )
 
@@ -29,18 +34,25 @@ graph_b = build_unit_disk_graph(
     [(0, 0), (6, 0), (12, 0), (18, 0), (6, -6), (12, -6)], radius=7.0
 )
 
+COUPLINGS = (6.0e5, 2.2e6, 5.42e6)  # rad/us um^6
+schedule = default_schedule()
+final_delta = schedule.delta_at(schedule.duration)
+
 for name, g in (("A", graph_a), ("B", graph_b)):
     print(f"graph {name}: {g.n} atoms, radius {g.radius} um")
     print(f"  edges: {g.edges}")
-    report = validate_embedding(g)
-    print(f"  spacing floor ok: {report.ok}")
-    for w in ambiguity_warnings(g, margin=0.15):
-        print(f"  boundary warning: {w.kind} pair {w.pair} at {w.distance:.2f} um")
+    print(f"  spacing floor ok: {validate_embedding(g) == ()}")
+    # the window does not depend on the system's own C6, which only sets
+    # the scale the pair energies are divided back out of
+    lo, hi = drive_off_window(RydbergSystem(g, COUPLINGS[0]), final_delta, maximum_independent_sets(g))
+    print(f"  drive-off C6 window at delta = {final_delta}: ({lo:.4g}, {hi:.4g})")
+    for c6 in COUPLINGS:
+        print(f"    c6 = {c6:9.3g}: {'inside' if lo < c6 < hi else 'outside'}")
 
 # The blockade radius is where the pair interaction equals the drive scale.
 # At the coupling used for graph A below, it lands between the 6 um edges
 # and the 10.39 um closest non-edge, which is exactly what the unit-disk
 # rule needs.
-for c6 in (6.0e5, 2.2e6, 5.42e6):
+for c6 in COUPLINGS:
     rb = blockade_radius(c6, omega=7.27, delta=7.27)
     print(f"c6 = {c6:9.3g} rad/us um^6  ->  blockade radius {rb:.2f} um")

@@ -25,12 +25,9 @@ from .errors import (
     UndefinedRadius,
 )
 from .geometry import (
-    AmbiguityWarning,
     EmbeddedGraph,
     HardwareConstraints,
-    ValidationReport,
     Violation,
-    ambiguity_warnings,
     blockade_radius,
     build_unit_disk_graph,
     validate_embedding,
@@ -57,6 +54,7 @@ from .dynamics import (
     QuantumState,
     RydbergSystem,
     ShotHistogram,
+    drive_off_window,
     evolve,
     exact_ground_states,
     interaction_matrix,
@@ -68,6 +66,7 @@ from .pipeline import (
     ComparisonReport,
     QuantumResult,
     RunConfig,
+    ValidationReport,
     Verdicts,
     compare,
     graph_fingerprint,

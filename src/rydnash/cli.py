@@ -14,7 +14,7 @@ import functools
 import os
 import sys
 
-from .errors import ConstraintViolation, RydnashError
+from .errors import RydnashError
 from .fileio import (
     load,
     load_game,
@@ -28,6 +28,7 @@ from .pipeline import (
     ClassicalResult,
     QuantumResult,
     RunConfig,
+    ValidationReport,
     compare,
     run_classical,
     run_quantum,
@@ -70,11 +71,15 @@ def _add_game(p: argparse.ArgumentParser) -> None:
     p.add_argument("--game", help="game parameter file (YAML: e_star, cost, benefit)")
 
 
-def _add_quantum(p: argparse.ArgumentParser) -> None:
+def _add_drive(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schedule", help="schedule file (YAML: omega, delta, duration); default: reference ramp")
     p.add_argument(
         "--coupling-c", dest="c6", metavar="COUPLING_C", type=float, help="van der Waals coefficient, rad/us*um^6"
     )
+
+
+def _add_quantum(p: argparse.ArgumentParser) -> None:
+    _add_drive(p)
     p.add_argument("--shots", type=int, help="measurement shots")
     p.add_argument("--seed", type=int, help="sampling seed")
     p.add_argument("--plot-data", action="store_true", help="also emit a ready-to-plot schedule series CSV")
@@ -92,8 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a layout (and schedule) against hardware limits")
     _add_common(p)
-    p.add_argument("--schedule", help="schedule file; default: reference ramp")
-    p.add_argument("--margin", type=float, help="disk-boundary ambiguity margin")
+    _add_drive(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("classical", help="enumerate Nash equilibria and independent sets")
@@ -128,20 +132,26 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**options)
 
 
-def _validation_report_dict(report) -> dict:
-    return {"ok": report.ok, **to_mapping(report)}
-
-
 def _write(outdir: str, name: str, data: dict) -> str:
     path = os.path.join(outdir, name)
     write_report(path, data)
     return path
 
 
+def _validate(config: RunConfig) -> ValidationReport:
+    """``validate_run``, and one stderr line when C6 is outside the window."""
+    report = validate_run(config)
+    lo, hi = report.window
+    if not lo < report.c6 < hi:
+        print(f"warning: C6 {report.c6:.4g} is outside the drive-off window ({lo:.4g}, {hi:.4g}) "
+              "where the maximum independent sets have the lowest energies", file=sys.stderr)
+    return report
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    report = validate_run(config)
-    path = _write(config.outdir, VALIDATION_REPORT, _validation_report_dict(report))
+    report = _validate(config)
+    path = _write(config.outdir, VALIDATION_REPORT, to_mapping(report))
     print(f"validation {'ok' if report.ok else 'FAILED'}: {path}")
     return EXIT_OK if report.ok else EXIT_VERDICT
 
@@ -159,14 +169,12 @@ def cmd_classical(args: argparse.Namespace) -> int:
 
 def _run_anneal(config: RunConfig):
     """Shared by anneal/all: returns (result, exit_code); writes reports."""
-    try:
-        result = run_quantum(config)
-    except ConstraintViolation as exc:
-        if exc.report is None:
-            raise
-        path = _write(config.outdir, VALIDATION_REPORT, _validation_report_dict(exc.report))
+    report = _validate(config)
+    if not report.ok:
+        path = _write(config.outdir, VALIDATION_REPORT, to_mapping(report))
         print(f"anneal refused, hardware validation failed: {path}", file=sys.stderr)
         return None, EXIT_VERDICT
+    result = run_quantum(config)
     _write(config.outdir, ANNEAL_REPORT, to_mapping(result))
     write_histogram_csv(os.path.join(config.outdir, HISTOGRAM_CSV), result.rows)
     if config.plot_data:

@@ -73,8 +73,9 @@ def interaction_matrix(graph: EmbeddedGraph, c6: float) -> np.ndarray:
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            r = graph.distance(i, j)
-            out[i, j] = out[j, i] = c6 / r**6
+            r6 = graph.distance(i, j) ** 6
+            # atoms so close that r**6 underflows interact without bound
+            out[i, j] = out[j, i] = c6 / r6 if r6 > 0 else math.inf
     return out
 
 
@@ -206,6 +207,26 @@ def exact_ground_states(
     energies = system.diagonal(delta)
     cutoff = energies.min() + tol
     return tuple(to_bitstring(int(i), system.n) for i in np.nonzero(energies <= cutoff)[0])
+
+
+def drive_off_window(system: RydbergSystem, delta: float, maximum_sets: tuple[str, ...]) -> tuple[float, float]:
+    """The open C6 interval ``(lo, hi)`` in which every maximum set's
+    drive-off energy lies below every other state's. It is empty when
+    ``lo >= hi``, and ``hi`` is ``inf`` when no state bounds C6 from above.
+
+    ``E(z) = C6 * S(z) - delta * |z|`` is linear in C6, so each other state
+    bounds C6 from above or below against the highest maximum-set ``S``, or
+    allows all or no C6 where the two tie. It divides by no zero.
+    """
+    unit = system.pair_energy / system.c6
+    member = np.zeros(unit.size, dtype=bool)
+    member[[from_bitstring(bits, system.n) for bits in maximum_sets]] = True
+    slope = unit[member].max() - unit[~member]
+    gain = delta * (maximum_sets[0].count("1") - system.excitation_count[~member])
+    up, down = slope > 0, slope < 0
+    hi = np.min(gain[up] / slope[up], initial=math.inf if np.all(gain[slope == 0] > 0) else 0.0)
+    lo = np.max(gain[down] / slope[down], initial=0.0)
+    return float(lo), float(hi)
 
 
 def _block_bounds(n: int) -> list[int]:

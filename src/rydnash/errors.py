@@ -45,7 +45,7 @@ class IntegrationFailure(RydnashError):
 class ConstraintViolation(RydnashError):
     """Requested run breaks a hardware limit.
 
-    Carries the offending :class:`~rydnash.geometry.ValidationReport` when
+    Carries the offending :class:`~rydnash.pipeline.ValidationReport` when
     raised by the pipeline, so callers can persist it.
     """
 

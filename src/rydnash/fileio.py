@@ -88,8 +88,8 @@ _PLAIN = frozenset((str, int, float, bool))
 
 
 def _value(value):
-    """Tuples as lists, and a nested dataclass (a readout row, a violation, a
-    warning, the verdicts) as its own mapping."""
+    """Tuples as lists, and a nested dataclass (a readout row, a violation, the
+    verdicts) as its own mapping."""
     if type(value) in _PLAIN:
         return value
     if isinstance(value, tuple):

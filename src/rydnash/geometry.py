@@ -98,32 +98,9 @@ class Violation:
     """One hard-constraint breach: what, where, measured value, limit."""
 
     kind: str
-    subject: tuple
+    subject: tuple[int, ...]  # the atom pair; empty for a waveform, which ``kind`` names
     value: float
     limit: float
-
-
-@dataclass(frozen=True)
-class AmbiguityWarning:
-    """A pair too close to the disk boundary to be a robust edge/non-edge."""
-
-    kind: str
-    pair: tuple[int, int]
-    distance: float
-    threshold: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = ()
-    warnings: tuple[AmbiguityWarning, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return len(self.violations) == 0
-
-    def merged(self, other: "ValidationReport") -> "ValidationReport":
-        return ValidationReport(self.violations + other.violations, self.warnings + other.warnings)
 
 
 def build_unit_disk_graph(positions: Sequence[Sequence[float]], radius: float) -> EmbeddedGraph:
@@ -149,11 +126,10 @@ def blockade_radius(c6: float, omega: float, delta: float) -> float:
     return (c6 / scale) ** (1.0 / 6.0)
 
 
-def validate_embedding(graph: EmbeddedGraph, hw: HardwareConstraints | None = None) -> ValidationReport:
-    """Report every atom pair closer than the hardware spacing floor.
+def validate_embedding(graph: EmbeddedGraph, hw: HardwareConstraints | None = None) -> tuple[Violation, ...]:
+    """Every atom pair closer than the hardware spacing floor.
 
-    Reports, never throws: constraint findings land in the violation list
-    and ``ok`` reflects whether it is empty.
+    Reports, never throws: an empty tuple means the layout passes.
     """
     hw = hw or HardwareConstraints()
     violations = []
@@ -162,27 +138,4 @@ def validate_embedding(graph: EmbeddedGraph, hw: HardwareConstraints | None = No
             d = graph.distance(i, j)
             if d < hw.min_pair_distance:
                 violations.append(Violation("pair_distance", (i, j), d, hw.min_pair_distance))
-    return ValidationReport(tuple(violations))
-
-
-def ambiguity_warnings(graph: EmbeddedGraph, margin: float = 0.15) -> tuple[AmbiguityWarning, ...]:
-    """Flag pairs whose distance sits within ``margin`` of the disk boundary.
-
-    Non-edges at distance <= (1 + margin) * radius may spuriously blockade;
-    edges at distance >= (1 - margin) * radius may fail to. With margin 0
-    only pairs exactly at the radius are flagged.
-    """
-    if not (margin >= 0 and math.isfinite(margin)):
-        raise InvalidInput(f"margin must be nonnegative and finite, got {margin!r}")
-    lo = (1.0 - margin) * graph.radius
-    hi = (1.0 + margin) * graph.radius
-    out = []
-    for i in range(graph.n):
-        for j in range(i + 1, graph.n):
-            d = graph.distance(i, j)
-            if d <= graph.radius:
-                if d >= lo:
-                    out.append(AmbiguityWarning("edge_near_radius", (i, j), d, lo))
-            elif d <= hi:
-                out.append(AmbiguityWarning("nonedge_near_radius", (i, j), d, hi))
-    return tuple(out)
+    return tuple(violations)

@@ -20,13 +20,14 @@ from .dynamics import (
     DEFAULT_C6,
     RydbergSystem,
     ShotHistogram,
+    drive_off_window,
     evolve,
     sample,
 )
 from .errors import ConstraintViolation, IncompatibleRuns, InvalidInput
 from .fileio import load_graph
 from .game import DEFAULT_EXHAUSTIVE_LIMIT, GameParams, enumerate_specialized_nash
-from .geometry import EmbeddedGraph, ValidationReport, ambiguity_warnings, validate_embedding
+from .geometry import EmbeddedGraph, Violation, validate_embedding
 from .indsets import correspondence_witnesses, enumerate_mis, is_independent, largest
 from .schedule import Schedule, default_schedule, validate_schedule
 
@@ -38,8 +39,8 @@ DEFAULT_SEED = 7
 class RunConfig:
     """Everything one pipeline run needs, with conservative defaults.
 
-    Both analyses of one config share its graph and maximal independent
-    sets: each is loaded or enumerated once, on first use.
+    Validation and both analyses of one config share its graph, maximal
+    sets and Rydberg system: each is made once, on first use.
     """
 
     graph_path: str
@@ -50,7 +51,6 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     outdir: str = "rydnash_out"
     limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-    margin: float = 0.15
     plot_data: bool = False
 
     def __post_init__(self):
@@ -73,6 +73,11 @@ class RunConfig:
         """The graph's maximal independent sets; TooLarge above ``limit``."""
         return enumerate_mis(self.graph, self.limit)
 
+    @cached_property
+    def system(self) -> RydbergSystem:
+        """The layout at this run's coupling."""
+        return RydbergSystem(self.graph, self.c6)
+
 
 def graph_fingerprint(graph: EmbeddedGraph) -> str:
     """Short digest of the exact layout, used to pair up runs."""
@@ -83,6 +88,17 @@ def graph_fingerprint(graph: EmbeddedGraph) -> str:
         h.update(x.hex().encode())
         h.update(y.hex().encode())
     return h.hexdigest()[:16]
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    """Hardware violations (``ok`` when there are none), the run's C6 and
+    its ``dynamics.drive_off_window`` at the schedule's final detuning."""
+
+    ok: bool
+    violations: tuple[Violation, ...]
+    c6: float
+    window: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -177,11 +193,13 @@ def run_classical(config: RunConfig) -> ClassicalResult:
 
 
 def validate_run(config: RunConfig) -> ValidationReport:
-    """Hardware validation for a run: spacing floor, waveform limits, and
-    boundary-ambiguity warnings, merged into one report."""
-    graph = config.graph
-    report = validate_embedding(graph).merged(validate_schedule(config.schedule))
-    return ValidationReport(report.violations, report.warnings + ambiguity_warnings(graph, config.margin))
+    """Hardware validation for a run: the spacing floor and the waveform
+    limits, plus the run's drive-off C6 window. TooLarge above ``limit``."""
+    schedule = config.schedule
+    violations = validate_embedding(config.graph) + validate_schedule(schedule)
+    maximum = largest(config.maximal_sets)  # TooLarge comes before any 2**n table
+    window = drive_off_window(config.system, schedule.delta_at(schedule.duration), maximum)
+    return ValidationReport(not violations, violations, config.c6, window)
 
 
 def run_quantum(config: RunConfig) -> QuantumResult:
@@ -197,10 +215,9 @@ def run_quantum(config: RunConfig) -> QuantumResult:
         raise ConstraintViolation(
             f"hardware validation failed with {len(report.violations)} violation(s)", report=report
         )
-    graph, schedule = config.graph, config.schedule
+    graph, schedule, system = config.graph, config.schedule, config.system
     maximal = set(config.maximal_sets)
     maximum = largest(config.maximal_sets)
-    system = RydbergSystem(graph, config.c6)
     state = evolve(system, schedule)
     histogram = sample(state, config.shots, config.seed)
     energies = system.diagonal(schedule.delta_at(schedule.duration))

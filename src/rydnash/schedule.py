@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstraintViolation, InvalidInput
-from .geometry import HardwareConstraints, ValidationReport, Violation
+from .geometry import HardwareConstraints, Violation
 
 Waveform = tuple[tuple[float, float], ...]
 
@@ -116,8 +116,8 @@ def default_schedule(
     return Schedule(omega, delta, duration)
 
 
-def validate_schedule(schedule: Schedule, hw: HardwareConstraints | None = None) -> ValidationReport:
-    """Report waveform extents that break the hardware limits.
+def validate_schedule(schedule: Schedule, hw: HardwareConstraints | None = None) -> tuple[Violation, ...]:
+    """Every waveform extent that breaks the hardware limits.
 
     Piecewise-linear extrema occur at breakpoints, so checking those covers
     the whole waveform.
@@ -125,11 +125,11 @@ def validate_schedule(schedule: Schedule, hw: HardwareConstraints | None = None)
     hw = hw or HardwareConstraints()
     violations = []
     if schedule.duration > hw.max_evolution_time:
-        violations.append(Violation("duration", ("schedule",), schedule.duration, hw.max_evolution_time))
+        violations.append(Violation("duration", (), schedule.duration, hw.max_evolution_time))
     peak_omega = max(v for _, v in schedule.omega)
     if peak_omega > hw.max_rabi:
-        violations.append(Violation("rabi_amplitude", ("omega",), peak_omega, hw.max_rabi))
+        violations.append(Violation("rabi_amplitude", (), peak_omega, hw.max_rabi))
     peak_delta = max(abs(v) for _, v in schedule.delta)
     if peak_delta > hw.max_detuning_abs:
-        violations.append(Violation("detuning_amplitude", ("delta",), peak_delta, hw.max_detuning_abs))
-    return ValidationReport(tuple(violations))
+        violations.append(Violation("detuning_amplitude", (), peak_delta, hw.max_detuning_abs))
+    return tuple(violations)

@@ -211,18 +211,15 @@ def test_criterion_7_numerics(graph_a, anneal_a):
 
 def test_criterion_8_constraint_validation():
     layout = build_unit_disk_graph([(0.0, 0.0), (3.0, 0.0)], 4.0)
-    report = validate_embedding(layout)
-    assert not report.ok
-    assert len(report.violations) == 1
-    v = report.violations[0]
+    violations = validate_embedding(layout)
+    assert len(violations) == 1
+    v = violations[0]
     assert (v.kind, v.subject, v.value, v.limit) == ("pair_distance", (0, 1), 3.0, 4.0)
 
     with pytest.raises(ConstraintViolation):
         default_schedule(duration=5.0)
     long_schedule = Schedule(((0.0, 0.0), (2.5, 7.27), (5.0, 0.0)), ((0.0, -7.27), (5.0, 7.27)), 5.0)
-    sched_report = validate_schedule(long_schedule)
-    assert not sched_report.ok
-    assert [v.kind for v in sched_report.violations] == ["duration"]
+    assert [v.kind for v in validate_schedule(long_schedule)] == ["duration"]
     print("CRITERION 8 PASS: 3 um pair rejected with exactly one violation; "
           "5 us schedule rejected against the 4 us limit")
 

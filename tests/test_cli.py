@@ -1,3 +1,4 @@
+import math
 import os
 import runpy
 import shutil
@@ -27,7 +28,7 @@ from rydnash.cli import (
     main,
 )
 from rydnash.dynamics import RydbergSystem
-from rydnash.errors import InvalidInput
+from rydnash.errors import IntegrationFailure, InvalidInput
 from rydnash.fileio import load, read_report, save_graph, save_schedule, to_mapping, write_report
 from rydnash.geometry import build_unit_disk_graph
 from rydnash.pipeline import (
@@ -35,9 +36,11 @@ from rydnash.pipeline import (
     ComparisonReport,
     QuantumResult,
     RunConfig,
+    ValidationReport,
     compare,
     run_classical,
     run_quantum,
+    validate_run,
 )
 from rydnash.schedule import Schedule, default_schedule
 
@@ -63,15 +66,29 @@ def graph_a_results():
     return run_classical(config), run_quantum(config)
 
 
+REFUSED_VALIDATION_REPORT = os.path.join("refused", VALIDATION_REPORT)
+
+
 @pytest.fixture(scope="module")
 def graph_a_all_run(tmp_path_factory):
-    """``all`` on graph_a at its pinned coupling, and the results it wrote,
-    by report name."""
+    """``all`` and ``validate`` on graph_a at its pinned coupling, and an
+    ``anneal`` refused for a 3 um pair, with the results they wrote, by
+    report path under one directory."""
     out = str(tmp_path_factory.mktemp("all_a"))
-    assert main(["all", "--graph", GRAPH_A_FILE, "--coupling-c", str(C_A), "--out", out]) == EXIT_OK
+    for command in ("all", "validate"):
+        assert main([command, "--graph", GRAPH_A_FILE, "--coupling-c", str(C_A), "--out", out]) == EXIT_OK
+    close = os.path.join(out, "close.yaml")
+    save_graph(close, build_unit_disk_graph([(0.0, 0.0), (3.0, 0.0)], 4.0))
+    assert main(["anneal", "--graph", close, "--out", os.path.join(out, "refused")]) == EXIT_VERDICT
     config = RunConfig(graph_path=GRAPH_A_FILE, c6=C_A)
     classical, quantum = run_classical(config), run_quantum(config)
-    results = {CLASSICAL_REPORT: classical, ANNEAL_REPORT: quantum, COMPARE_REPORT: compare(classical, quantum)}
+    results = {
+        CLASSICAL_REPORT: classical,
+        ANNEAL_REPORT: quantum,
+        COMPARE_REPORT: compare(classical, quantum),
+        VALIDATION_REPORT: validate_run(config),
+        REFUSED_VALIDATION_REPORT: validate_run(RunConfig(graph_path=close)),
+    }
     return out, results
 
 
@@ -100,10 +117,16 @@ class TestValidateCommand:
         v = report["violations"][0]
         assert v["kind"] == "pair_distance" and v["value"] == 3.0 and v["limit"] == 4.0
 
-    def test_nan_margin_is_an_error(self, tmp_path, capsys):
+    def test_underflowing_pair_still_reports(self, tmp_path):
+        # 1e-55 um apart, r**6 underflows to zero: the window pass meets an
+        # unbounded interaction, not a division by zero, and the run is
+        # refused as any too-close pair is
+        graph = str(tmp_path / "touching.yaml")
+        save_graph(graph, build_unit_disk_graph([(0.0, 0.0), (1e-55, 0.0)], 4.0))
         out = str(tmp_path / "out")
-        assert main(["validate", "--graph", GRAPH_B_FILE, "--margin", "nan", "--out", out]) == EXIT_ERROR
-        assert "margin must be nonnegative and finite" in capsys.readouterr().err
+        assert main(["validate", "--graph", graph, "--out", out]) == EXIT_VERDICT
+        (v,) = read_report(os.path.join(out, VALIDATION_REPORT))["violations"]
+        assert v["kind"] == "pair_distance" and v["value"] == 1e-55
 
     def test_long_schedule_fails(self, tmp_path):
         sched = str(tmp_path / "long.yaml")
@@ -116,6 +139,41 @@ class TestValidateCommand:
         assert code == EXIT_VERDICT
         report = read_report(os.path.join(out, VALIDATION_REPORT))
         assert [v["kind"] for v in report["violations"]] == ["duration"]
+        assert report["violations"][0]["subject"] == []
+
+    def test_default_coupling_names_the_window(self, tmp_path, capsys):
+        # graph_a's window tops out at 4.579e6, below the default 5.42e6: the
+        # warning says so on stderr and changes neither verdict nor exit code
+        out = str(tmp_path / "out")
+        assert main(["validate", "--graph", GRAPH_A_FILE, "--out", out]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "C6 5.42e+06 is outside the drive-off window (1.712e+05, 4.579e+06)" in err
+        assert err.count("\n") == 1
+
+    def test_coupling_inside_the_window_is_quiet(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["validate", "--graph", GRAPH_A_FILE, "--coupling-c", "2.2e6", "--out", out]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert read_report(os.path.join(out, VALIDATION_REPORT))["c6"] == 2.2e6
+
+    def test_single_atom_window_is_unbounded(self, tmp_path, capsys):
+        # nothing bounds one atom's C6: the window (0, inf) writes inf as
+        # YAML's .inf and reads it back
+        graph = str(tmp_path / "one.yaml")
+        save_graph(graph, build_unit_disk_graph([(0.0, 0.0)], 1.0))
+        out = str(tmp_path / "out")
+        assert main(["validate", "--graph", graph, "--out", out]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        path = os.path.join(out, VALIDATION_REPORT)
+        with open(path, encoding="utf-8") as fh:
+            assert "window: [0.0, .inf]\n" in fh.read()
+        assert load(path, ValidationReport).window == (0.0, math.inf)
+
+    def test_over_limit_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["validate", "--graph", GRAPH_A_FILE, "--limit", "3", "--out", str(out)]) == EXIT_ERROR
+        assert "exceeds the exhaustive limit of 3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestClassicalCommand:
@@ -228,6 +286,17 @@ class TestAnnealCommand:
         assert main(["anneal", "--graph", graph, "--out", out]) == EXIT_VERDICT
         assert os.path.exists(os.path.join(out, VALIDATION_REPORT))
         assert not os.path.exists(os.path.join(out, ANNEAL_REPORT))
+
+    @pytest.mark.parametrize("command", ["anneal", "all"])
+    def test_window_warning_comes_before_annealing(self, command, tmp_path, capsys, monkeypatch):
+        def evolve(*args, **kwargs):
+            raise IntegrationFailure("stopped at the anneal")
+
+        monkeypatch.setattr(rydnash.pipeline, "evolve", evolve)
+        assert main([command, "--graph", GRAPH_A_FILE, "--out", str(tmp_path)]) == EXIT_ERROR
+        warning, error = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: C6 5.42e+06 is outside the drive-off window")
+        assert error == "error: stopped at the anneal"
 
     def test_diabatic_schedule_misses_optimum(self, pair_graph_file, tmp_path):
         # a very short ramp leaves the register near the all-ground state,
@@ -506,12 +575,19 @@ class TestPipelineApi:
 
     @pytest.mark.parametrize(
         "name, cls",
-        [(CLASSICAL_REPORT, ClassicalResult), (ANNEAL_REPORT, QuantumResult), (COMPARE_REPORT, ComparisonReport)],
+        [
+            (CLASSICAL_REPORT, ClassicalResult),
+            (ANNEAL_REPORT, QuantumResult),
+            (COMPARE_REPORT, ComparisonReport),
+            (VALIDATION_REPORT, ValidationReport),
+            (REFUSED_VALIDATION_REPORT, ValidationReport),
+        ],
         ids=lambda v: v.__name__ if isinstance(v, type) else None,
     )
     def test_result_round_trip(self, name, cls, graph_a_all_run, tmp_path):
-        # each report that all writes loads back through the shared reader
-        # into the result it was written from, and rewrites byte for byte
+        # each report that all, validate and a refused anneal write loads
+        # back through the shared reader into the result it was written
+        # from, and rewrites byte for byte
         out, results = graph_a_all_run
         path = os.path.join(out, name)
         loaded = load(path, cls)
@@ -566,12 +642,11 @@ class TestReportSchema:
 
     def test_validation_report(self, tmp_path):
         out = str(tmp_path / "b")
-        assert main(["validate", "--graph", GRAPH_B_FILE, "--margin", "0.3", "--out", out]) == EXIT_OK
+        assert main(["validate", "--graph", GRAPH_B_FILE, "--coupling-c", "6e5", "--out", out]) == EXIT_OK
         report = read_report(os.path.join(out, VALIDATION_REPORT))
-        assert set(report) == {"ok", "violations", "warnings"}
-        assert len(report["warnings"]) == 10
-        for w in report["warnings"]:
-            assert set(w) == {"kind", "pair", "distance", "threshold"} and isinstance(w["pair"], list)
+        assert set(report) == {"ok", "violations", "c6", "window"}
+        assert report["ok"] is True and report["c6"] == 6e5
+        assert isinstance(report["window"], list) and len(report["window"]) == 2
 
         graph = str(tmp_path / "close.yaml")
         with open(graph, "w") as fh:

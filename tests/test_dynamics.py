@@ -6,13 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rydnash.dynamics
 from conftest import (
     C_A,
     C_B,
     GRAPH_A_MAXIMUM,
+    GRAPH_A_POSITIONS,
+    GRAPH_A_RADIUS,
     GRAPH_B_MIS_FAMILY,
+    GRAPH_B_POSITIONS,
+    GRAPH_B_RADIUS,
     INTEGRATOR_ORDER,
     apply_hamiltonian,
     dense_hamiltonian,
@@ -27,6 +32,7 @@ from rydnash.dynamics import (
     _block_bounds,
     _rotation_index,
     _rotation_table,
+    drive_off_window,
     evolve,
     exact_ground_states,
     interaction_matrix,
@@ -40,6 +46,7 @@ from rydnash.errors import (
     TooLarge,
 )
 from rydnash.geometry import build_unit_disk_graph
+from rydnash.indsets import maximum_independent_sets
 from rydnash.schedule import Schedule, default_schedule
 
 
@@ -200,8 +207,6 @@ class TestExactGroundStates:
         # ground manifold is exactly the maximum-independent family: it
         # occupies a strict low-energy prefix, and the oracle returns it at
         # any tolerance between the manifold width and the gap above it
-        from rydnash.indsets import maximum_independent_sets
-
         rng = np.random.default_rng(555)
         delta = 7.27
         usable = 0
@@ -233,6 +238,59 @@ class TestExactGroundStates:
             tol = worst_mis - float(energies[order[0]]) + gap / 2
             assert set(exact_ground_states(system, delta, tol=tol)) == mis
         assert usable >= 100  # the suite must actually exercise the claim
+
+
+class TestDriveOffWindow:
+    """The C6 window in which the maximum independent sets are exactly the
+    lowest drive-off energies, at the reference ramp's final detuning."""
+
+    DELTA = 7.27
+
+    @classmethod
+    def separated(cls, graph, c6, maximum):
+        """Whether every maximum set lies strictly below every other state."""
+        energies = RydbergSystem(graph, c6).diagonal(cls.DELTA)
+        member = np.zeros(energies.size, dtype=bool)
+        member[[int(bits, 2) for bits in maximum]] = True
+        return energies[member].max() < energies[~member].min()
+
+    @pytest.mark.parametrize(
+        "positions, radius, c6, expected",
+        [
+            (GRAPH_A_POSITIONS, GRAPH_A_RADIUS, C_A, (1.712e5, 4.579e6)),
+            (GRAPH_B_POSITIONS, GRAPH_B_RADIUS, C_B, (3.386e5, 1.284e6)),
+            ([(6.0 * i, 0.0) for i in range(11)], 6.0, 1e6, (1.707e5, 7.534e6)),
+        ],
+        ids=["graph_a", "graph_b", "chain11"],
+    )
+    def test_recorded_windows(self, positions, radius, c6, expected):
+        # the window does not depend on the run's own C6, only its rounding
+        graph = build_unit_disk_graph(positions, radius)
+        window = drive_off_window(RydbergSystem(graph, c6), self.DELTA, maximum_independent_sets(graph))
+        assert tuple(float(f"{v:.4g}") for v in window) == expected
+        assert window[0] < c6 < window[1]
+
+    def test_nonpositive_detuning_is_empty(self):
+        # at zero detuning the empty state ties a lone atom at every C6
+        graph = build_unit_disk_graph([(0.0, 0.0), (5.0, 0.0)], 6.0)
+        lo, hi = drive_off_window(RydbergSystem(graph, 1e6), 0.0, ("01", "10"))
+        assert lo >= hi
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=unit_disk_layouts(n_max=8), c6=st.floats(1e3, 1e8))
+    def test_window_is_exact(self, graph, c6):
+        # strictly inside, the maximum sets are the lowest energies; just
+        # outside either finite end, some other state is at or below one
+        assume(all(graph.distance(i, j) >= 0.1 for i in range(graph.n) for j in range(i)))
+        maximum = maximum_independent_sets(graph)
+        lo, hi = drive_off_window(RydbergSystem(graph, c6), self.DELTA, maximum)
+        if lo < hi:
+            inside = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lo + 1.0
+            assert self.separated(graph, inside, maximum)
+        if lo > 0:
+            assert not self.separated(graph, lo * (1 - 1e-6), maximum)
+        if math.isfinite(hi) and hi > 0:
+            assert not self.separated(graph, hi * (1 + 1e-6), maximum)
 
 
 class TestPropagateAndEvolve:

@@ -63,18 +63,16 @@ class TestScheduleValidation:
     def test_duration_violation_reported(self):
         hw = HardwareConstraints()
         s = Schedule(((0.0, 0.0), (2.5, 7.27), (5.0, 0.0)), ((0.0, -7.27), (5.0, 7.27)), 5.0)
-        report = validate_schedule(s, hw)
-        assert not report.ok
-        assert [v.kind for v in report.violations] == ["duration"]
-        assert report.violations[0].value == 5.0
-        assert report.violations[0].limit == 4.0
+        violations = validate_schedule(s, hw)
+        assert [v.kind for v in violations] == ["duration"]
+        assert violations[0].value == 5.0
+        assert violations[0].limit == 4.0
 
     def test_amplitude_violations_reported(self):
         hw = HardwareConstraints()
         s = Schedule(((0.0, 0.0), (2.0, 20.0), (4.0, 0.0)), ((0.0, -130.0), (4.0, 130.0)), 4.0)
-        report = validate_schedule(s, hw)
-        kinds = {v.kind for v in report.violations}
+        kinds = {v.kind for v in validate_schedule(s, hw)}
         assert kinds == {"rabi_amplitude", "detuning_amplitude"}
 
     def test_reference_ramp_passes(self):
-        assert validate_schedule(default_schedule()).ok
+        assert validate_schedule(default_schedule()) == ()
