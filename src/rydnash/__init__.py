@@ -26,7 +26,6 @@ from .errors import (
 )
 from .geometry import (
     EmbeddedGraph,
-    HardwareConstraints,
     Violation,
     blockade_radius,
     build_unit_disk_graph,
@@ -57,7 +56,6 @@ from .dynamics import (
     drive_off_window,
     evolve,
     exact_ground_states,
-    interaction_matrix,
     propagate,
     sample,
 )

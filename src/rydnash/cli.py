@@ -32,7 +32,6 @@ from .pipeline import (
     compare,
     run_classical,
     run_quantum,
-    validate_run,
 )
 
 EXIT_OK = 0
@@ -139,8 +138,8 @@ def _write(outdir: str, name: str, data: dict) -> str:
 
 
 def _validate(config: RunConfig) -> ValidationReport:
-    """``validate_run``, and one stderr line when C6 is outside the window."""
-    report = validate_run(config)
+    """``config.validation``, and one stderr line when C6 is outside the window."""
+    report = config.validation
     lo, hi = report.window
     if not lo < report.c6 < hi:
         print(f"warning: C6 {report.c6:.4g} is outside the drive-off window ({lo:.4g}, {hi:.4g}) "

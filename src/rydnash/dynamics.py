@@ -65,20 +65,6 @@ _CHUNK = 64
 _TABLE_BYTES = 1 << 17
 
 
-def interaction_matrix(graph: EmbeddedGraph, c6: float) -> np.ndarray:
-    """Pairwise van der Waals energies ``c6 / r**6`` with zero diagonal."""
-    if not (c6 > 0 and math.isfinite(c6)):
-        raise InvalidInput(f"van der Waals coefficient must be positive and finite, got {c6!r}")
-    n = graph.n
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            r6 = graph.distance(i, j) ** 6
-            # atoms so close that r**6 underflows interact without bound
-            out[i, j] = out[j, i] = c6 / r6 if r6 > 0 else math.inf
-    return out
-
-
 @dataclass(frozen=True)
 class RydbergSystem:
     """An embedded layout plus its van der Waals coupling strength."""
@@ -96,7 +82,14 @@ class RydbergSystem:
 
     @cached_property
     def interactions(self) -> np.ndarray:
-        v = interaction_matrix(self.graph, self.c6)
+        """Pairwise van der Waals energies ``c6 / r**6`` with zero diagonal."""
+        n = self.n
+        v = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                r6 = self.graph.distance(i, j) ** 6
+                # atoms so close that r**6 underflows interact without bound
+                v[i, j] = v[j, i] = self.c6 / r6 if r6 > 0 else math.inf
         v.flags.writeable = False
         return v
 

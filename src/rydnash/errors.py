@@ -43,15 +43,8 @@ class IntegrationFailure(RydnashError):
 
 
 class ConstraintViolation(RydnashError):
-    """Requested run breaks a hardware limit.
-
-    Carries the offending :class:`~rydnash.pipeline.ValidationReport` when
-    raised by the pipeline, so callers can persist it.
-    """
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
+    """Requested run breaks a hardware limit; a pipeline run's
+    ``RunConfig.validation`` lists every violation."""
 
 
 class IncompatibleRuns(RydnashError):

@@ -18,6 +18,10 @@ from .errors import DegenerateLayout, InvalidInput, UndefinedRadius
 
 Point = tuple[float, float]
 
+#: Closest two atoms may sit, in um: the hardware spacing floor of the
+#: device in Ebadi et al., Science 376 (2022), arXiv:2202.09372.
+MIN_PAIR_DISTANCE = 4.0
+
 
 @dataclass(frozen=True)
 class EmbeddedGraph:
@@ -78,22 +82,6 @@ class EmbeddedGraph:
 
 
 @dataclass(frozen=True)
-class HardwareConstraints:
-    """Machine limits that embeddings and waveforms must respect."""
-
-    min_pair_distance: float = 4.0  # um
-    max_evolution_time: float = 4.0  # us
-    max_rabi: float = 15.8  # rad/us
-    max_detuning_abs: float = 125.0  # rad/us
-
-    def __post_init__(self):
-        for name in ("min_pair_distance", "max_evolution_time", "max_rabi", "max_detuning_abs"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise InvalidInput(f"{name} must be strictly positive, got {v!r}")
-
-
-@dataclass(frozen=True)
 class Violation:
     """One hard-constraint breach: what, where, measured value, limit."""
 
@@ -126,16 +114,15 @@ def blockade_radius(c6: float, omega: float, delta: float) -> float:
     return (c6 / scale) ** (1.0 / 6.0)
 
 
-def validate_embedding(graph: EmbeddedGraph, hw: HardwareConstraints | None = None) -> tuple[Violation, ...]:
-    """Every atom pair closer than the hardware spacing floor.
+def validate_embedding(graph: EmbeddedGraph) -> tuple[Violation, ...]:
+    """Every atom pair closer than ``MIN_PAIR_DISTANCE``.
 
     Reports, never throws: an empty tuple means the layout passes.
     """
-    hw = hw or HardwareConstraints()
     violations = []
     for i in range(graph.n):
         for j in range(i + 1, graph.n):
             d = graph.distance(i, j)
-            if d < hw.min_pair_distance:
-                violations.append(Violation("pair_distance", (i, j), d, hw.min_pair_distance))
+            if d < MIN_PAIR_DISTANCE:
+                violations.append(Violation("pair_distance", (i, j), d, MIN_PAIR_DISTANCE))
     return tuple(violations)

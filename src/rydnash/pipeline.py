@@ -39,8 +39,9 @@ DEFAULT_SEED = 7
 class RunConfig:
     """Everything one pipeline run needs, with conservative defaults.
 
-    Validation and both analyses of one config share its graph, maximal
-    sets and Rydberg system: each is made once, on first use.
+    Validation and both analyses of one config share its graph, set
+    families, Rydberg system and validation report: each is made once, on
+    first use.
     """
 
     graph_path: str
@@ -74,9 +75,25 @@ class RunConfig:
         return enumerate_mis(self.graph, self.limit)
 
     @cached_property
+    def maximum_sets(self) -> tuple[str, ...]:
+        """The largest of ``maximal_sets``."""
+        return largest(self.maximal_sets)
+
+    @cached_property
     def system(self) -> RydbergSystem:
         """The layout at this run's coupling."""
         return RydbergSystem(self.graph, self.c6)
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """Hardware validation for the run: the spacing floor and the
+        waveform limits, plus the run's drive-off C6 window. TooLarge above
+        ``limit``."""
+        schedule = self.schedule
+        violations = validate_embedding(self.graph) + validate_schedule(schedule)
+        maximum = self.maximum_sets  # TooLarge comes before any 2**n table
+        window = drive_off_window(self.system, schedule.delta_at(schedule.duration), maximum)
+        return ValidationReport(not violations, violations, self.c6, window)
 
 
 def graph_fingerprint(graph: EmbeddedGraph) -> str:
@@ -186,38 +203,26 @@ def run_classical(config: RunConfig) -> ClassicalResult:
         n=graph.n,
         nash=nash,
         maximal_sets=maximal,
-        maximum_sets=largest(maximal),
+        maximum_sets=config.maximum_sets,
         nash_equals_mis=not witnesses,
         witnesses=witnesses,
     )
 
 
-def validate_run(config: RunConfig) -> ValidationReport:
-    """Hardware validation for a run: the spacing floor and the waveform
-    limits, plus the run's drive-off C6 window. TooLarge above ``limit``."""
-    schedule = config.schedule
-    violations = validate_embedding(config.graph) + validate_schedule(schedule)
-    maximum = largest(config.maximal_sets)  # TooLarge comes before any 2**n table
-    window = drive_off_window(config.system, schedule.delta_at(schedule.duration), maximum)
-    return ValidationReport(not violations, violations, config.c6, window)
-
-
 def run_quantum(config: RunConfig) -> QuantumResult:
     """Anneal, sample, and classify every observed bitstring.
 
-    Refuses (ConstraintViolation carrying the validation report) when the
-    layout or schedule breaks hardware limits, and raises TooLarge above
-    the exhaustive limit, both before annealing. Deterministic for a fixed
-    (config, seed).
+    Refuses (ConstraintViolation; ``config.validation`` holds the report)
+    when the layout or schedule breaks hardware limits, and raises TooLarge
+    above the exhaustive limit, both before annealing. Deterministic for a
+    fixed (config, seed).
     """
-    report = validate_run(config)
+    report = config.validation
     if not report.ok:
-        raise ConstraintViolation(
-            f"hardware validation failed with {len(report.violations)} violation(s)", report=report
-        )
+        raise ConstraintViolation(f"hardware validation failed with {len(report.violations)} violation(s)")
     graph, schedule, system = config.graph, config.schedule, config.system
     maximal = set(config.maximal_sets)
-    maximum = largest(config.maximal_sets)
+    maximum = config.maximum_sets
     state = evolve(system, schedule)
     histogram = sample(state, config.shots, config.seed)
     energies = system.diagonal(schedule.delta_at(schedule.duration))

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstraintViolation, InvalidInput
-from .geometry import HardwareConstraints, Violation
+from .geometry import Violation
 
 Waveform = tuple[tuple[float, float], ...]
 
@@ -25,6 +25,12 @@ _OMEGA_REF: Waveform = ((0.0, 0.0), (0.25, 1.0), (1.25, 1.0), (1.35, 1.0), (3.75
 _DELTA_REF: Waveform = ((0.0, -1.0), (0.25, -1.0), (1.25, 0.0), (1.35, 0.0), (3.75, 1.0), (4.0, 1.0))
 _REF_DURATION = 4.0
 _REF_PEAK = 7.27  # rad/us
+
+# Waveform limits of the device in Ebadi et al., Science 376 (2022),
+# arXiv:2202.09372: evolution time in us, drive and |detuning| in rad/us.
+MAX_EVOLUTION_TIME = 4.0
+MAX_RABI = 15.8
+MAX_DETUNING = 125.0
 
 
 @dataclass(frozen=True)
@@ -89,47 +95,35 @@ class Schedule:
         return tuple(sorted({t for t, _ in self.omega} | {t for t, _ in self.delta}))
 
 
-def default_schedule(
-    duration: float = _REF_DURATION,
-    omega_max: float = _REF_PEAK,
-    delta_max: float = _REF_PEAK,
-    hw: HardwareConstraints | None = None,
-) -> Schedule:
-    """The reference annealing ramp, scaled to the requested extent.
+def default_schedule(duration: float = _REF_DURATION) -> Schedule:
+    """The reference annealing ramp, with its times scaled to ``duration``.
 
-    Times scale with ``duration``; drive values with ``omega_max``; detuning
-    values with ``delta_max``. Raises ConstraintViolation when ``duration``
-    exceeds the hardware evolution-time limit.
+    Raises ConstraintViolation when ``duration`` exceeds
+    ``MAX_EVOLUTION_TIME``.
     """
-    hw = hw or HardwareConstraints()
-    if not (omega_max > 0 and delta_max > 0):
-        raise InvalidInput("omega_max and delta_max must be positive")
     if not (math.isfinite(duration) and duration > 0):
         raise InvalidInput(f"duration must be positive and finite, got {duration!r}")
-    if duration > hw.max_evolution_time:
-        raise ConstraintViolation(
-            f"duration {duration} us exceeds the {hw.max_evolution_time} us hardware limit"
-        )
+    if duration > MAX_EVOLUTION_TIME:
+        raise ConstraintViolation(f"duration {duration} us exceeds the {MAX_EVOLUTION_TIME} us hardware limit")
     s = duration / _REF_DURATION
-    omega = tuple((t * s, v * omega_max) for t, v in _OMEGA_REF)
-    delta = tuple((t * s, v * delta_max) for t, v in _DELTA_REF)
+    omega = tuple((t * s, v * _REF_PEAK) for t, v in _OMEGA_REF)
+    delta = tuple((t * s, v * _REF_PEAK) for t, v in _DELTA_REF)
     return Schedule(omega, delta, duration)
 
 
-def validate_schedule(schedule: Schedule, hw: HardwareConstraints | None = None) -> tuple[Violation, ...]:
+def validate_schedule(schedule: Schedule) -> tuple[Violation, ...]:
     """Every waveform extent that breaks the hardware limits.
 
     Piecewise-linear extrema occur at breakpoints, so checking those covers
     the whole waveform.
     """
-    hw = hw or HardwareConstraints()
     violations = []
-    if schedule.duration > hw.max_evolution_time:
-        violations.append(Violation("duration", (), schedule.duration, hw.max_evolution_time))
+    if schedule.duration > MAX_EVOLUTION_TIME:
+        violations.append(Violation("duration", (), schedule.duration, MAX_EVOLUTION_TIME))
     peak_omega = max(v for _, v in schedule.omega)
-    if peak_omega > hw.max_rabi:
-        violations.append(Violation("rabi_amplitude", (), peak_omega, hw.max_rabi))
+    if peak_omega > MAX_RABI:
+        violations.append(Violation("rabi_amplitude", (), peak_omega, MAX_RABI))
     peak_delta = max(abs(v) for _, v in schedule.delta)
-    if peak_delta > hw.max_detuning_abs:
-        violations.append(Violation("detuning_amplitude", (), peak_delta, hw.max_detuning_abs))
+    if peak_delta > MAX_DETUNING:
+        violations.append(Violation("detuning_amplitude", (), peak_delta, MAX_DETUNING))
     return tuple(violations)

@@ -3,11 +3,13 @@ import os
 import runpy
 import shutil
 import sys
+import tempfile
 
 import pytest
 import yaml
+from hypothesis import given, settings
 
-from conftest import C_A, GRAPH_A_MIS_FAMILY
+from conftest import C_A, GRAPH_A_MIS_FAMILY, unit_disk_layouts
 import rydnash.fileio
 import rydnash.game
 import rydnash.indsets
@@ -40,7 +42,6 @@ from rydnash.pipeline import (
     compare,
     run_classical,
     run_quantum,
-    validate_run,
 )
 from rydnash.schedule import Schedule, default_schedule
 
@@ -86,8 +87,8 @@ def graph_a_all_run(tmp_path_factory):
         CLASSICAL_REPORT: classical,
         ANNEAL_REPORT: quantum,
         COMPARE_REPORT: compare(classical, quantum),
-        VALIDATION_REPORT: validate_run(config),
-        REFUSED_VALIDATION_REPORT: validate_run(RunConfig(graph_path=close)),
+        VALIDATION_REPORT: config.validation,
+        REFUSED_VALIDATION_REPORT: RunConfig(graph_path=close).validation,
     }
     return out, results
 
@@ -95,6 +96,31 @@ def graph_a_all_run(tmp_path_factory):
 def _write_results(out, classical, quantum):
     write_report(os.path.join(out, CLASSICAL_REPORT), to_mapping(classical))
     write_report(os.path.join(out, ANNEAL_REPORT), to_mapping(quantum))
+
+
+def _count_calls(monkeypatch, command, out):
+    """Run ``command`` on graph_a at its pinned coupling and count graph
+    loads, MIS sweeps, drive-off window passes and spacing scans."""
+    calls = {"load": 0, "mis": 0, "window": 0, "spacing": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    load = counting("load", rydnash.fileio.load_graph)
+    mis = counting("mis", rydnash.indsets.enumerate_mis)
+    for module in (rydnash.fileio, rydnash.pipeline):
+        monkeypatch.setattr(module, "load_graph", load)
+    for module in (rydnash.indsets, rydnash.pipeline):
+        monkeypatch.setattr(module, "enumerate_mis", mis)
+    monkeypatch.setattr(rydnash.pipeline, "drive_off_window", counting("window", rydnash.pipeline.drive_off_window))
+    monkeypatch.setattr(rydnash.pipeline, "validate_embedding", counting("spacing", rydnash.pipeline.validate_embedding))
+    args = [command, "--graph", GRAPH_A_FILE, "--coupling-c", str(C_A), "--shots", "100", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    return calls
 
 
 class TestValidateCommand:
@@ -286,6 +312,9 @@ class TestAnnealCommand:
         assert main(["anneal", "--graph", graph, "--out", out]) == EXIT_VERDICT
         assert os.path.exists(os.path.join(out, VALIDATION_REPORT))
         assert not os.path.exists(os.path.join(out, ANNEAL_REPORT))
+
+    def test_validates_once(self, tmp_path, monkeypatch):
+        assert _count_calls(monkeypatch, "anneal", tmp_path) == {"load": 1, "mis": 1, "window": 1, "spacing": 1}
 
     @pytest.mark.parametrize("command", ["anneal", "all"])
     def test_window_warning_comes_before_annealing(self, command, tmp_path, capsys, monkeypatch):
@@ -494,25 +523,27 @@ class TestAllCommand:
         assert main(["classical", "--graph", pair_graph_file]) == EXIT_OK
         assert os.path.exists(os.path.join(env_dir, CLASSICAL_REPORT))
 
+    @settings(max_examples=10, deadline=None)
+    @given(graph=unit_disk_layouts(n_max=5))
+    def test_reruns_write_identical_files(self, graph):
+        # pairs at the 4 um floor stay at or below 25 rad/us at this C6; a
+        # layout refused for spacing compares its validation reports
+        with tempfile.TemporaryDirectory() as tmp:
+            graph_file, ramp = os.path.join(tmp, "graph.yaml"), os.path.join(tmp, "ramp.yaml")
+            save_graph(graph_file, graph)
+            save_schedule(ramp, default_schedule(duration=1.0))
+            args = ["all", "--graph", graph_file, "--schedule", ramp, "--coupling-c", "1e5", "--seed", "7"]
+            runs = [os.path.join(tmp, name) for name in ("run1", "run2")]
+            codes = [main([*args, "--out", out]) for out in runs]
+            assert codes[0] == codes[1] and codes[0] in (EXIT_OK, EXIT_VERDICT)
+            names = sorted(os.listdir(runs[0]))
+            assert names == sorted(os.listdir(runs[1])) and CLASSICAL_REPORT in names
+            for name in names:
+                with open(os.path.join(runs[0], name), "rb") as f1, open(os.path.join(runs[1], name), "rb") as f2:
+                    assert f1.read() == f2.read(), name
+
     def test_loads_and_sweeps_once(self, tmp_path, monkeypatch):
-        calls = {"load": 0, "mis": 0}
-
-        def counting(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        load = counting("load", rydnash.fileio.load_graph)
-        mis = counting("mis", rydnash.indsets.enumerate_mis)
-        for module in (rydnash.fileio, rydnash.pipeline):
-            monkeypatch.setattr(module, "load_graph", load)
-        for module in (rydnash.indsets, rydnash.pipeline):
-            monkeypatch.setattr(module, "enumerate_mis", mis)
-        args = ["all", "--graph", GRAPH_A_FILE, "--coupling-c", str(C_A), "--shots", "100", "--out", str(tmp_path)]
-        assert main(args) == EXIT_OK
-        assert calls == {"load": 1, "mis": 1}
+        assert _count_calls(monkeypatch, "all", tmp_path) == {"load": 1, "mis": 1, "window": 1, "spacing": 1}
 
     def test_omitted_options_take_run_config_defaults(self):
         args = build_parser().parse_args(["all", "--graph", GRAPH_A_FILE, "--out", "o"])
@@ -520,16 +551,17 @@ class TestAllCommand:
 
 
 class TestPipelineApi:
-    def test_run_quantum_carries_report_on_refusal(self, tmp_path):
+    def test_run_quantum_refuses_from_config_validation(self, tmp_path):
         from rydnash.errors import ConstraintViolation
 
         graph = str(tmp_path / "bad.yaml")
         with open(graph, "w") as fh:
             yaml.safe_dump({"nodes": [[0.0, 0.0], [2.0, 0.0]], "radius": 4.0}, fh)
-        with pytest.raises(ConstraintViolation) as err:
-            run_quantum(RunConfig(graph_path=graph, shots=10))
-        assert err.value.report is not None
-        assert not err.value.report.ok
+        config = RunConfig(graph_path=graph, shots=10)
+        with pytest.raises(ConstraintViolation, match="1 violation"):
+            run_quantum(config)
+        assert not config.validation.ok
+        assert [v.kind for v in config.validation.violations] == ["pair_distance"]
 
     def test_compare_verdicts_recomputable(self, pair_graph_file):
         config = RunConfig(graph_path=pair_graph_file, shots=50)

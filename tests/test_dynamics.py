@@ -35,7 +35,6 @@ from rydnash.dynamics import (
     drive_off_window,
     evolve,
     exact_ground_states,
-    interaction_matrix,
     propagate,
     sample,
 )
@@ -70,26 +69,26 @@ def constant_schedule(omega, delta, duration):
 class TestInteractionMatrix:
     def test_unit_distance(self):
         g = build_unit_disk_graph([(0.0, 0.0), (1.0, 0.0)], 2.0)
-        v = interaction_matrix(g, 64.0)
+        v = RydbergSystem(g, 64.0).interactions
         assert v[0, 1] == 64.0 and v[1, 0] == 64.0
         assert v[0, 0] == 0.0 and v[1, 1] == 0.0
 
     def test_r6_falloff(self):
         g = build_unit_disk_graph([(0.0, 0.0), (2.0, 0.0)], 3.0)
-        assert interaction_matrix(g, 64.0)[0, 1] == 1.0
+        assert RydbergSystem(g, 64.0).interactions[0, 1] == 1.0
 
     def test_distance_homogeneity(self):
         rng = np.random.default_rng(400)
         pts = [(float(x), float(y)) for x, y in rng.uniform(0, 5, size=(5, 2))]
         g1 = build_unit_disk_graph(pts, 10.0)
         g2 = build_unit_disk_graph([(2 * x, 2 * y) for x, y in pts], 20.0)
-        v1 = interaction_matrix(g1, 7.0)
-        v2 = interaction_matrix(g2, 7.0)
+        v1 = RydbergSystem(g1, 7.0).interactions
+        v2 = RydbergSystem(g2, 7.0).interactions
         assert np.allclose(v1, 64.0 * v2, rtol=1e-12)
 
     def test_bad_c6(self, triangle_system):
         with pytest.raises(InvalidInput):
-            interaction_matrix(triangle_system.graph, 0.0)
+            RydbergSystem(triangle_system.graph, 0.0)
 
 
 class TestApplyHamiltonian:

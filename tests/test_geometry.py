@@ -6,7 +6,7 @@ import pytest
 from conftest import GRAPH_A_EDGES, GRAPH_B_EDGES, random_unit_disk
 from rydnash.errors import DegenerateLayout, InvalidInput, UndefinedRadius
 from rydnash.geometry import (
-    HardwareConstraints,
+    MIN_PAIR_DISTANCE,
     blockade_radius,
     build_unit_disk_graph,
     validate_embedding,
@@ -136,17 +136,10 @@ class TestValidateEmbedding:
         # adding a pair at half the floor distance, far from everything,
         # creates exactly one new violation
         rng = np.random.default_rng(104)
-        hw = HardwareConstraints()
         for _ in range(10):
             g = random_unit_disk(rng, n_max=6)
-            base = len(validate_embedding(g, hw))
+            base = len(validate_embedding(g))
             far = 1000.0 + float(rng.uniform(0, 10))
-            positions = g.positions + ((far, 0.0), (far + hw.min_pair_distance / 2, 0.0))
+            positions = g.positions + ((far, 0.0), (far + MIN_PAIR_DISTANCE / 2, 0.0))
             g2 = build_unit_disk_graph(positions, g.radius)
-            assert len(validate_embedding(g2, hw)) == base + 1
-
-    def test_constraints_must_be_positive(self):
-        with pytest.raises(InvalidInput):
-            HardwareConstraints(min_pair_distance=0.0)
-        with pytest.raises(InvalidInput):
-            HardwareConstraints(max_evolution_time=-1.0)
+            assert len(validate_embedding(g2)) == base + 1

@@ -1,8 +1,7 @@
 import pytest
 
 from rydnash.errors import ConstraintViolation, InvalidInput
-from rydnash.geometry import HardwareConstraints
-from rydnash.schedule import Schedule, default_schedule, validate_schedule
+from rydnash.schedule import MAX_EVOLUTION_TIME, Schedule, default_schedule, validate_schedule
 
 
 class TestDefaultSchedule:
@@ -25,21 +24,18 @@ class TestDefaultSchedule:
         assert s.delta_at(1.30) == 0.0
 
     def test_scaling(self):
-        s = default_schedule(duration=2.0, omega_max=10.0, delta_max=4.0)
+        s = default_schedule(duration=2.0)
         assert s.duration == 2.0
-        assert s.omega_at(1.0) == 10.0
-        assert s.delta_at(0.0) == -4.0
-        assert s.delta_at(2.0) == 4.0
+        assert s.omega_at(1.0) == 7.27
+        assert s.delta_at(0.0) == -7.27
+        assert s.delta_at(0.65) == 0.0
+        assert s.delta_at(2.0) == 7.27
         assert s.omega_at(0.0) == 0.0 and s.omega_at(2.0) == 0.0
 
     def test_duration_over_hardware_limit(self):
+        assert default_schedule(duration=MAX_EVOLUTION_TIME).duration == 4.0
         with pytest.raises(ConstraintViolation):
             default_schedule(duration=5.0)
-
-    def test_relaxed_hardware_allows_longer(self):
-        hw = HardwareConstraints(max_evolution_time=10.0)
-        s = default_schedule(duration=8.0, hw=hw)
-        assert s.duration == 8.0
 
 
 class TestScheduleValidation:
@@ -61,17 +57,15 @@ class TestScheduleValidation:
         assert s.delta_at(1.0) == 0.0
 
     def test_duration_violation_reported(self):
-        hw = HardwareConstraints()
         s = Schedule(((0.0, 0.0), (2.5, 7.27), (5.0, 0.0)), ((0.0, -7.27), (5.0, 7.27)), 5.0)
-        violations = validate_schedule(s, hw)
+        violations = validate_schedule(s)
         assert [v.kind for v in violations] == ["duration"]
         assert violations[0].value == 5.0
         assert violations[0].limit == 4.0
 
     def test_amplitude_violations_reported(self):
-        hw = HardwareConstraints()
         s = Schedule(((0.0, 0.0), (2.0, 20.0), (4.0, 0.0)), ((0.0, -130.0), (4.0, 130.0)), 4.0)
-        kinds = {v.kind for v in validate_schedule(s, hw)}
+        kinds = {v.kind for v in validate_schedule(s)}
         assert kinds == {"rabi_amplitude", "detuning_amplitude"}
 
     def test_reference_ramp_passes(self):
