@@ -31,13 +31,14 @@ print("drive-off ground state(s):", exact_ground_states(system, delta=7.27))
 state = evolve(system, schedule)
 print(f"final norm deviation: {abs(state.norm() - 1.0):.2e}")
 
-histogram = sample(state, shots=1000, seed=7)
+counts = sample(state, shots=1000, seed=7)
+ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 print("\ntop readouts of 1000 shots:")
 print("bitstring  count  P(amplitude)  energy at final detuning")
-for bits, count in histogram.ranked()[:6]:
+for bits, count in ranked[:6]:
     print(f"  {bits}   {count:5d}   {state.probability_of(bits):12.4f}  "
           f"{system.diagonal(7.27)[int(bits, 2)]:8.3f}")
 
-modal, modal_count = histogram.ranked()[0]
+modal, modal_count = ranked[0]
 print(f"\nmodal readout {modal} carries {modal_count / 10:.1f}% of shots; "
       f"excited atoms {[i for i, ch in enumerate(modal) if ch == '1']} form the optimum")

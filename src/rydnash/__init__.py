@@ -10,6 +10,7 @@ The package splits into five layers:
 * :mod:`rydnash.pipeline` + :mod:`rydnash.cli`: config-driven runs and reports.
 """
 
+from ._bits import EXHAUSTIVE_LIMIT
 from .errors import (
     ConfigError,
     ConstraintViolation,
@@ -33,8 +34,6 @@ from .geometry import (
 )
 from .schedule import Schedule, default_schedule, validate_schedule
 from .game import (
-    BENEFITS,
-    DEFAULT_EXHAUSTIVE_LIMIT,
     GameParams,
     best_responses,
     enumerate_specialized_nash,
@@ -52,7 +51,6 @@ from .dynamics import (
     DEFAULT_C6,
     QuantumState,
     RydbergSystem,
-    ShotHistogram,
     drive_off_window,
     evolve,
     exact_ground_states,

@@ -1,4 +1,5 @@
-"""Bit conventions shared by the game, set, and dynamics modules.
+"""Bit conventions and the exhaustive size guard shared by the game, set,
+and dynamics modules.
 
 Bitstrings are big-endian in node order: node 0 is the leftmost character
 (most significant bit) and '1' marks a contributing agent or Rydberg-excited
@@ -14,7 +15,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, TooLarge
+
+#: Largest node count for which any 2**n sweep or table is built: the
+#: set sweeps start in :func:`rule_supports` and the Hamiltonian tables in
+#: ``dynamics.RydbergSystem``, and each refuses a larger graph with TooLarge.
+EXHAUSTIVE_LIMIT = 24
+
+
+def check_size(n: int) -> None:
+    """TooLarge when ``n`` nodes exceed :data:`EXHAUSTIVE_LIMIT`."""
+    if n > EXHAUSTIVE_LIMIT:
+        raise TooLarge(f"{n} nodes exceeds the exhaustive limit of {EXHAUSTIVE_LIMIT}")
 
 
 def node_mask(node: int, n: int) -> int:
@@ -61,9 +73,10 @@ def rule_supports(neighbors: Sequence[Sequence[int]], rule: np.ndarray) -> tuple
     hold equal values, so each node's rule runs once per combination of its
     high-half own and neighbor counts, and the rows are gathered into a
     buffer: with nothing dropped, the grid is all ``2**n`` indices and holds
-    two bytes per index.
+    two bytes per index. TooLarge above :data:`EXHAUSTIVE_LIMIT` nodes.
     """
     n = len(neighbors)
+    check_size(n)
     low = n // 2
     stride = n + 2  # a row of rule's n + 1 counts, plus one for its prefix counts
     masks = [index_of(nbrs, n) for nbrs in neighbors] + [node_mask(v, n) for v in range(n)]
@@ -98,7 +111,3 @@ def rule_supports(neighbors: Sequence[Sequence[int]], rule: np.ndarray) -> tuple
     h, l = np.unravel_index(np.flatnonzero(keep), keep.shape)
     return tuple(to_bitstring(int(z), n) for z in hi[h] * (1 << low) + lo[l])
 
-
-def popcounts(n: int) -> np.ndarray:
-    """Number of set bits for every basis index ``0 .. 2**n - 1``."""
-    return np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)

@@ -63,7 +63,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--graph", dest="graph_path", metavar="GRAPH", required=True, help="graph file (YAML: nodes, radius)"
     )
     _add_out(p)
-    p.add_argument("--limit", type=int, help="exhaustive enumeration node limit")
 
 
 def _add_game(p: argparse.ArgumentParser) -> None:

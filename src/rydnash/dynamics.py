@@ -26,14 +26,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from ._bits import from_bitstring, popcounts, to_bitstring
-from .errors import (
-    IntegrationFailure,
-    InvalidInput,
-    InvalidState,
-    TooLarge,
-)
-from .game import DEFAULT_EXHAUSTIVE_LIMIT
+from ._bits import check_size, from_bitstring, to_bitstring
+from .errors import IntegrationFailure, InvalidInput, InvalidState
 from .geometry import EmbeddedGraph
 from .schedule import Schedule
 
@@ -67,7 +61,12 @@ _TABLE_BYTES = 1 << 17
 
 @dataclass(frozen=True)
 class RydbergSystem:
-    """An embedded layout plus its van der Waals coupling strength."""
+    """An embedded layout plus its van der Waals coupling strength.
+
+    Its 2**n tables, and so everything that anneals or sweeps it, exist only
+    up to ``_bits.EXHAUSTIVE_LIMIT`` atoms: a larger layout is refused with
+    TooLarge here, before any of them is built.
+    """
 
     graph: EmbeddedGraph
     c6: float = DEFAULT_C6
@@ -75,6 +74,7 @@ class RydbergSystem:
     def __post_init__(self):
         if not (self.c6 > 0 and math.isfinite(self.c6)):
             raise InvalidInput(f"c6 must be positive and finite, got {self.c6!r}")
+        check_size(self.graph.n)
 
     @property
     def n(self) -> int:
@@ -110,7 +110,8 @@ class RydbergSystem:
 
     @cached_property
     def excitation_count(self) -> np.ndarray:
-        pc = popcounts(self.n)
+        """Number of excited atoms, for every basis index."""
+        pc = np.bitwise_count(np.arange(1 << self.n, dtype=np.uint64)).astype(np.int64)
         pc.flags.writeable = False
         return pc
 
@@ -156,34 +157,7 @@ class QuantumState:
         return float(abs(self.amplitudes[from_bitstring(bits, self.n)]) ** 2)
 
 
-@dataclass(frozen=True)
-class ShotHistogram:
-    """Bitstring counts from projective measurement of a final state."""
-
-    counts: dict[str, int]
-    shots: int
-    seed: int
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts.values()):
-            raise InvalidInput("counts must be nonnegative")
-        if sum(self.counts.values()) != self.shots:
-            raise InvalidInput(f"counts sum to {sum(self.counts.values())}, expected {self.shots} shots")
-
-    def ranked(self) -> tuple[tuple[str, int], ...]:
-        """Entries ordered by descending count, bitstring as tiebreak."""
-        return tuple(sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0])))
-
-    def top(self, k: int) -> tuple[str, ...]:
-        return tuple(bits for bits, _ in self.ranked()[:k])
-
-
-def exact_ground_states(
-    system: RydbergSystem,
-    delta: float,
-    tol: float = 1e-9,
-    limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-) -> tuple[str, ...]:
+def exact_ground_states(system: RydbergSystem, delta: float, tol: float = 1e-9) -> tuple[str, ...]:
     """Bitstrings minimizing the drive-off diagonal energy, exhaustively.
 
     Every state within ``tol`` (rad/us) of the minimum is returned, in
@@ -193,8 +167,6 @@ def exact_ground_states(
     otherwise-degenerate optima by a finite amount, and ``tol`` controls
     whether such a near-degenerate manifold counts as one ground state.
     """
-    if system.n > limit:
-        raise TooLarge(system.n, limit)
     if tol < 0 or not math.isfinite(tol):
         raise InvalidInput(f"tolerance must be nonnegative and finite, got {tol!r}")
     energies = system.diagonal(delta)
@@ -459,10 +431,11 @@ def evolve(
         coarse = fine
 
 
-def sample(state: QuantumState, shots: int, seed: int) -> ShotHistogram:
-    """Projective-measurement statistics: a multinomial draw over |a_z|^2.
+def sample(state: QuantumState, shots: int, seed: int) -> dict[str, int]:
+    """Projective-measurement statistics: a multinomial draw over |a_z|^2,
+    as the count of every observed bitstring, in canonical order.
 
-    A single generator call from a fixed seed makes the histogram a pure
+    A single generator call from a fixed seed makes the counts a pure
     function of ``(state, shots, seed)``.
     """
     if not isinstance(shots, (int, np.integer)) or shots < 1:
@@ -474,5 +447,4 @@ def sample(state: QuantumState, shots: int, seed: int) -> ShotHistogram:
     rng = np.random.default_rng(seed)
     counts_vec = rng.multinomial(int(shots), p / total)
     n = state.n
-    counts = {to_bitstring(int(z), n): int(counts_vec[z]) for z in np.flatnonzero(counts_vec)}
-    return ShotHistogram(counts=counts, shots=int(shots), seed=int(seed))
+    return {to_bitstring(int(z), n): int(counts_vec[z]) for z in np.flatnonzero(counts_vec)}

@@ -22,12 +22,7 @@ class InvalidAgent(RydnashError):
 
 
 class TooLarge(RydnashError):
-    """Exhaustive enumeration refused: node count above the configured limit."""
-
-    def __init__(self, n: int, limit: int):
-        super().__init__(f"{n} nodes exceeds the exhaustive limit of {limit}")
-        self.n = n
-        self.limit = limit
+    """2**n work refused: node count above ``_bits.EXHAUSTIVE_LIMIT``."""
 
 
 class NotIndependent(RydnashError):

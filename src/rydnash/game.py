@@ -12,31 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from ._bits import from_bitstring, rule_supports
-from .errors import InvalidAgent, InvalidInput, TooLarge
+from .errors import InvalidAgent, InvalidInput
 from .geometry import EmbeddedGraph
-
-DEFAULT_EXHAUSTIVE_LIMIT = 24
-
-
-def _satiating_linear(x, e_star):
-    return np.minimum(x, e_star)
-
-
-# Concave benefit curves, keyed by the name used in game parameter files.
-# Each callable must accept scalars or numpy arrays elementwise.
-BENEFITS: dict[str, Callable] = {
-    "satiating_linear": _satiating_linear,
-}
 
 
 @dataclass(frozen=True)
 class GameParams:
-    """Satiation effort, marginal cost, and benefit curve selector.
+    """Satiation effort, marginal cost, and the name of the benefit curve:
+    ``satiating_linear``, the only one, is ``min(x, e_star)``.
 
     The cost bound ``0 < c < b(e_star)/e_star`` guarantees that a lone
     contribution is profitable while free-riding on a contributing neighbor
@@ -49,8 +36,8 @@ class GameParams:
     benefit: str = "satiating_linear"
 
     def __post_init__(self):
-        if self.benefit not in BENEFITS:
-            raise InvalidInput(f"unknown benefit function {self.benefit!r}; known: {sorted(BENEFITS)}")
+        if self.benefit != "satiating_linear":
+            raise InvalidInput(f"unknown benefit function {self.benefit!r}; known: ['satiating_linear']")
         if not (math.isfinite(self.e_star) and self.e_star > 0):
             raise InvalidInput(f"e_star must be positive and finite, got {self.e_star!r}")
         cap = float(self.b(self.e_star)) / self.e_star
@@ -62,7 +49,7 @@ class GameParams:
 
     def b(self, x):
         """Benefit of consuming total effort ``x`` (scalar or array)."""
-        return BENEFITS[self.benefit](x, self.e_star)
+        return np.minimum(x, self.e_star)
 
 
 def _check_agent(graph: EmbeddedGraph, agent: int) -> None:
@@ -117,9 +104,7 @@ def is_nash(graph: EmbeddedGraph, params: GameParams, bits: str) -> bool:
     )
 
 
-def enumerate_specialized_nash(
-    graph: EmbeddedGraph, params: GameParams, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-) -> tuple[str, ...]:
+def enumerate_specialized_nash(graph: EmbeddedGraph, params: GameParams) -> tuple[str, ...]:
     """The support of every specialized Nash profile, as bitstrings in
     canonical order.
 
@@ -132,12 +117,11 @@ def enumerate_specialized_nash(
     checks only the surviving combinations, so it visits far fewer than 2**n
     supports when the table rules many out. It assumes nothing about which
     supports qualify, so ties that admit adjacent contributors are kept.
+    Like every 2**n sweep, it raises TooLarge above
+    ``_bits.EXHAUSTIVE_LIMIT`` nodes.
     """
-    n = graph.n
-    if n > limit:
-        raise TooLarge(n, limit)
     e = params.e_star
-    k = np.arange(n + 1, dtype=np.float64)
+    k = np.arange(graph.n + 1, dtype=np.float64)
     u0 = params.b(e * k)
     u1 = params.b(e * (k + 1.0)) - params.c * e
     # is_best[own, k]: with k contributing neighbors, effort own * e* is a best response

@@ -7,8 +7,8 @@ from typing import Iterable
 import numpy as np
 
 from ._bits import from_bitstring, rule_supports
-from .errors import NotIndependent, TooLarge
-from .game import DEFAULT_EXHAUSTIVE_LIMIT, GameParams, enumerate_specialized_nash
+from .errors import NotIndependent
+from .game import GameParams, enumerate_specialized_nash
 from .geometry import EmbeddedGraph
 
 
@@ -26,7 +26,7 @@ def is_maximal(graph: EmbeddedGraph, bits: str) -> bool:
     return all(bits[v] == "1" or any(bits[u] == "1" for u in graph.neighbors[v]) for v in range(graph.n))
 
 
-def enumerate_mis(graph: EmbeddedGraph, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> tuple[str, ...]:
+def enumerate_mis(graph: EmbeddedGraph) -> tuple[str, ...]:
     """Every maximal independent set, as bitstrings in canonical order.
 
     A member with a neighbor inside the subset breaks independence and a
@@ -36,11 +36,10 @@ def enumerate_mis(graph: EmbeddedGraph, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -
     half of the subset that already breaks it at one of its own nodes (two
     adjacent members, or a non-member with no neighbor in the subset and
     none in the other half) and checks only the surviving combinations.
+    Like every 2**n sweep, it raises TooLarge above
+    ``_bits.EXHAUSTIVE_LIMIT`` nodes.
     """
-    n = graph.n
-    if n > limit:
-        raise TooLarge(n, limit)
-    k = np.arange(n + 1)
+    k = np.arange(graph.n + 1)
     return rule_supports(graph.neighbors, np.stack([k > 0, k == 0]))
 
 
@@ -50,11 +49,9 @@ def largest(sets: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(s for s in sets if s.count("1") == best)
 
 
-def maximum_independent_sets(
-    graph: EmbeddedGraph, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-) -> tuple[str, ...]:
+def maximum_independent_sets(graph: EmbeddedGraph) -> tuple[str, ...]:
     """The maximal independent sets of largest cardinality, as bitstrings."""
-    return largest(enumerate_mis(graph, limit))
+    return largest(enumerate_mis(graph))
 
 
 def correspondence_witnesses(nash: Iterable[str], mis: Iterable[str]) -> tuple[tuple[str, str], ...]:
@@ -66,15 +63,11 @@ def correspondence_witnesses(nash: Iterable[str], mis: Iterable[str]) -> tuple[t
     return tuple(sorted([(b, "nash_only") for b in nash - mis] + [(b, "mis_only") for b in mis - nash]))
 
 
-def verify_correspondence(
-    graph: EmbeddedGraph, params: GameParams, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-) -> tuple[bool, tuple[tuple[str, str], ...]]:
+def verify_correspondence(graph: EmbeddedGraph, params: GameParams) -> tuple[bool, tuple[tuple[str, str], ...]]:
     """Check that Nash supports and maximal independent sets coincide.
 
     Returns ``(ok, witnesses)``, the witnesses as in
     :func:`correspondence_witnesses`.
     """
-    witnesses = correspondence_witnesses(
-        enumerate_specialized_nash(graph, params, limit), enumerate_mis(graph, limit)
-    )
+    witnesses = correspondence_witnesses(enumerate_specialized_nash(graph, params), enumerate_mis(graph))
     return (not witnesses, witnesses)

@@ -16,17 +16,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ._bits import from_bitstring
-from .dynamics import (
-    DEFAULT_C6,
-    RydbergSystem,
-    ShotHistogram,
-    drive_off_window,
-    evolve,
-    sample,
-)
+from .dynamics import DEFAULT_C6, RydbergSystem, drive_off_window, evolve, sample
 from .errors import ConstraintViolation, IncompatibleRuns, InvalidInput
 from .fileio import load_graph
-from .game import DEFAULT_EXHAUSTIVE_LIMIT, GameParams, enumerate_specialized_nash
+from .game import GameParams, enumerate_specialized_nash
 from .geometry import EmbeddedGraph, Violation, validate_embedding
 from .indsets import correspondence_witnesses, enumerate_mis, is_independent, largest
 from .schedule import Schedule, default_schedule, validate_schedule
@@ -41,7 +34,8 @@ class RunConfig:
 
     Validation and both analyses of one config share its graph, set
     families, Rydberg system and validation report: each is made once, on
-    first use.
+    first use. Above ``_bits.EXHAUSTIVE_LIMIT`` nodes, the set families,
+    the system and the validation each raise TooLarge.
     """
 
     graph_path: str
@@ -51,7 +45,6 @@ class RunConfig:
     shots: int = 1000
     seed: int = DEFAULT_SEED
     outdir: str = "rydnash_out"
-    limit: int = DEFAULT_EXHAUSTIVE_LIMIT
     plot_data: bool = False
 
     def __post_init__(self):
@@ -71,8 +64,8 @@ class RunConfig:
 
     @cached_property
     def maximal_sets(self) -> tuple[str, ...]:
-        """The graph's maximal independent sets; TooLarge above ``limit``."""
-        return enumerate_mis(self.graph, self.limit)
+        """The graph's maximal independent sets."""
+        return enumerate_mis(self.graph)
 
     @cached_property
     def maximum_sets(self) -> tuple[str, ...]:
@@ -87,12 +80,10 @@ class RunConfig:
     @cached_property
     def validation(self) -> ValidationReport:
         """Hardware validation for the run: the spacing floor and the
-        waveform limits, plus the run's drive-off C6 window. TooLarge above
-        ``limit``."""
+        waveform limits, plus the run's drive-off C6 window."""
         schedule = self.schedule
         violations = validate_embedding(self.graph) + validate_schedule(schedule)
-        maximum = self.maximum_sets  # TooLarge comes before any 2**n table
-        window = drive_off_window(self.system, schedule.delta_at(schedule.duration), maximum)
+        window = drive_off_window(self.system, schedule.delta_at(schedule.duration), self.maximum_sets)
         return ValidationReport(not violations, violations, self.c6, window)
 
 
@@ -165,7 +156,10 @@ class QuantumResult:
     mis_in_topk: bool
 
     def __post_init__(self):
-        ShotHistogram(self.counts, self.shots, self.seed)  # refuses counts that are negative or miss shots
+        if any(c < 0 for c in self.counts.values()):
+            raise InvalidInput("counts must be nonnegative")
+        if sum(self.counts.values()) != self.shots:
+            raise InvalidInput(f"counts sum to {sum(self.counts.values())}, expected {self.shots} shots")
 
 
 @dataclass(frozen=True)
@@ -195,7 +189,7 @@ class ComparisonReport:
 def run_classical(config: RunConfig) -> ClassicalResult:
     """Enumerate equilibria and independent sets; verdict their agreement."""
     graph = config.graph
-    nash = enumerate_specialized_nash(graph, config.game, config.limit)
+    nash = enumerate_specialized_nash(graph, config.game)
     maximal = config.maximal_sets
     witnesses = correspondence_witnesses(nash, maximal)
     return ClassicalResult(
@@ -224,11 +218,13 @@ def run_quantum(config: RunConfig) -> QuantumResult:
     maximal = set(config.maximal_sets)
     maximum = config.maximum_sets
     state = evolve(system, schedule)
-    histogram = sample(state, config.shots, config.seed)
+    counts = sample(state, config.shots, config.seed)
+    # by descending count, bitstring as tiebreak
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     energies = system.diagonal(schedule.delta_at(schedule.duration))
     probs = state.probabilities()
     rows = []
-    for bits, count in histogram.ranked():
+    for bits, count in ranked:
         z = from_bitstring(bits, graph.n)
         rows.append(
             BitstringRow(
@@ -241,7 +237,7 @@ def run_quantum(config: RunConfig) -> QuantumResult:
                 mis=bits in maximum,
             )
         )
-    top_k = histogram.top(len(maximum))
+    top_k = tuple(bits for bits, _ in ranked[: len(maximum)])
     aggregate = float(sum(probs[from_bitstring(b, graph.n)] for b in maximum))
     return QuantumResult(
         graph_hash=graph_fingerprint(graph),
@@ -250,7 +246,7 @@ def run_quantum(config: RunConfig) -> QuantumResult:
         shots=config.shots,
         seed=config.seed,
         duration=schedule.duration,
-        counts=histogram.counts,
+        counts=counts,
         rows=tuple(rows),
         maximum_sets=maximum,
         top_k=top_k,

@@ -41,6 +41,12 @@ C_B = 6.0e5  # rad/us um^6; blockade radius ~6.60 um at the 7.27 scale
 
 SEED = 7  # documented sampling seed used throughout
 
+# One atom past the exhaustive limit of 24: a 6 um chain, every pair at or
+# above the 4 um floor, so only its size is refused.
+CHAIN25_POSITIONS = tuple((6.0 * i, 0.0) for i in range(25))
+CHAIN25_RADIUS = 8.0
+OVER_LIMIT = "25 nodes exceeds the exhaustive limit of 24"
+
 
 @pytest.fixture(scope="session")
 def graph_a():
@@ -50,6 +56,11 @@ def graph_a():
 @pytest.fixture(scope="session")
 def graph_b():
     return build_unit_disk_graph(GRAPH_B_POSITIONS, GRAPH_B_RADIUS)
+
+
+@pytest.fixture(scope="session")
+def chain25():
+    return build_unit_disk_graph(CHAIN25_POSITIONS, CHAIN25_RADIUS)
 
 
 def random_unit_disk(rng, n_max=8, box=10.0):

@@ -9,7 +9,7 @@ import pytest
 import yaml
 from hypothesis import given, settings
 
-from conftest import C_A, GRAPH_A_MIS_FAMILY, unit_disk_layouts
+from conftest import C_A, GRAPH_A_MIS_FAMILY, OVER_LIMIT, unit_disk_layouts
 import rydnash.fileio
 import rydnash.game
 import rydnash.indsets
@@ -57,6 +57,14 @@ def pair_graph_file(tmp_path):
 
     path = str(tmp_path / "pair.yaml")
     save_graph(path, build_unit_disk_graph([(0.0, 0.0), (6.0, 0.0)], 8.0))
+    return path
+
+
+@pytest.fixture
+def chain25_file(tmp_path, chain25):
+    """A layout one atom past the exhaustive limit, clear of every hardware limit."""
+    path = str(tmp_path / "chain25.yaml")
+    save_graph(path, chain25)
     return path
 
 
@@ -195,10 +203,20 @@ class TestValidateCommand:
             assert "window: [0.0, .inf]\n" in fh.read()
         assert load(path, ValidationReport).window == (0.0, math.inf)
 
-    def test_over_limit_is_an_error(self, tmp_path, capsys):
+    def test_over_limit_is_an_error(self, chain25_file, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(["validate", "--graph", GRAPH_A_FILE, "--limit", "3", "--out", str(out)]) == EXIT_ERROR
-        assert "exceeds the exhaustive limit of 3" in capsys.readouterr().err
+        assert main(["validate", "--graph", chain25_file, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {OVER_LIMIT}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "classical", "anneal", "all"])
+    def test_limit_is_not_an_option(self, command, tmp_path, capsys):
+        # the exhaustive limit is fixed, so argparse refuses --limit
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--graph", GRAPH_A_FILE, "--limit", "30", "--out", str(out)])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --limit 30" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -351,11 +369,15 @@ class TestRefusedBeforeAnnealing:
         monkeypatch.setattr(rydnash.pipeline, "evolve", evolve)
 
     @pytest.mark.parametrize("command", ["anneal", "all"])
-    def test_over_limit_graph(self, command, tmp_path, capsys):
-        out = str(tmp_path / "out")
-        args = [command, "--graph", GRAPH_A_FILE, "--coupling-c", str(C_A), "--limit", "3", "--out", out]
-        assert main(args) == EXIT_ERROR
-        assert "exceeds the exhaustive limit of 3" in capsys.readouterr().err
+    def test_over_limit_graph(self, command, chain25_file, tmp_path, capsys, monkeypatch):
+        def pair_energy(self):
+            raise AssertionError("no 2**n table may be built for a refused input")
+
+        monkeypatch.setattr(RydbergSystem, "pair_energy", property(pair_energy))
+        out = tmp_path / "out"
+        assert main([command, "--graph", chain25_file, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {OVER_LIMIT}\n"
+        assert not out.exists()
 
     def test_negative_seed(self, tmp_path, capsys):
         out = str(tmp_path / "out")

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -9,9 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rydnash.dynamics
+import rydnash.pipeline
 from conftest import (
     C_A,
     C_B,
+    CHAIN25_POSITIONS,
+    CHAIN25_RADIUS,
     GRAPH_A_MAXIMUM,
     GRAPH_A_POSITIONS,
     GRAPH_A_RADIUS,
@@ -19,12 +23,14 @@ from conftest import (
     GRAPH_B_POSITIONS,
     GRAPH_B_RADIUS,
     INTEGRATOR_ORDER,
+    OVER_LIMIT,
     apply_hamiltonian,
     dense_hamiltonian,
     diagonal_energy,
     reference_propagate,
     unit_disk_layouts,
 )
+from rydnash._bits import EXHAUSTIVE_LIMIT
 from rydnash.dynamics import (
     _BLOCK,
     QuantumState,
@@ -44,8 +50,10 @@ from rydnash.errors import (
     InvalidState,
     TooLarge,
 )
+from rydnash.fileio import save_graph
 from rydnash.geometry import build_unit_disk_graph
 from rydnash.indsets import maximum_independent_sets
+from rydnash.pipeline import RunConfig, run_quantum
 from rydnash.schedule import Schedule, default_schedule
 
 
@@ -89,6 +97,14 @@ class TestInteractionMatrix:
     def test_bad_c6(self, triangle_system):
         with pytest.raises(InvalidInput):
             RydbergSystem(triangle_system.graph, 0.0)
+
+    def test_exhaustive_limit(self, chain25):
+        # the guard runs at construction, which builds no 2**n table, so a
+        # 24-atom system is cheap to make and a 25-atom one is refused
+        chain24 = build_unit_disk_graph(CHAIN25_POSITIONS[:EXHAUSTIVE_LIMIT], CHAIN25_RADIUS)
+        assert RydbergSystem(chain24, C_A).n == EXHAUSTIVE_LIMIT
+        with pytest.raises(TooLarge, match=OVER_LIMIT):
+            RydbergSystem(chain25, C_A)
 
 
 class TestApplyHamiltonian:
@@ -190,9 +206,11 @@ class TestExactGroundStates:
         system = RydbergSystem(graph_a, C_A)
         assert exact_ground_states(system, -1.0) == ("0" * 6,)
 
-    def test_limit(self, graph_a):
-        with pytest.raises(TooLarge):
-            exact_ground_states(RydbergSystem(graph_a, C_A), 7.27, limit=3)
+    def test_limit(self, chain25):
+        # the system refuses the layout before any 2**n table, so no sweep
+        # over it starts
+        with pytest.raises(TooLarge, match=OVER_LIMIT):
+            RydbergSystem(chain25, C_A)
 
     def test_ties_by_tolerance_not_order(self):
         # two symmetric singletons tie exactly; both must be returned
@@ -539,24 +557,20 @@ class TestQuantumState:
 class TestSample:
     def test_point_mass(self):
         state = QuantumState(np.array([0.0, 0.0, 1.0, 0.0], dtype=complex))
-        hist = sample(state, 37, seed=5)
-        assert hist.counts == {"10": 37}
-        assert hist.shots == 37
+        assert sample(state, 37, seed=5) == {"10": 37}
 
     def test_uniform_two_state_within_5_sigma(self):
         amp = np.zeros(4, dtype=complex)
         amp[0] = amp[3] = 1.0 / math.sqrt(2.0)
-        hist = sample(QuantumState(amp), 100_000, seed=11)
+        counts = sample(QuantumState(amp), 100_000, seed=11)
         sigma = math.sqrt(100_000 * 0.25)
-        assert abs(hist.counts["00"] - 50_000) < 5 * sigma
-        assert abs(hist.counts["11"] - 50_000) < 5 * sigma
-        assert sum(hist.counts.values()) == 100_000
+        assert abs(counts["00"] - 50_000) < 5 * sigma
+        assert abs(counts["11"] - 50_000) < 5 * sigma
+        assert sum(counts.values()) == 100_000
 
     def test_seed_determinism(self, anneal_a):
         _, state = anneal_a
-        h1 = sample(state, 1000, seed=42)
-        h2 = sample(state, 1000, seed=42)
-        assert h1.counts == h2.counts
+        assert sample(state, 1000, seed=42) == sample(state, 1000, seed=42)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_probabilities(self, bad):
@@ -571,16 +585,23 @@ class TestSample:
         with pytest.raises(InvalidInput):
             sample(QuantumState.all_ground(1), 0, seed=1)
 
-    def test_ranking_order(self):
-        hist_counts = {"01": 5, "10": 5, "11": 2}
-        from rydnash.dynamics import ShotHistogram
+    @pytest.fixture
+    def tied_result(self, tmp_path, monkeypatch):
+        """run_quantum on a blockaded pair whose readout ties two counts."""
+        path = str(tmp_path / "pair.yaml")
+        save_graph(path, build_unit_disk_graph([(0.0, 0.0), (6.0, 0.0)], 8.0))
+        monkeypatch.setattr(rydnash.pipeline, "evolve", lambda system, schedule: QuantumState.all_ground(2))
+        monkeypatch.setattr(rydnash.pipeline, "sample", lambda state, shots, seed: {"10": 5, "01": 5, "11": 2})
+        return run_quantum(RunConfig(graph_path=path, shots=12))
 
-        hist = ShotHistogram(counts=hist_counts, shots=12, seed=0)
-        assert hist.ranked() == (("01", 5), ("10", 5), ("11", 2))
-        assert hist.top(2) == ("01", "10")
+    def test_ranking_order(self, tied_result):
+        # descending count, bitstring as tiebreak, in both the rows and top_k
+        assert [(r.bitstring, r.count) for r in tied_result.rows] == [("01", 5), ("10", 5), ("11", 2)]
+        assert tied_result.top_k == ("01", "10")
 
-    def test_counts_must_sum(self):
-        from rydnash.dynamics import ShotHistogram
-
-        with pytest.raises(InvalidInput):
-            ShotHistogram(counts={"0": 1}, shots=2, seed=0)
+    def test_counts_must_sum(self, tied_result):
+        # a report's counts come in from outside through QuantumResult
+        with pytest.raises(InvalidInput, match="counts sum to 12, expected 13 shots"):
+            dataclasses.replace(tied_result, shots=13)
+        with pytest.raises(InvalidInput, match="counts must be nonnegative"):
+            dataclasses.replace(tied_result, counts={"01": 14, "10": -2})

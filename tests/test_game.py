@@ -1,16 +1,21 @@
 import ast
-import contextlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GRAPH_A_MIS_FAMILY, GRAPH_B_MIS_FAMILY, members, random_unit_disk, unit_disk_layouts
+from conftest import (
+    GRAPH_A_MIS_FAMILY,
+    GRAPH_B_MIS_FAMILY,
+    OVER_LIMIT,
+    members,
+    random_unit_disk,
+    unit_disk_layouts,
+)
 import rydnash.game
 from rydnash.errors import InvalidAgent, InvalidInput, TooLarge
 from rydnash.game import (
-    BENEFITS,
     GameParams,
     best_responses,
     enumerate_specialized_nash,
@@ -28,21 +33,17 @@ def pair_graph():
     return PAIR
 
 
-@contextlib.contextmanager
-def wide_benefit():
-    """Params whose benefit satiates at 1.5 * e_star, registered for the
-    duration of the block.
+class WideBenefit(GameParams):
+    """Params whose benefit satiates at 1.5 * e_star.
 
     The default cost bound keeps ties out of reach for the satiating
-    benefit, so realize one through the registry: an agent with one
-    contributing neighbor compares u0 = b(1) = 1 against
-    u1 = b(2) - 0.5 = 1, an exact dyadic tie.
+    benefit, so realize one by overriding it: with the default e_star = 1
+    and c = 0.5, an agent with one contributing neighbor compares
+    u0 = b(1) = 1 against u1 = b(2) - 0.5 = 1, an exact dyadic tie.
     """
-    BENEFITS["satiating_linear_wide"] = lambda x, e_star: np.minimum(x, 1.5 * e_star)
-    try:
-        yield GameParams(e_star=1.0, c=0.5, benefit="satiating_linear_wide")
-    finally:
-        del BENEFITS["satiating_linear_wide"]
+
+    def b(self, x):
+        return np.minimum(x, 1.5 * self.e_star)
 
 
 @pytest.fixture
@@ -119,11 +120,11 @@ class TestBestResponses:
         assert best_responses(g, params, "11", 0) == frozenset({0.0})
 
     def test_exact_tie_returns_both_levels(self, pair_graph):
-        with wide_benefit() as params:
-            assert best_responses(pair_graph, params, "01", 0) == frozenset({0.0, 1.0})
-            # is_nash accepts on a tie: both completions are equilibria
-            assert is_nash(pair_graph, params, "01")
-            assert is_nash(pair_graph, params, "11")
+        params = WideBenefit()
+        assert best_responses(pair_graph, params, "01", 0) == frozenset({0.0, 1.0})
+        # is_nash accepts on a tie: both completions are equilibria
+        assert is_nash(pair_graph, params, "01")
+        assert is_nash(pair_graph, params, "11")
 
     def test_closed_form_on_random_graphs(self):
         # default params: contribute iff no neighbor contributes
@@ -188,9 +189,9 @@ class TestEnumerate:
         found = enumerate_specialized_nash(g, GameParams())
         assert list(found) == ["01", "10"]
 
-    def test_limit_enforced(self, graph_a):
-        with pytest.raises(TooLarge):
-            enumerate_specialized_nash(graph_a, GameParams(), limit=5)
+    def test_limit_enforced(self, chain25):
+        with pytest.raises(TooLarge, match=OVER_LIMIT):
+            enumerate_specialized_nash(chain25, GameParams())
 
     def test_agrees_with_per_profile_check(self):
         # dual route: vectorized enumeration vs scalar is_nash over all 2**n
@@ -227,15 +228,13 @@ class TestEnumerate:
     def test_every_support_matches_is_nash(self, g, wide):
         # Under the wide benefit, supports with adjacent contributors are
         # equilibria, so a sweep that assumed independent supports fails here.
-        with wide_benefit() as wide_params:
-            params = wide_params if wide else GameParams()
-            found = enumerate_specialized_nash(g, params)
-            profiles = (format(z, f"0{g.n}b") for z in range(1 << g.n))
-            assert set(found) == {bits for bits in profiles if is_nash(g, params, bits)}
+        params = WideBenefit() if wide else GameParams()
+        found = enumerate_specialized_nash(g, params)
+        profiles = (format(z, f"0{g.n}b") for z in range(1 << g.n))
+        assert set(found) == {bits for bits in profiles if is_nash(g, params, bits)}
 
     def test_wide_benefit_admits_adjacent_contributors(self, pair_graph):
-        with wide_benefit() as params:
-            assert enumerate_specialized_nash(pair_graph, params) == ("01", "10", "11")
+        assert enumerate_specialized_nash(pair_graph, WideBenefit()) == ("01", "10", "11")
 
     def test_game_does_not_import_indsets(self):
         # The Nash sweep must derive its rule from payoffs alone, so that the

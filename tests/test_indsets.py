@@ -6,6 +6,7 @@ from conftest import (
     GRAPH_A_MAXIMUM,
     GRAPH_A_MIS_FAMILY,
     GRAPH_B_MIS_FAMILY,
+    OVER_LIMIT,
     brute_force_mis,
     members,
     random_unit_disk,
@@ -89,9 +90,9 @@ class TestEnumerateMis:
         g = build_unit_disk_graph([(0.0, 0.0), (1.0, 0.0)], 1.0)
         assert set(enumerate_mis(g)) == {"01", "10"}
 
-    def test_limit(self, graph_a):
-        with pytest.raises(TooLarge):
-            enumerate_mis(graph_a, limit=4)
+    def test_limit(self, chain25):
+        with pytest.raises(TooLarge, match=OVER_LIMIT):
+            enumerate_mis(chain25)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(300)
