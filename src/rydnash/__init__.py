@@ -14,16 +14,11 @@ from ._bits import EXHAUSTIVE_LIMIT
 from .errors import (
     ConfigError,
     ConstraintViolation,
-    DegenerateLayout,
     IncompatibleRuns,
     IntegrationFailure,
-    InvalidAgent,
     InvalidInput,
-    InvalidState,
-    NotIndependent,
     RydnashError,
     TooLarge,
-    UndefinedRadius,
 )
 from .geometry import (
     EmbeddedGraph,

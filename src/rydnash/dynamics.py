@@ -27,7 +27,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from ._bits import check_size, from_bitstring, to_bitstring
-from .errors import IntegrationFailure, InvalidInput, InvalidState
+from .errors import IntegrationFailure, InvalidInput
 from .geometry import EmbeddedGraph
 from .schedule import Schedule
 
@@ -57,6 +57,13 @@ _CHUNK = 64
 # peak memory at n = 6 than 256 KiB: there the table and numpy's buffers for
 # its broadcast multiplies are the growth.
 _TABLE_BYTES = 1 << 17
+
+#: The step-halving contract of ``evolve``: it returns once halving its step
+#: moves the final state by less than this, in 2-norm.
+TOLERANCE = 1e-6
+# evolve's first step, and the floor below which it gives up, in us
+_INITIAL_STEP = 1e-3
+_MIN_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,12 @@ class RydbergSystem:
         return self.pair_energy - delta * self.excitation_count
 
 
+def _check_norm(norm: float) -> None:
+    """Refuse a state whose 2-norm is not within 1e-6 of 1."""
+    if not (abs(norm - 1.0) <= 1e-6):  # also rejects a NaN norm
+        raise InvalidInput(f"state norm {norm} deviates from 1 by more than 1e-6")
+
+
 @dataclass(frozen=True)
 class QuantumState:
     """Normalized vector of 2**n complex amplitudes in bitstring order."""
@@ -130,10 +143,8 @@ class QuantumState:
     def __post_init__(self):
         a = np.array(self.amplitudes, dtype=np.complex128)
         if a.ndim != 1 or a.size < 2 or (a.size & (a.size - 1)) != 0:
-            raise InvalidState(f"amplitude vector length must be a power of two >= 2, got shape {a.shape}")
-        norm = float(np.linalg.norm(a))
-        if not (abs(norm - 1.0) <= 1e-6):  # also rejects a NaN norm
-            raise InvalidState(f"state norm {norm} deviates from 1 by more than 1e-6")
+            raise InvalidInput(f"amplitude vector length must be a power of two >= 2, got shape {a.shape}")
+        _check_norm(float(np.linalg.norm(a)))
         a.flags.writeable = False
         object.__setattr__(self, "amplitudes", a)
 
@@ -399,33 +410,23 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
     return QuantumState(psi)
 
 
-def evolve(
-    system: RydbergSystem,
-    schedule: Schedule,
-    tolerance: float = 1e-6,
-    initial_step: float = 1e-3,
-    min_step: float = 1e-5,
-) -> QuantumState:
-    """Anneal from the all-ground state, refining the step until halving it
-    moves the final state by less than ``tolerance`` in 2-norm.
+def evolve(system: RydbergSystem, schedule: Schedule) -> QuantumState:
+    """Anneal from the all-ground state, starting at a 1e-3 us step and
+    halving it until one more halving moves the final state by less than
+    ``TOLERANCE`` (1e-6) in 2-norm.
 
     Returns the finer of the last two passes. Raises IntegrationFailure if
-    the step would have to fall below ``min_step`` before converging.
+    the step would have to fall below 1e-5 us before converging.
     """
-    if not (tolerance > 0):
-        raise InvalidInput(f"tolerance must be positive, got {tolerance!r}")
-    if not (0 < min_step <= initial_step):
-        raise InvalidInput("need 0 < min_step <= initial_step")
-    h = min(float(initial_step), schedule.duration)
+    h = min(_INITIAL_STEP, schedule.duration)
     coarse = propagate(system, schedule, h)
     while True:
         fine = propagate(system, schedule, h / 2.0)
-        if float(np.linalg.norm(fine.amplitudes - coarse.amplitudes)) < tolerance:
+        if float(np.linalg.norm(fine.amplitudes - coarse.amplitudes)) < TOLERANCE:
             return fine
-        if h / 4.0 < min_step:
+        if h / 4.0 < _MIN_STEP:
             raise IntegrationFailure(
-                f"step-halving residual still above {tolerance} at step {h / 2.0} us "
-                f"(floor {min_step} us)"
+                f"step-halving residual still above {TOLERANCE} at step {h / 2.0} us (floor {_MIN_STEP} us)"
             )
         h /= 2.0
         coarse = fine
@@ -442,8 +443,7 @@ def sample(state: QuantumState, shots: int, seed: int) -> dict[str, int]:
         raise InvalidInput(f"shots must be a positive integer, got {shots!r}")
     p = state.probabilities()
     total = float(p.sum())
-    if not (abs(total - 1.0) <= 1e-6):  # also rejects a NaN total
-        raise InvalidState(f"probabilities sum to {total}, state is not normalized")
+    _check_norm(math.sqrt(total))
     rng = np.random.default_rng(seed)
     counts_vec = rng.multinomial(int(shots), p / total)
     n = state.n

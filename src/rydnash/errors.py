@@ -6,31 +6,14 @@ class RydnashError(Exception):
 
 
 class InvalidInput(RydnashError):
-    """Malformed argument: non-finite coordinate, bad waveform, malformed bitstring."""
-
-
-class DegenerateLayout(RydnashError):
-    """Two atoms coincide, so the pair interaction diverges."""
-
-
-class UndefinedRadius(RydnashError):
-    """Blockade radius is undefined when drive and detuning both vanish."""
-
-
-class InvalidAgent(RydnashError):
-    """Agent index outside the graph's node range."""
+    """Malformed argument of any kind: a non-finite or coincident atom, an
+    undefined blockade radius, a bad waveform or bitstring, an agent out of
+    range, a dependent set where an independent one is needed, or a state
+    vector of the wrong length or norm."""
 
 
 class TooLarge(RydnashError):
     """2**n work refused: node count above ``_bits.EXHAUSTIVE_LIMIT``."""
-
-
-class NotIndependent(RydnashError):
-    """Operation requires an independent set."""
-
-
-class InvalidState(RydnashError):
-    """State vector has the wrong dimension or is not normalized."""
 
 
 class IntegrationFailure(RydnashError):

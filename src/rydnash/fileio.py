@@ -41,6 +41,8 @@ from .schedule import Schedule
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 HISTOGRAM_COLUMNS = ("bitstring", "count", "probability", "energy", "is_independent", "is_maximal", "is_mis")
+#: Rows of a schedule series: evenly spaced times from 0 to the duration.
+SERIES_SAMPLES = 401
 
 #: File keys that differ from the names of the fields they come from.
 _FILE_KEYS = {
@@ -418,11 +420,12 @@ def write_histogram_csv(path: str, rows) -> None:
             fh.write(",".join(_csv_value(getattr(row, f.name)) for f in fields(row)) + "\n")
 
 
-def write_schedule_series(path: str, schedule: Schedule, samples: int = 401) -> None:
-    """Emit a ready-to-plot (time, omega, delta) series CSV."""
+def write_schedule_series(path: str, schedule: Schedule) -> None:
+    """Emit a ready-to-plot (time, omega, delta) series CSV, one row per
+    ``SERIES_SAMPLES`` time."""
     import numpy as np
 
-    ts = np.linspace(0.0, schedule.duration, samples)
+    ts = np.linspace(0.0, schedule.duration, SERIES_SAMPLES)
     om = schedule.omega_at(ts)
     de = schedule.delta_at(ts)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import from_bitstring, rule_supports
-from .errors import InvalidAgent, InvalidInput
+from .errors import InvalidInput
 from .geometry import EmbeddedGraph
 
 
@@ -54,7 +54,7 @@ class GameParams:
 
 def _check_agent(graph: EmbeddedGraph, agent: int) -> None:
     if not isinstance(agent, (int, np.integer)) or not (0 <= agent < graph.n):
-        raise InvalidAgent(f"agent {agent!r} out of range for a {graph.n}-node graph")
+        raise InvalidInput(f"agent {agent!r} out of range for a {graph.n}-node graph")
 
 
 def _effort(params: GameParams, bits: str, agent: int) -> float:

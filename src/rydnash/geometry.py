@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import DegenerateLayout, InvalidInput, UndefinedRadius
+from .errors import InvalidInput
 
 Point = tuple[float, float]
 
@@ -53,7 +53,7 @@ class EmbeddedGraph:
         for i in range(len(clean)):
             for j in range(i + 1, len(clean)):
                 if math.dist(clean[i], clean[j]) == 0.0:
-                    raise DegenerateLayout(f"atoms {i} and {j} coincide at {clean[i]}")
+                    raise InvalidInput(f"atoms {i} and {j} coincide at {clean[i]}")
 
     @property
     def n(self) -> int:
@@ -94,8 +94,8 @@ class Violation:
 def build_unit_disk_graph(positions: Sequence[Sequence[float]], radius: float) -> EmbeddedGraph:
     """Build the graph whose edges are exactly the pairs within ``radius``.
 
-    Raises DegenerateLayout for coincident points and InvalidInput for
-    non-finite coordinates or a non-positive radius.
+    Raises InvalidInput for coincident points, non-finite coordinates or a
+    non-positive radius.
     """
     return EmbeddedGraph(tuple(tuple(p) for p in positions), float(radius))
 
@@ -110,7 +110,7 @@ def blockade_radius(c6: float, omega: float, delta: float) -> float:
         raise InvalidInput(f"van der Waals coefficient must be positive, got {c6!r}")
     scale = math.hypot(omega, delta)
     if scale == 0.0:
-        raise UndefinedRadius("blockade radius is undefined when drive and detuning are both zero")
+        raise InvalidInput("blockade radius is undefined when drive and detuning are both zero")
     return (c6 / scale) ** (1.0 / 6.0)
 
 

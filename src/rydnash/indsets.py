@@ -7,7 +7,7 @@ from typing import Iterable
 import numpy as np
 
 from ._bits import from_bitstring, rule_supports
-from .errors import NotIndependent
+from .errors import InvalidInput
 from .game import GameParams, enumerate_specialized_nash
 from .geometry import EmbeddedGraph
 
@@ -22,7 +22,7 @@ def is_maximal(graph: EmbeddedGraph, bits: str) -> bool:
     """True iff every node outside the (independent) support ``bits`` has a
     neighbor in it."""
     if not is_independent(graph, bits):
-        raise NotIndependent(f"{bits} contains an edge")
+        raise InvalidInput(f"{bits} contains an edge")
     return all(bits[v] == "1" or any(bits[u] == "1" for u in graph.neighbors[v]) for v in range(graph.n))
 
 

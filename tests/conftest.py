@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from rydnash._bits import from_bitstring, node_mask
 from rydnash.dynamics import _W0, _W1, QuantumState, RydbergSystem
-from rydnash.errors import InvalidInput, InvalidState
+from rydnash.errors import InvalidInput
 from rydnash.geometry import build_unit_disk_graph
 from rydnash.schedule import Schedule
 
@@ -125,7 +125,7 @@ def apply_hamiltonian(system: RydbergSystem, omega: float, delta: float, psi) ->
     """
     vec = psi.amplitudes if isinstance(psi, QuantumState) else np.asarray(psi, dtype=np.complex128)
     if vec.ndim != 1 or vec.size != 1 << system.n:
-        raise InvalidState(f"state has dimension {vec.shape}, expected {1 << system.n}")
+        raise InvalidInput(f"state has dimension {vec.shape}, expected {1 << system.n}")
     out = system.diagonal(delta) * vec
     if omega != 0.0:
         half = 0.5 * omega

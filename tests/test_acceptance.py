@@ -53,13 +53,13 @@ GRAPH_B_FILE = os.path.join(CONFIGS, "graph_b.yaml")
 @pytest.fixture(scope="module")
 def anneal_a(graph_a):
     system = RydbergSystem(graph_a, C_A)
-    return evolve(system, default_schedule(), tolerance=1e-6)
+    return evolve(system, default_schedule())
 
 
 @pytest.fixture(scope="module")
 def anneal_b(graph_b):
     system = RydbergSystem(graph_b, C_B)
-    return evolve(system, default_schedule(), tolerance=1e-6)
+    return evolve(system, default_schedule())
 
 
 def test_criterion_1_graph_a_classical(graph_a):
@@ -139,7 +139,7 @@ def test_criterion_5_rabi_analytic_sweep():
     worst = 0.0
     for t in np.linspace(0.2, 4.0, 20):
         sched = Schedule(((0.0, omega), (float(t), omega)), ((0.0, 0.0), (float(t), 0.0)), float(t))
-        state = evolve(system, sched, initial_step=0.02)
+        state = evolve(system, sched)
         err = abs(state.probability_of("1") - math.sin(omega * t / 2.0) ** 2)
         worst = max(worst, err)
         assert err < 1e-6

@@ -31,7 +31,7 @@ from rydnash.cli import (
 )
 from rydnash.dynamics import RydbergSystem
 from rydnash.errors import IntegrationFailure, InvalidInput
-from rydnash.fileio import load, read_report, save_graph, save_schedule, to_mapping, write_report
+from rydnash.fileio import SERIES_SAMPLES, load, read_report, save_graph, save_schedule, to_mapping, write_report
 from rydnash.geometry import build_unit_disk_graph
 from rydnash.pipeline import (
     ClassicalResult,
@@ -260,6 +260,15 @@ class TestClassicalCommand:
         out = str(tmp_path / "out")
         assert main(["classical", "--graph", str(tmp_path / "nope.yaml"), "--out", out]) == EXIT_ERROR
 
+    def test_coincident_atoms(self, tmp_path, capsys):
+        graph = str(tmp_path / "coincide.yaml")
+        with open(graph, "w") as fh:
+            yaml.safe_dump({"nodes": [[0.0, 0.0], [6.0, 0.0], [0.0, 0.0]], "radius": 7.0}, fh)
+        out = str(tmp_path / "out")
+        assert main(["classical", "--graph", graph, "--out", out]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {graph}: atoms 0 and 2 coincide at (0.0, 0.0)\n"
+        assert not os.path.exists(out)
+
 
 # Files that parse but hold a value the domain types refuse.
 REFUSED_FILES = {
@@ -314,6 +323,7 @@ class TestAnnealCommand:
         assert os.path.exists(os.path.join(out, SCHEDULE_SERIES_CSV))
         series = open(os.path.join(out, SCHEDULE_SERIES_CSV)).read().splitlines()
         assert series[0] == "t_us,omega_rad_per_us,delta_rad_per_us"
+        assert len(series) == 1 + SERIES_SAMPLES
 
     def test_single_shot(self, pair_graph_file, tmp_path):
         out = str(tmp_path / "out")
@@ -427,7 +437,7 @@ class TestCompareCommand:
         report = read_report(os.path.join(out, COMPARE_REPORT))
         assert report["verdicts"] == {"nash_equals_mis": True, "mis_in_topk": True, "overall_pass": True}
 
-    def test_incompatible_runs(self, tmp_path):
+    def test_incompatible_runs(self, tmp_path, capsys):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")
         main(["classical", "--graph", GRAPH_A_FILE, "--out", out_a])
@@ -437,7 +447,11 @@ class TestCompareCommand:
         os.makedirs(mixed)
         shutil.copy(os.path.join(out_a, CLASSICAL_REPORT), mixed)
         shutil.copy(os.path.join(out_b, ANNEAL_REPORT), mixed)
+        capsys.readouterr()
         assert main(["compare", "--out", mixed]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: classical run is for graph e6af62dd5018d773, annealing run for 9599c48070d06adf\n"
+        assert not os.path.exists(os.path.join(mixed, COMPARE_REPORT))
 
     def test_missing_reports(self, tmp_path):
         assert main(["compare", "--out", str(tmp_path / "empty")]) == EXIT_ERROR

@@ -47,7 +47,6 @@ from rydnash.dynamics import (
 from rydnash.errors import (
     IntegrationFailure,
     InvalidInput,
-    InvalidState,
     TooLarge,
 )
 from rydnash.fileio import save_graph
@@ -67,7 +66,7 @@ def triangle_system():
 def anneal_a(graph_a):
     """Graph A annealed on the reference ramp at its pinned coupling."""
     system = RydbergSystem(graph_a, C_A)
-    return system, evolve(system, default_schedule(), tolerance=1e-6)
+    return system, evolve(system, default_schedule())
 
 
 def constant_schedule(omega, delta, duration):
@@ -140,7 +139,7 @@ class TestApplyHamiltonian:
         assert np.allclose(h @ v, apply_hamiltonian(triangle_system, 3.1, -1.7, v), atol=1e-12)
 
     def test_dimension_mismatch(self, triangle_system):
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidInput, match="state has dimension"):
             apply_hamiltonian(triangle_system, 1.0, 0.0, np.ones(4, dtype=complex))
 
     def test_accepts_quantum_state(self, triangle_system):
@@ -316,7 +315,7 @@ class TestPropagateAndEvolve:
         system = RydbergSystem(g, 1.0)
         omega = 2.0
         for t in np.linspace(0.2, 4.0, 12):
-            state = evolve(system, constant_schedule(omega, 0.0, float(t)), initial_step=0.02)
+            state = evolve(system, constant_schedule(omega, 0.0, float(t)))
             assert state.probability_of("1") == pytest.approx(math.sin(omega * t / 2) ** 2, abs=1e-6)
 
     def test_blockade_pair_suppression(self):
@@ -374,10 +373,14 @@ class TestPropagateAndEvolve:
             tracemalloc.stop()
         assert peak <= (1 << n) * 100
 
-    def test_integration_failure_at_step_floor(self, graph_a):
-        system = RydbergSystem(graph_a, C_A)
-        with pytest.raises(IntegrationFailure):
-            evolve(system, default_schedule(), tolerance=1e-15, initial_step=1e-3, min_step=5e-4)
+    def test_integration_failure_at_step_floor(self, monkeypatch):
+        # two atoms at the 4 um floor and the default C6 need five passes,
+        # down to a 6.25e-5 us step; with the floor raised to 5e-4 us the
+        # third is refused
+        monkeypatch.setattr(rydnash.dynamics, "_MIN_STEP", 5e-4)
+        system = RydbergSystem(build_unit_disk_graph([(0.0, 0.0), (4.0, 0.0)], 5.0))
+        with pytest.raises(IntegrationFailure, match=r"above 1e-06 at step 0\.0005 us \(floor 0\.0005 us\)"):
+            evolve(system, default_schedule())
 
     @pytest.mark.parametrize(
         "positions",
@@ -522,18 +525,18 @@ class TestWalshHadamardStage:
 
 class TestQuantumState:
     def test_rejects_unnormalized(self):
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidInput, match="deviates from 1"):
             QuantumState(np.array([1.0, 1.0], dtype=complex))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidInput, match="deviates from 1"):
             QuantumState(np.full(4, bad, dtype=complex))
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidInput, match="deviates from 1"):
             QuantumState(np.array([bad, 1.0], dtype=complex))
 
     def test_rejects_bad_shape(self):
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidInput, match="power of two"):
             QuantumState(np.ones(3, dtype=complex) / math.sqrt(3))
 
     def test_immutable(self):
@@ -578,8 +581,15 @@ class TestSample:
         # numpy's ValueError from the multinomial draw
         state = QuantumState.all_ground(1)
         object.__setattr__(state, "amplitudes", np.array([bad, 0.0], dtype=complex))
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidInput, match="deviates from 1"):
             sample(state, 10, seed=1)
+
+    def test_samples_a_state_at_the_norm_boundary(self):
+        # a norm within 1e-6 of 1 is accepted, though its squared norm,
+        # the probabilities' sum, is 1.6e-6 off
+        state = QuantumState(np.array([1 + 8e-7, 0.0], dtype=complex))
+        assert float(state.probabilities().sum()) - 1.0 > 1e-6
+        assert sample(state, 10, seed=1) == {"0": 10}
 
     def test_bad_shots(self):
         with pytest.raises(InvalidInput):

@@ -14,7 +14,7 @@ from conftest import (
     unit_disk_layouts,
 )
 import rydnash.game
-from rydnash.errors import InvalidAgent, InvalidInput, TooLarge
+from rydnash.errors import InvalidInput, TooLarge
 from rydnash.game import (
     GameParams,
     best_responses,
@@ -88,7 +88,7 @@ class TestPayoff:
         assert payoff(pair_graph, params, "11", 0) == 0.5  # min(2, 1) - 0.5
 
     def test_bad_agent(self, pair_graph):
-        with pytest.raises(InvalidAgent):
+        with pytest.raises(InvalidInput, match="agent 2 out of range"):
             payoff(pair_graph, GameParams(), "00", 2)
 
     def test_wrong_length_profile(self, pair_graph):

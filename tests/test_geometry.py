@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import GRAPH_A_EDGES, GRAPH_B_EDGES, random_unit_disk
-from rydnash.errors import DegenerateLayout, InvalidInput, UndefinedRadius
+from rydnash.errors import InvalidInput
 from rydnash.geometry import (
     MIN_PAIR_DISTANCE,
     blockade_radius,
@@ -36,11 +36,11 @@ class TestBuildUnitDiskGraph:
         assert g.edges == ()
 
     def test_duplicate_points_rejected(self):
-        with pytest.raises(DegenerateLayout):
+        with pytest.raises(InvalidInput, match="atoms 0 and 1 coincide"):
             build_unit_disk_graph([(1.0, 2.0), (1.0, 2.0)], 1.0)
 
     def test_signed_zero_counts_as_coincident(self):
-        with pytest.raises(DegenerateLayout):
+        with pytest.raises(InvalidInput, match="atoms 0 and 1 coincide"):
             build_unit_disk_graph([(0.0, 0.0), (-0.0, 0.0)], 1.0)
 
     def test_nonfinite_coordinate_rejected(self):
@@ -105,7 +105,7 @@ class TestBlockadeRadius:
             assert blockade_radius(c6, s1, 0.0) > blockade_radius(c6, s2, 0.0)
 
     def test_undefined_at_zero_drive(self):
-        with pytest.raises(UndefinedRadius):
+        with pytest.raises(InvalidInput, match="blockade radius is undefined"):
             blockade_radius(1.0, 0.0, 0.0)
 
     def test_bad_c6(self):

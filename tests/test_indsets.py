@@ -12,7 +12,7 @@ from conftest import (
     random_unit_disk,
     unit_disk_layouts,
 )
-from rydnash.errors import InvalidInput, NotIndependent, TooLarge
+from rydnash.errors import InvalidInput, TooLarge
 from rydnash.game import GameParams
 from rydnash.geometry import build_unit_disk_graph
 from rydnash.indsets import (
@@ -62,7 +62,7 @@ class TestIsMaximal:
         assert is_maximal(g, "10")
 
     def test_dependent_set_raises(self, graph_a):
-        with pytest.raises(NotIndependent):
+        with pytest.raises(InvalidInput, match="110000 contains an edge"):
             is_maximal(graph_a, "110000")
 
     def test_bitstring_rejected(self, graph_a):
