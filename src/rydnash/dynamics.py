@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class RydbergSystem:
     c6: float = DEFAULT_C6
 
     def __post_init__(self):
-        if not (self.c6 > 0 and math.isfinite(self.c6)):
+        if isinstance(self.c6, bool) or not (self.c6 > 0 and math.isfinite(self.c6)):
             raise InvalidInput(f"c6 must be positive and finite, got {self.c6!r}")
         check_size(self.graph.n)
 
@@ -254,8 +254,8 @@ def _rotation_calls(
     source: np.ndarray,
     spare: np.ndarray,
 ) -> list[tuple]:
-    """The uniform drive rotation of ``source`` as ``(product, a, b, c)``
-    calls ``product(a, b, out=c)``, one real matrix product per qubit block.
+    """The uniform drive rotation of ``source`` as ``(product, right, out)``
+    calls ``product(right, out)``, one real matrix product per qubit block.
 
     The complex state is read as float64 pairs, so a block of ``b`` qubits
     views it as ``(pre, 2**b, 2 * post)`` and multiplies by ``K_b`` along
@@ -265,8 +265,11 @@ def _rotation_calls(
     gemm on the ``(pre, 2**(b + 1))`` view. Successive blocks alternate
     between the two buffers: the result lands in ``source`` after an even
     number of blocks and in ``spare`` after an odd one. The two 2-D products
-    go through ``np.dot``, which costs less per call than ``np.matmul`` and
-    gives the same bits; only the batched middle blocks need ``np.matmul``.
+    are the bound ``ndarray.dot`` of their left operand: it runs the same
+    routine as ``np.dot``, so gives the same bits, without ``np.dot``'s
+    ``__array_function__`` dispatch, over a third of a small product's cost.
+    Only the batched middle blocks need ``np.matmul``. The matrices are
+    refilled in place, so the calls stay valid for the whole run.
     """
     n = bounds[-1]
     buffers = (source.view(np.float64), spare.view(np.float64))
@@ -276,13 +279,13 @@ def _rotation_calls(
         b = hi - lo
         if lo > 0 and hi == n:
             shape = (1 << lo, 2 << b)
-            calls.append((np.dot, src.reshape(shape), matrices[b, True], dst.reshape(shape)))
+            calls.append((src.reshape(shape).dot, matrices[b, True], dst.reshape(shape)))
         elif lo == 0:
             shape = (1 << b, 2 << (n - hi))
-            calls.append((np.dot, matrices[b, False], src.reshape(shape), dst.reshape(shape)))
+            calls.append((matrices[b, False].dot, src.reshape(shape), dst.reshape(shape)))
         else:
             shape = (1 << lo, 1 << b, 2 << (n - hi))
-            calls.append((np.matmul, matrices[b, False], src.reshape(shape), dst.reshape(shape)))
+            calls.append((partial(np.matmul, matrices[b, False]), src.reshape(shape), dst.reshape(shape)))
     return calls
 
 
@@ -397,8 +400,8 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
                         for (b, lowest), matrix in matrices[position].items():
                             # mode="clip" lets numpy write into out directly
                             tables[b][i].take(slots[b, lowest], out=matrix, mode="clip")
-                    for product, left, right, out in calls[position][current]:
-                        product(left, right, out=out)
+                    for product, right, out in calls[position][current]:
+                        product(right, out)
                     current ^= swap
             carry_s, carry_a = float(half_s[-1]), float(half_a[-1])
     untwist = np.array([1, 1j, -1, -1j])[k % 4]
@@ -439,7 +442,7 @@ def sample(state: QuantumState, shots: int, seed: int) -> dict[str, int]:
     A single generator call from a fixed seed makes the counts a pure
     function of ``(state, shots, seed)``.
     """
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
         raise InvalidInput(f"shots must be a positive integer, got {shots!r}")
     p = state.probabilities()
     total = float(p.sum())

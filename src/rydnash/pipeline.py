@@ -48,6 +48,12 @@ class RunConfig:
     plot_data: bool = False
 
     def __post_init__(self):
+        # a bool passes every range check below as 0 or 1, and its report
+        # would carry true, which the report reader refuses
+        for name in ("shots", "seed", "c6"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise InvalidInput(f"{name} must be a number, not the bool {value!r}")
         if self.shots < 1:
             raise InvalidInput(f"shots must be >= 1, got {self.shots!r}")
         if self.seed < 0:

@@ -332,6 +332,16 @@ class TestAnnealCommand:
         assert sum(report["counts"].values()) == 1
         assert len(report["counts"]) == 1
 
+    def test_one_shot_report_loads_back(self, pair_graph_file, tmp_path):
+        # one shot at seed 1 is written as the integers a bool would pass
+        # for, and the report loads back; one shot cannot read out both
+        # maximum sets, hence the verdict exit
+        out = str(tmp_path / "out")
+        assert main(["anneal", "--graph", pair_graph_file, "--out", out, "--shots", "1", "--seed", "1"]) == EXIT_VERDICT
+        result = load(os.path.join(out, ANNEAL_REPORT), QuantumResult)
+        assert type(result.shots) is int and type(result.seed) is int
+        assert result == run_quantum(RunConfig(graph_path=pair_graph_file, shots=1, seed=1))
+
     def test_refuses_invalid_layout(self, tmp_path):
         graph = str(tmp_path / "bad.yaml")
         with open(graph, "w") as fh:
@@ -396,6 +406,13 @@ class TestRefusedBeforeAnnealing:
         assert "seed must be >= 0" in capsys.readouterr().err
         with pytest.raises(InvalidInput):
             RunConfig(graph_path=GRAPH_A_FILE, seed=-1)
+
+    @pytest.mark.parametrize("field", ["shots", "seed", "c6"])
+    def test_bool_is_not_a_number(self, field):
+        # True would pass as 1 and be written as true, which the report
+        # reader refuses
+        with pytest.raises(InvalidInput, match=f"{field} must be a number, not the bool True"):
+            RunConfig(graph_path=GRAPH_A_FILE, **{field: True})
 
     @pytest.mark.parametrize("c6", ["-1", "0", "nan", "inf"])
     def test_bad_coupling_before_any_work(self, c6, tmp_path, capsys, monkeypatch):

@@ -36,6 +36,7 @@ from rydnash.dynamics import (
     QuantumState,
     RydbergSystem,
     _block_bounds,
+    _rotation_calls,
     _rotation_index,
     _rotation_table,
     drive_off_window,
@@ -96,6 +97,9 @@ class TestInteractionMatrix:
     def test_bad_c6(self, triangle_system):
         with pytest.raises(InvalidInput):
             RydbergSystem(triangle_system.graph, 0.0)
+        # a bool would read as 1.0
+        with pytest.raises(InvalidInput, match="c6 must be positive and finite, got True"):
+            RydbergSystem(triangle_system.graph, True)
 
     def test_exhaustive_limit(self, chain25):
         # the guard runs at construction, which builds no 2**n table, so a
@@ -464,6 +468,35 @@ class TestBlockRotation:
         product = (x.view(np.float64) @ lowest).view(np.complex128)
         np.testing.assert_allclose(product, x @ matrix.T, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("start", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 11, 13, 16])
+    def test_calls_write_what_dot_and_matmul_write(self, n, start):
+        # each call writes the bits np.dot (np.matmul for a batched middle
+        # block) writes on the same operands and output view
+        rng = np.random.default_rng(n)
+        bounds = _block_bounds(n)
+        keys = {(hi - lo, lo > 0 and hi == n) for lo, hi in zip(bounds, bounds[1:])}
+        matrices = {key: rng.normal(size=_rotation_index(*key).shape) for key in keys}
+        buffers = [np.empty(1 << n, dtype=np.complex128) for _ in range(2)]
+        source, spare = buffers[start], buffers[1 - start]
+        source[:] = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        calls = _rotation_calls(bounds, matrices, source, spare)
+        assert len(calls) == len(bounds) - 1
+        for product, right, out in calls:
+            if isinstance(product, functools.partial):
+                assert product.func is np.matmul and right.ndim == 3
+                np.matmul(*product.args, right, out=out)
+            else:
+                np.dot(product.__self__, right, out=out)
+            expected = out.copy()
+            out[...] = np.nan
+            product(right, out)
+            assert np.array_equal(out, expected)
+        # the state is read from source and lands in source after an even
+        # number of blocks, in spare after an odd one
+        assert np.shares_memory(calls[0][1], source)
+        assert np.shares_memory(calls[-1][2], (source, spare)[len(calls) % 2])
+
     def test_block_bounds_stay_within_block(self):
         for n in range(1, 25):
             bounds = _block_bounds(n)
@@ -594,6 +627,9 @@ class TestSample:
     def test_bad_shots(self):
         with pytest.raises(InvalidInput):
             sample(QuantumState.all_ground(1), 0, seed=1)
+        # a bool would draw 1 shot
+        with pytest.raises(InvalidInput, match="shots must be a positive integer, got True"):
+            sample(QuantumState.all_ground(1), True, seed=1)
 
     @pytest.fixture
     def tied_result(self, tmp_path, monkeypatch):
