@@ -14,8 +14,9 @@ from rydnash import (
     RydbergSystem,
     build_unit_disk_graph,
     default_schedule,
+    drive_off_window,
     evolve,
-    exact_ground_states,
+    maximum_independent_sets,
     sample,
 )
 
@@ -26,7 +27,11 @@ graph = build_unit_disk_graph(
 system = RydbergSystem(graph, c6=2.2e6)
 schedule = default_schedule()  # 4 us ramp, peaks at 7.27 rad/us
 
-print("drive-off ground state(s):", exact_ground_states(system, delta=7.27))
+optima = maximum_independent_sets(graph)
+lo, hi = drive_off_window(system, 7.27, optima)
+print("maximum independent set(s):", optima)
+print(f"drive-off window ({lo:.4g}, {hi:.4g}) rad/us um^6, where they are the ground state(s); "
+      f"C6 {system.c6:.4g} inside: {lo < system.c6 < hi}")
 
 state = evolve(system, schedule)
 print(f"final norm deviation: {abs(state.norm() - 1.0):.2e}")

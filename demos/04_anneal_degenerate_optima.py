@@ -11,8 +11,8 @@ from rydnash import (
     RydbergSystem,
     build_unit_disk_graph,
     default_schedule,
+    drive_off_window,
     evolve,
-    exact_ground_states,
     maximum_independent_sets,
     sample,
 )
@@ -24,10 +24,9 @@ system = RydbergSystem(graph, c6=6.0e5)
 
 optima = maximum_independent_sets(graph)
 print("maximum independent sets:", optima)
-print("ground manifold (tie tolerance 3 rad/us):",
-      exact_ground_states(system, delta=7.27, tol=3.0))
-print("strict ground pair (tolerance 1e-9):",
-      exact_ground_states(system, delta=7.27))
+lo, hi = drive_off_window(system, 7.27, optima)
+print(f"drive-off window ({lo:.4g}, {hi:.4g}) rad/us um^6, where they are the four lowest states; "
+      f"C6 {system.c6:.4g} inside: {lo < system.c6 < hi}")
 
 state = evolve(system, default_schedule())
 counts = sample(state, shots=1000, seed=7)

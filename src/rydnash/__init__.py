@@ -48,7 +48,6 @@ from .dynamics import (
     RydbergSystem,
     drive_off_window,
     evolve,
-    exact_ground_states,
     propagate,
     sample,
 )

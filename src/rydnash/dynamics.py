@@ -1,5 +1,5 @@
-"""Rydberg-array Hamiltonian, annealing evolution, sampling, and the exact
-diagonal ground-state oracle.
+"""Rydberg-array Hamiltonian, annealing evolution, sampling, and the C6
+window in which the maximum independent sets are the drive-off ground states.
 
 Units: hbar = 1, so drive amplitude, detuning, and pair interactions are all
 angular frequencies in rad/us; times in us; distances in um. Basis states
@@ -166,23 +166,6 @@ class QuantumState:
 
     def probability_of(self, bits: str) -> float:
         return float(abs(self.amplitudes[from_bitstring(bits, self.n)]) ** 2)
-
-
-def exact_ground_states(system: RydbergSystem, delta: float, tol: float = 1e-9) -> tuple[str, ...]:
-    """Bitstrings minimizing the drive-off diagonal energy, exhaustively.
-
-    Every state within ``tol`` (rad/us) of the minimum is returned, in
-    canonical bitstring order, so exact ties come back together. With a
-    positive detuning and edge interactions dominating it, the minimizers
-    are the maximum independent sets; beyond-radius 1/r**6 tails split
-    otherwise-degenerate optima by a finite amount, and ``tol`` controls
-    whether such a near-degenerate manifold counts as one ground state.
-    """
-    if tol < 0 or not math.isfinite(tol):
-        raise InvalidInput(f"tolerance must be nonnegative and finite, got {tol!r}")
-    energies = system.diagonal(delta)
-    cutoff = energies.min() + tol
-    return tuple(to_bitstring(int(i), system.n) for i in np.nonzero(energies <= cutoff)[0])
 
 
 def drive_off_window(system: RydbergSystem, delta: float, maximum_sets: tuple[str, ...]) -> tuple[float, float]:
@@ -444,6 +427,8 @@ def sample(state: QuantumState, shots: int, seed: int) -> dict[str, int]:
     """
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
         raise InvalidInput(f"shots must be a positive integer, got {shots!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInput(f"seed must be a nonnegative integer, got {seed!r}")
     p = state.probabilities()
     total = float(p.sum())
     _check_norm(math.sqrt(total))

@@ -4,11 +4,15 @@ files, histogram CSV exports, and structured report files.
 Every YAML file is the mapping of one dataclass (``EmbeddedGraph``,
 ``GameParams``, ``Schedule`` or a result of ``rydnash.pipeline``), written
 by ``to_mapping`` and read by ``from_mapping``: one key per field, named
-after the field unless ``_FILE_KEYS`` renames it. ``load`` reads every such
-file and ``write_report`` writes a report. All schemas are documented in the
-README. Parse errors carry the file path (plus the line for YAML syntax
-errors), as do values that parse but that the domain types refuse. Reading
-goes through libyaml when PyYAML is built with it.
+after the field unless ``_FILE_KEYS`` renames it. A derived field, one its
+class sets in ``__post_init__`` from the others (``field(init=False)``), is
+written like any other, and read back only as a check: the object is built
+from the other keys, and a derived key that differs from what it computed
+is refused. ``load`` reads every such file and ``write_report`` writes a
+report. All schemas are documented in the README. Parse errors carry the
+file path (plus the line for YAML syntax errors), as do values that parse
+but that the domain types refuse. Reading goes through libyaml when PyYAML
+is built with it.
 
 Every YAML file is written by ``_dump``, which writes byte for byte what
 PyYAML's safe representer and emitter write with sorted keys and
@@ -26,6 +30,7 @@ from __future__ import annotations
 import functools
 import os
 import re
+import reprlib
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -64,11 +69,12 @@ def _keys(cls) -> tuple[tuple[str, str], ...]:
 
 
 @functools.cache
-def _schema(cls) -> tuple[tuple[str, str, object, bool], ...]:
-    """``_keys`` with each field's type hint and whether it has no default."""
+def _schema(cls) -> tuple[tuple[str, str, object, bool, bool], ...]:
+    """``_keys`` with each field's type hint, whether it has no default and
+    whether it is derived (``init=False``)."""
     hints = get_type_hints(cls)
     return tuple(
-        (name, key, hints[name], f.default is MISSING and f.default_factory is MISSING)
+        (name, key, hints[name], f.default is MISSING and f.default_factory is MISSING, not f.init)
         for (name, key), f in zip(_keys(cls), fields(cls))
     )
 
@@ -107,10 +113,11 @@ def from_mapping(cls, data: dict):
     Unknown keys are refused, and a key is required exactly when its field
     has no default. Each value must fit its field's type hint: a tuple is
     read from a list, item by item, and a nested dataclass or a dict from a
-    mapping; a float takes an int or a float, never a bool. A ``data`` that
-    is no mapping raises TypeError naming ``cls``, a key missing from it
-    KeyError, and any other refusal TypeError or ValueError naming the
-    value's place in the file.
+    mapping; a float takes an int or a float, never a bool. A derived
+    (``init=False``) value must also equal what ``cls`` computes from the
+    other values. A ``data`` that is no mapping raises TypeError naming
+    ``cls``, a key missing from it KeyError, and any other refusal
+    TypeError or ValueError naming the value's place in the file.
     """
     if type(data) is not dict:
         raise TypeError(f"{cls.__name__} is read from a mapping, got {type(data).__name__}")
@@ -124,15 +131,32 @@ def _instance(cls, data: dict, where: str):
     unknown = sorted(set(data).difference(allowed), key=str)
     if unknown:
         raise ValueError(f"{at}unknown fields {unknown}; allowed fields are {sorted(allowed)}")
-    values = {}
-    for name, key, hint, required in _schema(cls):
-        if key in data:
-            values[name] = _read(hint, data[key], f"{where}.{key}" if where else key)
+    values, derived = {}, []
+    for name, key, hint, required, is_derived in _schema(cls):
+        place = f"{where}.{key}" if where else key
+        if key in data and is_derived:
+            derived.append((name, place, _read(hint, data[key], place)))
+        elif key in data:
+            values[name] = _read(hint, data[key], place)
         elif required and where:
             raise TypeError(f"{at}missing required field {key!r}")
         elif required:
             raise KeyError(key)
-    return cls(**values)
+    obj = cls(**values)
+    for name, place, value in derived:
+        if value != getattr(obj, name):
+            raise _mismatch(place, value, getattr(obj, name))
+    return obj
+
+
+def _mismatch(place: str, read, computed) -> ValueError:
+    """A derived value that differs from what its class computed; both are
+    shown as written, a mapping by the keys where they differ, shortened."""
+    if type(read) is dict:
+        pairs = ((read, computed), (computed, read))
+        read, computed = ({k: v for k, v in a.items() if b.get(k) != v} for a, b in pairs)
+    read, computed = (reprlib.repr(_value(v)) for v in (read, computed))
+    return ValueError(f"{place!r} is {read}, but the other fields give {computed}")
 
 
 _KINDS = {str: "a string", int: "an integer", float: "a number", bool: "a bool"}

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral, Real
 
 from ._bits import from_bitstring
 from .dynamics import DEFAULT_C6, RydbergSystem, drive_off_window, evolve, sample
@@ -48,12 +49,15 @@ class RunConfig:
     plot_data: bool = False
 
     def __post_init__(self):
-        # a bool passes every range check below as 0 or 1, and its report
-        # would carry true, which the report reader refuses
-        for name in ("shots", "seed", "c6"):
+        # a bool passes every range check below as 0 or 1, and its report would carry
+        # true, which the reader refuses; the writer takes no numpy scalar
+        for name, kind, cast in (("shots", Integral, int), ("seed", Integral, int), ("c6", Real, float)):
             value = getattr(self, name)
             if isinstance(value, bool):
                 raise InvalidInput(f"{name} must be a number, not the bool {value!r}")
+            if not isinstance(value, kind):
+                raise InvalidInput(f"{name} must be {kind.__name__.lower()}, got {value!r}")
+            object.__setattr__(self, name, cast(value))
         if self.shots < 1:
             raise InvalidInput(f"shots must be >= 1, got {self.shots!r}")
         if self.seed < 0:
@@ -90,7 +94,7 @@ class RunConfig:
         schedule = self.schedule
         violations = validate_embedding(self.graph) + validate_schedule(schedule)
         window = drive_off_window(self.system, schedule.delta_at(schedule.duration), self.maximum_sets)
-        return ValidationReport(not violations, violations, self.c6, window)
+        return ValidationReport(violations, self.c6, window)
 
 
 def graph_fingerprint(graph: EmbeddedGraph) -> str:
@@ -109,10 +113,13 @@ class ValidationReport:
     """Hardware violations (``ok`` when there are none), the run's C6 and
     its ``dynamics.drive_off_window`` at the schedule's final detuning."""
 
-    ok: bool
+    ok: bool = field(init=False)
     violations: tuple[Violation, ...]
     c6: float
     window: tuple[float, float]
+
+    def __post_init__(self):
+        object.__setattr__(self, "ok", not self.violations)
 
 
 @dataclass(frozen=True)
@@ -123,9 +130,14 @@ class ClassicalResult:
     n: int
     nash: tuple[str, ...]
     maximal_sets: tuple[str, ...]
-    maximum_sets: tuple[str, ...]
-    nash_equals_mis: bool
-    witnesses: tuple[tuple[str, str], ...]
+    maximum_sets: tuple[str, ...] = field(init=False)
+    nash_equals_mis: bool = field(init=False)
+    witnesses: tuple[tuple[str, str], ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "maximum_sets", largest(self.maximal_sets))
+        object.__setattr__(self, "witnesses", correspondence_witnesses(self.nash, self.maximal_sets))
+        object.__setattr__(self, "nash_equals_mis", not self.witnesses)
 
 
 @dataclass(frozen=True)
@@ -146,7 +158,8 @@ class BitstringRow:
 
 @dataclass(frozen=True)
 class QuantumResult:
-    """Annealing readout statistics plus per-bitstring classification."""
+    """Annealing readout statistics plus per-bitstring classification, the
+    rows ranked by count descending, then bitstring."""
 
     graph_hash: str
     n: int
@@ -154,18 +167,27 @@ class QuantumResult:
     shots: int
     seed: int
     duration: float
-    counts: dict[str, int]
+    counts: dict[str, int] = field(init=False)
     rows: tuple[BitstringRow, ...]
     maximum_sets: tuple[str, ...]
-    top_k: tuple[str, ...]
+    top_k: tuple[str, ...] = field(init=False)
     mis_aggregate_probability: float
-    mis_in_topk: bool
+    mis_in_topk: bool = field(init=False)
 
     def __post_init__(self):
-        if any(c < 0 for c in self.counts.values()):
+        counts = {row.bitstring: row.count for row in self.rows}
+        if any(c < 0 for c in counts.values()):
             raise InvalidInput("counts must be nonnegative")
-        if sum(self.counts.values()) != self.shots:
-            raise InvalidInput(f"counts sum to {sum(self.counts.values())}, expected {self.shots} shots")
+        if sum(counts.values()) != self.shots:
+            raise InvalidInput(f"counts sum to {sum(counts.values())}, expected {self.shots} shots")
+        ranks = [(-row.count, row.bitstring) for row in self.rows]
+        if ranks != sorted(ranks) or len(counts) < len(ranks):
+            raise InvalidInput("classification rows must be ranked by count descending, then bitstring, each once")
+        if any(row.mis != (row.bitstring in self.maximum_sets) for row in self.rows):
+            raise InvalidInput("a classification row's mis flag disagrees with the maximum sets")
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "top_k", tuple(row.bitstring for row in self.rows[: len(self.maximum_sets)]))
+        object.__setattr__(self, "mis_in_topk", set(self.maximum_sets) <= set(self.top_k))
 
 
 @dataclass(frozen=True)
@@ -174,39 +196,34 @@ class Verdicts:
 
     nash_equals_mis: bool
     mis_in_topk: bool
-    overall_pass: bool
+    overall_pass: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "overall_pass", self.nash_equals_mis and self.mis_in_topk)
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Side-by-side families and readouts; every verdict is recomputable
-    from the fields next to it."""
+    """Side-by-side families and the readout's top-k; the verdicts are
+    derived from the fields next to them."""
 
     graph_hash: str
     nash: tuple[str, ...]
     maximal_sets: tuple[str, ...]
     maximum_sets: tuple[str, ...]
     top_k: tuple[str, ...]
-    classification: tuple[BitstringRow, ...]
-    mis_aggregate_probability: float
-    verdicts: Verdicts
+    verdicts: Verdicts = field(init=False)
+
+    def __post_init__(self):
+        nash_equals_mis = not correspondence_witnesses(self.nash, self.maximal_sets)
+        object.__setattr__(self, "verdicts", Verdicts(nash_equals_mis, set(self.maximum_sets) <= set(self.top_k)))
 
 
 def run_classical(config: RunConfig) -> ClassicalResult:
     """Enumerate equilibria and independent sets; verdict their agreement."""
     graph = config.graph
     nash = enumerate_specialized_nash(graph, config.game)
-    maximal = config.maximal_sets
-    witnesses = correspondence_witnesses(nash, maximal)
-    return ClassicalResult(
-        graph_hash=graph_fingerprint(graph),
-        n=graph.n,
-        nash=nash,
-        maximal_sets=maximal,
-        maximum_sets=config.maximum_sets,
-        nash_equals_mis=not witnesses,
-        witnesses=witnesses,
-    )
+    return ClassicalResult(graph_fingerprint(graph), graph.n, nash, config.maximal_sets)
 
 
 def run_quantum(config: RunConfig) -> QuantumResult:
@@ -232,32 +249,12 @@ def run_quantum(config: RunConfig) -> QuantumResult:
     rows = []
     for bits, count in ranked:
         z = from_bitstring(bits, graph.n)
-        rows.append(
-            BitstringRow(
-                bitstring=bits,
-                count=count,
-                probability=float(probs[z]),
-                energy=float(energies[z]),
-                independent=is_independent(graph, bits),
-                maximal=bits in maximal,
-                mis=bits in maximum,
-            )
-        )
-    top_k = tuple(bits for bits, _ in ranked[: len(maximum)])
+        flags = is_independent(graph, bits), bits in maximal, bits in maximum
+        rows.append(BitstringRow(bits, count, float(probs[z]), float(energies[z]), *flags))
     aggregate = float(sum(probs[from_bitstring(b, graph.n)] for b in maximum))
     return QuantumResult(
-        graph_hash=graph_fingerprint(graph),
-        n=graph.n,
-        c6=config.c6,
-        shots=config.shots,
-        seed=config.seed,
-        duration=schedule.duration,
-        counts=counts,
-        rows=tuple(rows),
-        maximum_sets=maximum,
-        top_k=top_k,
-        mis_aggregate_probability=aggregate,
-        mis_in_topk=set(maximum) <= set(top_k),
+        graph_hash=graph_fingerprint(graph), n=graph.n, c6=config.c6, shots=config.shots, seed=config.seed,
+        duration=schedule.duration, rows=tuple(rows), maximum_sets=maximum, mis_aggregate_probability=aggregate,
     )
 
 
@@ -270,15 +267,6 @@ def compare(classical: ClassicalResult, quantum: QuantumResult) -> ComparisonRep
         raise IncompatibleRuns(
             f"classical run is for graph {classical.graph_hash}, annealing run for {quantum.graph_hash}"
         )
-    nash_equals_mis = set(classical.nash) == set(classical.maximal_sets)
-    mis_in_topk = set(classical.maximum_sets) <= set(quantum.top_k)
     return ComparisonReport(
-        graph_hash=classical.graph_hash,
-        nash=classical.nash,
-        maximal_sets=classical.maximal_sets,
-        maximum_sets=classical.maximum_sets,
-        top_k=quantum.top_k,
-        classification=quantum.rows,
-        mis_aggregate_probability=quantum.mis_aggregate_probability,
-        verdicts=Verdicts(nash_equals_mis, mis_in_topk, nash_equals_mis and mis_in_topk),
+        classical.graph_hash, classical.nash, classical.maximal_sets, classical.maximum_sets, quantum.top_k
     )

@@ -5,6 +5,7 @@ import shutil
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from rydnash.cli import (
     main,
 )
 from rydnash.dynamics import RydbergSystem
-from rydnash.errors import IntegrationFailure, InvalidInput
+from rydnash.errors import ConfigError, IntegrationFailure, InvalidInput
 from rydnash.fileio import SERIES_SAMPLES, load, read_report, save_graph, save_schedule, to_mapping, write_report
 from rydnash.geometry import build_unit_disk_graph
 from rydnash.pipeline import (
@@ -414,6 +415,21 @@ class TestRefusedBeforeAnnealing:
         with pytest.raises(InvalidInput, match=f"{field} must be a number, not the bool True"):
             RunConfig(graph_path=GRAPH_A_FILE, **{field: True})
 
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("shots", 2.5), ("c6", "1e6")])
+    def test_non_number_before_any_work(self, field, value, pair_graph_file, monkeypatch):
+        # each used to run the anneal first, then fail on it
+        calls = []
+        monkeypatch.setattr(rydnash.pipeline, "evolve", lambda *args: calls.append(args))
+        with pytest.raises(InvalidInput, match=f"{field} must be (integral|real), got {value!r}"):
+            run_quantum(RunConfig(graph_path=pair_graph_file, **{field: value}))
+        assert calls == []
+
+    def test_numpy_numbers_become_python_numbers(self, pair_graph_file):
+        # the report writer takes only Python numbers
+        config = RunConfig(graph_path=pair_graph_file, shots=np.int64(50), seed=np.uint8(3), c6=np.float32(2e6))
+        assert config == RunConfig(graph_path=pair_graph_file, shots=50, seed=3, c6=2e6)
+        assert (type(config.shots), type(config.seed), type(config.c6)) == (int, int, float)
+
     @pytest.mark.parametrize("c6", ["-1", "0", "nan", "inf"])
     def test_bad_coupling_before_any_work(self, c6, tmp_path, capsys, monkeypatch):
         def enumerate_mis(*args, **kwargs):
@@ -479,13 +495,15 @@ class TestCompareCommand:
             (CLASSICAL_REPORT, lambda d: d.pop("witnesses"), "missing required field 'witnesses'"),
             (ANNEAL_REPORT, lambda d: d.pop("top_k"), "missing required field 'top_k'"),
             (ANNEAL_REPORT, lambda d: d.update(shots=d["shots"] + 1), "counts sum to"),
-            (ANNEAL_REPORT, lambda d: d["counts"].update({"0" * 6: -1}), "counts must be nonnegative"),
+            (ANNEAL_REPORT, lambda d: d["classification"][0].update(count=-1), "counts must be nonnegative"),
             (ANNEAL_REPORT, lambda d: d["classification"][0].pop("mis"), "'classification[0]': missing required"),
             (CLASSICAL_REPORT, lambda d: d.update(witnesses=[["100110"]]), "'witnesses[0]' must be a list of 2"),
             (CLASSICAL_REPORT, lambda d: d.update(nash_supports="100110"), "'nash_supports' must be a list"),
             (CLASSICAL_REPORT, lambda d: d.update(nash_supports=[1, 2]), "'nash_supports[0]' must be a string"),
             (ANNEAL_REPORT, lambda d: d["classification"][0].update(count="7"), "'classification[0].count' must be"),
             (CLASSICAL_REPORT, lambda d: d.update(colour="red"), "unknown fields ['colour']"),
+            (ANNEAL_REPORT, lambda d: d["classification"].reverse(), "classification rows must be ranked"),
+            (ANNEAL_REPORT, lambda d: d["classification"][1].update(mis=True), "a classification row's mis flag"),
         ],
         ids=[
             "classical-no-witnesses",
@@ -498,6 +516,8 @@ class TestCompareCommand:
             "classical-supports-not-strings",
             "anneal-row-count-string",
             "classical-unknown-key",
+            "anneal-rows-out-of-rank-order",
+            "anneal-row-wrong-mis-flag",
         ],
     )
     def test_malformed_report(self, name, edit, message, graph_a_results, tmp_path, capsys):
@@ -510,6 +530,48 @@ class TestCompareCommand:
         assert main(["compare", "--out", out]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
         assert not os.path.exists(os.path.join(out, COMPARE_REPORT))
+
+    @pytest.mark.parametrize(
+        "name, cls, key, edit",
+        [
+            (VALIDATION_REPORT, ValidationReport, "ok", lambda d: d.update(ok=False)),
+            (CLASSICAL_REPORT, ClassicalResult, "maximum_independent_sets",
+             lambda d: d.update(maximum_independent_sets=d["maximal_independent_sets"])),
+            (CLASSICAL_REPORT, ClassicalResult, "witnesses", lambda d: d.update(witnesses=[["100110", "nash_only"]])),
+            (CLASSICAL_REPORT, ClassicalResult, "nash_equals_mis", lambda d: d.update(nash_equals_mis=False)),
+            (ANNEAL_REPORT, QuantumResult, "counts",
+             lambda d: d["counts"].update({"100110": d["counts"]["100110"] + 1})),
+            (ANNEAL_REPORT, QuantumResult, "top_k", lambda d: d.update(top_k=[d["classification"][1]["bitstring"]])),
+            (ANNEAL_REPORT, QuantumResult, "mis_in_topk", lambda d: d.update(mis_in_topk=False)),
+            (COMPARE_REPORT, ComparisonReport, "verdicts.overall_pass",
+             lambda d: d["verdicts"].update(overall_pass=False)),
+            (COMPARE_REPORT, ComparisonReport, "verdicts",
+             lambda d: d["verdicts"].update(nash_equals_mis=False, overall_pass=False)),
+        ],
+        ids=[
+            "ok", "maximum_independent_sets", "witnesses", "nash_equals_mis", "counts", "top_k", "mis_in_topk",
+            "verdicts.overall_pass", "verdicts",
+        ],
+    )
+    def test_derived_value_is_checked(self, name, cls, key, edit, graph_a_all_run, tmp_path, capsys):
+        # every derived field is written, and read back only if it is what
+        # its class computes from the other fields; compare reads the
+        # classical and anneal reports, so it refuses theirs with exit 1
+        out = str(tmp_path / "out")
+        shutil.copytree(graph_a_all_run[0], out)
+        path = os.path.join(out, name)
+        data = read_report(path)
+        edit(data)
+        write_report(path, data)
+        message = f"{path}: {key!r} is "
+        with pytest.raises(ConfigError) as refused:
+            load(path, cls)
+        assert str(refused.value).startswith(message) and "but the other fields give" in str(refused.value)
+        if cls in (ClassicalResult, QuantumResult):
+            os.remove(os.path.join(out, COMPARE_REPORT))
+            assert main(["compare", "--out", out]) == EXIT_ERROR
+            assert capsys.readouterr().err.startswith(f"error: {message}")
+            assert not os.path.exists(os.path.join(out, COMPARE_REPORT))
 
     def test_non_mapping_report(self, graph_a_results, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -648,8 +710,8 @@ class TestPipelineApi:
         assert result.nash_equals_mis and result.witnesses == ()
 
     def test_row_energy_is_the_ranked_diagonal(self, graph_a_results):
-        # the energy column is the diagonal that evolve and exact_ground_states
-        # rank by, so the all-ground readout reads 0.0, not -0.0
+        # the energy column is RydbergSystem.diagonal, which evolve
+        # integrates, so the all-ground readout reads 0.0, not -0.0
         _, result = graph_a_results
         config = RunConfig(graph_path=GRAPH_A_FILE, c6=C_A)
         energies = RydbergSystem(config.graph, C_A).diagonal(config.schedule.delta_at(config.schedule.duration))
@@ -716,14 +778,20 @@ class TestReportSchema:
             "graph_hash", "n", "c6", "shots", "seed", "duration", "counts", "classification",
             "maximum_independent_sets", "top_k", "mis_aggregate_probability", "mis_in_topk",
         }
+        # the compare report copies no readout: the anneal report holds it
         assert set(report) == {
             "graph_hash", "nash_supports", "maximal_independent_sets", "maximum_independent_sets", "top_k",
-            "classification", "mis_aggregate_probability", "verdicts",
+            "verdicts",
         }
         assert set(report["verdicts"]) == {"nash_equals_mis", "mis_in_topk", "overall_pass"}
         row_keys = {"bitstring", "count", "probability", "energy", "independent", "maximal", "mis"}
-        for rows in (anneal["classification"], report["classification"]):
-            assert rows and all(set(row) == row_keys for row in rows)
+        assert anneal["classification"] and all(set(row) == row_keys for row in anneal["classification"])
+        # compare on the reloaded reports rewrites what all wrote
+        with open(os.path.join(out, COMPARE_REPORT), "rb") as fh:
+            written = fh.read()
+        assert main(["compare", "--out", out]) == EXIT_OK
+        with open(os.path.join(out, COMPARE_REPORT), "rb") as fh:
+            assert fh.read() == written
 
     def test_validation_report(self, tmp_path):
         out = str(tmp_path / "b")

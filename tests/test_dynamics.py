@@ -41,7 +41,6 @@ from rydnash.dynamics import (
     _rotation_table,
     drive_off_window,
     evolve,
-    exact_ground_states,
     propagate,
     sample,
 )
@@ -191,23 +190,40 @@ class TestDiagonalEnergy:
         assert np.array_equal(system.pair_energy, direct)
 
 
+def drive_off_order(system, delta):
+    """Every basis state as its bitstring, lowest drive-off energy first."""
+    n = system.n
+    return [format(int(z), f"0{n}b") for z in np.argsort(system.diagonal(delta), kind="stable")]
+
+
 class TestExactGroundStates:
+    """The exact drive-off ground states: the lowest entries of
+    ``RydbergSystem.diagonal``, found by sorting all of it."""
+
     def test_graph_a_unique_mis(self, graph_a):
         system = RydbergSystem(graph_a, C_A)
-        assert exact_ground_states(system, 7.27) == (GRAPH_A_MAXIMUM,)
+        energies = system.diagonal(7.27)
+        assert drive_off_order(system, 7.27)[0] == GRAPH_A_MAXIMUM
+        assert np.count_nonzero(energies == energies.min()) == 1
 
     def test_graph_b_manifold(self, graph_b):
         # beyond-radius tails split the four optima into two exact pairs
-        # ~1.69 rad/us apart, while the next state sits 5.56 rad/us up; a
-        # tolerance between those widths returns the whole manifold
+        # ~1.69 rad/us apart, while the next state sits 5.56 rad/us up
         system = RydbergSystem(graph_b, C_B)
-        assert set(exact_ground_states(system, 7.27, tol=3.0)) == GRAPH_B_MIS_FAMILY
-        narrow = exact_ground_states(system, 7.27)
-        assert set(narrow) == {"100101", "100110"}
+        order = drive_off_order(system, 7.27)
+        energies = np.sort(system.diagonal(7.27))
+        assert set(order[:4]) == GRAPH_B_MIS_FAMILY
+        assert set(order[:2]) == {"100101", "100110"}
+        assert energies[1] - energies[0] < 1e-9
+        assert 1.6 < energies[2] - energies[1] < 1.8
+        assert energies[3] - energies[2] < 1e-9
+        assert 5.5 < energies[4] - energies[0] < 5.6
 
     def test_negative_detuning_empties(self, graph_a):
         system = RydbergSystem(graph_a, C_A)
-        assert exact_ground_states(system, -1.0) == ("0" * 6,)
+        energies = system.diagonal(-1.0)
+        assert drive_off_order(system, -1.0)[0] == "0" * 6
+        assert np.count_nonzero(energies == energies.min()) == 1
 
     def test_limit(self, chain25):
         # the system refuses the layout before any 2**n table, so no sweep
@@ -215,18 +231,11 @@ class TestExactGroundStates:
         with pytest.raises(TooLarge, match=OVER_LIMIT):
             RydbergSystem(chain25, C_A)
 
-    def test_ties_by_tolerance_not_order(self):
-        # two symmetric singletons tie exactly; both must be returned
-        g = build_unit_disk_graph([(0.0, 0.0), (4.0, 0.0)], 8.0)
-        system = RydbergSystem(g, 5.42e6)
-        assert exact_ground_states(system, 7.27) == ("01", "10")
-
     def test_oracle_agreement_on_random_layouts(self):
         # whenever the weakest edge interaction exceeds n * delta and every
         # node's beyond-radius tail stays below delta / 2, the drive-off
         # ground manifold is exactly the maximum-independent family: it
-        # occupies a strict low-energy prefix, and the oracle returns it at
-        # any tolerance between the manifold width and the gap above it
+        # occupies a strict low-energy prefix, with a gap above it
         rng = np.random.default_rng(555)
         delta = 7.27
         usable = 0
@@ -255,8 +264,6 @@ class TestExactGroundStates:
             worst_mis = max(float(energies[int(b, 2)]) for b in mis)
             gap = float(energies[order[len(mis)]]) - worst_mis
             assert gap > 0
-            tol = worst_mis - float(energies[order[0]]) + gap / 2
-            assert set(exact_ground_states(system, delta, tol=tol)) == mis
         assert usable >= 100  # the suite must actually exercise the claim
 
 
@@ -631,6 +638,11 @@ class TestSample:
         with pytest.raises(InvalidInput, match="shots must be a positive integer, got True"):
             sample(QuantumState.all_ground(1), True, seed=1)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, "7", True])
+    def test_bad_seed(self, seed):
+        with pytest.raises(InvalidInput, match="seed must be a nonnegative integer"):
+            sample(QuantumState.all_ground(1), 10, seed)
+
     @pytest.fixture
     def tied_result(self, tmp_path, monkeypatch):
         """run_quantum on a blockaded pair whose readout ties two counts."""
@@ -646,8 +658,10 @@ class TestSample:
         assert tied_result.top_k == ("01", "10")
 
     def test_counts_must_sum(self, tied_result):
-        # a report's counts come in from outside through QuantumResult
+        # a report's counts come in from outside through QuantumResult's rows
         with pytest.raises(InvalidInput, match="counts sum to 12, expected 13 shots"):
             dataclasses.replace(tied_result, shots=13)
+        first, second, _ = tied_result.rows
+        rows = (dataclasses.replace(first, count=14), dataclasses.replace(second, count=-2))
         with pytest.raises(InvalidInput, match="counts must be nonnegative"):
-            dataclasses.replace(tied_result, counts={"01": 14, "10": -2})
+            dataclasses.replace(tied_result, rows=rows)
