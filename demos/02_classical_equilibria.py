@@ -14,11 +14,11 @@ from rydnash import (
     GameParams,
     best_responses,
     build_unit_disk_graph,
+    correspondence_witnesses,
     enumerate_mis,
     enumerate_specialized_nash,
     is_nash,
     payoff,
-    verify_correspondence,
 )
 
 ROOT3 = math.sqrt(3.0)
@@ -46,5 +46,5 @@ for bits in equilibria:
 mis = enumerate_mis(graph_a)
 print(f"\nmaximal independent sets: {list(mis)}")
 
-ok, witnesses = verify_correspondence(graph_a, params)
-print(f"equilibrium supports == maximal independent sets: {ok}")
+witnesses = correspondence_witnesses(equilibria, mis)
+print(f"equilibrium supports == maximal independent sets: {not witnesses}")

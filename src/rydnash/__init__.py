@@ -36,11 +36,11 @@ from .game import (
     payoff,
 )
 from .indsets import (
+    correspondence_witnesses,
     enumerate_mis,
     is_independent,
     is_maximal,
     maximum_independent_sets,
-    verify_correspondence,
 )
 from .dynamics import (
     DEFAULT_C6,

@@ -4,7 +4,8 @@
 Exit codes are a stable contract for CI: 0 when every verdict passes, 2 on
 a verdict failure (constraint violations, equilibrium/set mismatch, missing
 optima in the readout), and 1 on execution errors such as unreadable
-configuration files or incompatible runs.
+configuration files, an output directory that cannot be written or
+incompatible runs.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RydnashError as exc:
+    except (RydnashError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

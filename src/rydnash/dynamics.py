@@ -27,7 +27,7 @@ from functools import cache, cached_property, partial
 import numpy as np
 
 from ._bits import check_size, from_bitstring, to_bitstring
-from .errors import IntegrationFailure, InvalidInput
+from .errors import IntegrationFailure, InvalidInput, integer, real
 from .geometry import EmbeddedGraph
 from .schedule import Schedule
 
@@ -79,8 +79,7 @@ class RydbergSystem:
     c6: float = DEFAULT_C6
 
     def __post_init__(self):
-        if isinstance(self.c6, bool) or not (self.c6 > 0 and math.isfinite(self.c6)):
-            raise InvalidInput(f"c6 must be positive and finite, got {self.c6!r}")
+        object.__setattr__(self, "c6", real("c6", self.c6, positive=True))
         check_size(self.graph.n)
 
     @property
@@ -313,8 +312,7 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
     ``w1 h / 2`` its first row assumes; the last phase also untwists the
     state. The table holds ``_TABLE_BYTES`` of rows, at least one.
     """
-    if not (step > 0 and math.isfinite(step)):
-        raise InvalidInput(f"step must be positive and finite, got {step!r}")
+    step = real("step", step, positive=True)
     n = system.n
     pair, count = system.pair_energy, system.excitation_count
     k = np.arange(n + 1)
@@ -425,14 +423,11 @@ def sample(state: QuantumState, shots: int, seed: int) -> dict[str, int]:
     A single generator call from a fixed seed makes the counts a pure
     function of ``(state, shots, seed)``.
     """
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise InvalidInput(f"shots must be a positive integer, got {shots!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidInput(f"seed must be a nonnegative integer, got {seed!r}")
+    shots, seed = integer("shots", shots, 1), integer("seed", seed, 0)
     p = state.probabilities()
     total = float(p.sum())
     _check_norm(math.sqrt(total))
     rng = np.random.default_rng(seed)
-    counts_vec = rng.multinomial(int(shots), p / total)
+    counts_vec = rng.multinomial(shots, p / total)
     n = state.n
     return {to_bitstring(int(z), n): int(counts_vec[z]) for z in np.flatnonzero(counts_vec)}

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one check of a
+numeric argument."""
+
+import math
+import numbers
+from contextlib import suppress
 
 
 class RydnashError(Exception):
@@ -6,10 +11,32 @@ class RydnashError(Exception):
 
 
 class InvalidInput(RydnashError):
-    """Malformed argument of any kind: a non-finite or coincident atom, an
-    undefined blockade radius, a bad waveform or bitstring, an agent out of
-    range, a dependent set where an independent one is needed, or a state
-    vector of the wrong length or norm."""
+    """Malformed argument of any kind: a number refused by :func:`real` or
+    :func:`integer`, a coincident atom, an undefined blockade radius, a bad
+    waveform or bitstring, an agent out of range, a dependent set where an
+    independent one is needed, or a state vector of the wrong length or
+    norm."""
+
+
+def real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a Python float: a finite real number (a numpy one
+    included), above zero when ``positive``. A bool, a string or any other
+    type is refused with InvalidInput naming ``name``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an int too large for a float
+            number = float(value)
+            if math.isfinite(number) and (number > 0 or not positive):
+                return number
+    raise InvalidInput(f"{name} must be a {'positive ' if positive else ''}finite number, got {value!r}")
+
+
+def integer(name: str, value, low: int) -> int:
+    """``value`` as a Python int: an integer (a numpy one included) of at
+    least ``low``. A bool, a float, a string or any other type is refused
+    with InvalidInput naming ``name``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low:
+        return int(value)
+    raise InvalidInput(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class TooLarge(RydnashError):

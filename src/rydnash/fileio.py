@@ -189,12 +189,17 @@ def _read(hint, value, where: str):
 
 def read_report(path: str) -> dict:
     """The mapping at the top of the YAML file at ``path``; a ConfigError
-    naming the file if there is none."""
+    naming the file if it cannot be read as UTF-8 text or holds no such
+    mapping."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.load(fh, Loader=_LOADER)
     except FileNotFoundError:
         raise ConfigError(f"{path}: file not found") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1})" if mark is not None else ""

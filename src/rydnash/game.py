@@ -10,13 +10,12 @@ with maximal independent sets of the graph.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._bits import from_bitstring, rule_supports
-from .errors import InvalidInput
+from .errors import InvalidInput, integer, real
 from .geometry import EmbeddedGraph
 
 
@@ -38,8 +37,8 @@ class GameParams:
     def __post_init__(self):
         if self.benefit != "satiating_linear":
             raise InvalidInput(f"unknown benefit function {self.benefit!r}; known: ['satiating_linear']")
-        if not (math.isfinite(self.e_star) and self.e_star > 0):
-            raise InvalidInput(f"e_star must be positive and finite, got {self.e_star!r}")
+        object.__setattr__(self, "e_star", real("e_star", self.e_star, positive=True))
+        object.__setattr__(self, "c", real("cost", self.c))
         cap = float(self.b(self.e_star)) / self.e_star
         if not (0 < self.c < cap):
             raise InvalidInput(
@@ -53,7 +52,7 @@ class GameParams:
 
 
 def _check_agent(graph: EmbeddedGraph, agent: int) -> None:
-    if not isinstance(agent, (int, np.integer)) or not (0 <= agent < graph.n):
+    if integer("agent", agent, 0) >= graph.n:
         raise InvalidInput(f"agent {agent!r} out of range for a {graph.n}-node graph")
 
 

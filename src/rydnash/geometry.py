@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import InvalidInput
+from .errors import InvalidInput, real
 
 Point = tuple[float, float]
 
@@ -37,19 +37,13 @@ class EmbeddedGraph:
     def __post_init__(self):
         if len(self.positions) < 1:
             raise InvalidInput("layout needs at least one atom")
-        radius = float(self.radius)
-        if not (math.isfinite(radius) and radius > 0):
-            raise InvalidInput(f"unit-disk radius must be positive and finite, got {self.radius!r}")
+        object.__setattr__(self, "radius", real("radius", self.radius, positive=True))
         clean = []
         for k, p in enumerate(self.positions):
             if len(p) != 2:
                 raise InvalidInput(f"atom {k}: expected a 2D point, got {p!r}")
-            x, y = float(p[0]), float(p[1])
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise InvalidInput(f"atom {k}: non-finite coordinate {p!r}")
-            clean.append((x, y))
+            clean.append(tuple(real(f"atom {k} coordinate", c) for c in p))
         object.__setattr__(self, "positions", tuple(clean))
-        object.__setattr__(self, "radius", radius)
         for i in range(len(clean)):
             for j in range(i + 1, len(clean)):
                 if math.dist(clean[i], clean[j]) == 0.0:
@@ -97,7 +91,7 @@ def build_unit_disk_graph(positions: Sequence[Sequence[float]], radius: float) -
     Raises InvalidInput for coincident points, non-finite coordinates or a
     non-positive radius.
     """
-    return EmbeddedGraph(tuple(tuple(p) for p in positions), float(radius))
+    return EmbeddedGraph(tuple(tuple(p) for p in positions), radius)
 
 
 def blockade_radius(c6: float, omega: float, delta: float) -> float:
@@ -106,9 +100,8 @@ def blockade_radius(c6: float, omega: float, delta: float) -> float:
     Computed as ``(c6 / sqrt(omega**2 + delta**2)) ** (1/6)``; strictly
     decreasing in the drive scale and scaling as ``c6 ** (1/6)``.
     """
-    if not (c6 > 0):
-        raise InvalidInput(f"van der Waals coefficient must be positive, got {c6!r}")
-    scale = math.hypot(omega, delta)
+    c6 = real("c6", c6, positive=True)
+    scale = math.hypot(real("omega", omega), real("delta", delta))
     if scale == 0.0:
         raise InvalidInput("blockade radius is undefined when drive and detuning are both zero")
     return (c6 / scale) ** (1.0 / 6.0)

@@ -8,7 +8,6 @@ import numpy as np
 
 from ._bits import from_bitstring, rule_supports
 from .errors import InvalidInput
-from .game import GameParams, enumerate_specialized_nash
 from .geometry import EmbeddedGraph
 
 
@@ -61,13 +60,3 @@ def correspondence_witnesses(nash: Iterable[str], mis: Iterable[str]) -> tuple[t
     ``"mis_only"``)."""
     nash, mis = set(nash), set(mis)
     return tuple(sorted([(b, "nash_only") for b in nash - mis] + [(b, "mis_only") for b in mis - nash]))
-
-
-def verify_correspondence(graph: EmbeddedGraph, params: GameParams) -> tuple[bool, tuple[tuple[str, str], ...]]:
-    """Check that Nash supports and maximal independent sets coincide.
-
-    Returns ``(ok, witnesses)``, the witnesses as in
-    :func:`correspondence_witnesses`.
-    """
-    witnesses = correspondence_witnesses(enumerate_specialized_nash(graph, params), enumerate_mis(graph))
-    return (not witnesses, witnesses)

@@ -11,14 +11,12 @@ configuration and seed produce byte-identical files.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral, Real
 
 from ._bits import from_bitstring
 from .dynamics import DEFAULT_C6, RydbergSystem, drive_off_window, evolve, sample
-from .errors import ConstraintViolation, IncompatibleRuns, InvalidInput
+from .errors import ConstraintViolation, IncompatibleRuns, InvalidInput, integer, real
 from .fileio import load_graph
 from .game import GameParams, enumerate_specialized_nash
 from .geometry import EmbeddedGraph, Violation, validate_embedding
@@ -49,21 +47,11 @@ class RunConfig:
     plot_data: bool = False
 
     def __post_init__(self):
-        # a bool passes every range check below as 0 or 1, and its report would carry
-        # true, which the reader refuses; the writer takes no numpy scalar
-        for name, kind, cast in (("shots", Integral, int), ("seed", Integral, int), ("c6", Real, float)):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise InvalidInput(f"{name} must be a number, not the bool {value!r}")
-            if not isinstance(value, kind):
-                raise InvalidInput(f"{name} must be {kind.__name__.lower()}, got {value!r}")
-            object.__setattr__(self, name, cast(value))
-        if self.shots < 1:
-            raise InvalidInput(f"shots must be >= 1, got {self.shots!r}")
-        if self.seed < 0:
-            raise InvalidInput(f"seed must be >= 0, got {self.seed!r}")
-        if not (self.c6 > 0 and math.isfinite(self.c6)):
-            raise InvalidInput(f"c6 must be positive and finite, got {self.c6!r}")
+        # checked before any work, and kept as Python numbers: the report
+        # writer takes no numpy scalar
+        object.__setattr__(self, "shots", integer("shots", self.shots, 1))
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0))
+        object.__setattr__(self, "c6", real("c6", self.c6, positive=True))
         if self.schedule is None:
             object.__setattr__(self, "schedule", default_schedule())
 
@@ -164,7 +152,7 @@ class QuantumResult:
     graph_hash: str
     n: int
     c6: float
-    shots: int
+    shots: int = field(init=False)
     seed: int
     duration: float
     counts: dict[str, int] = field(init=False)
@@ -178,14 +166,13 @@ class QuantumResult:
         counts = {row.bitstring: row.count for row in self.rows}
         if any(c < 0 for c in counts.values()):
             raise InvalidInput("counts must be nonnegative")
-        if sum(counts.values()) != self.shots:
-            raise InvalidInput(f"counts sum to {sum(counts.values())}, expected {self.shots} shots")
         ranks = [(-row.count, row.bitstring) for row in self.rows]
         if ranks != sorted(ranks) or len(counts) < len(ranks):
             raise InvalidInput("classification rows must be ranked by count descending, then bitstring, each once")
         if any(row.mis != (row.bitstring in self.maximum_sets) for row in self.rows):
             raise InvalidInput("a classification row's mis flag disagrees with the maximum sets")
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "shots", sum(counts.values()))
         object.__setattr__(self, "top_k", tuple(row.bitstring for row in self.rows[: len(self.maximum_sets)]))
         object.__setattr__(self, "mis_in_topk", set(self.maximum_sets) <= set(self.top_k))
 
@@ -253,7 +240,7 @@ def run_quantum(config: RunConfig) -> QuantumResult:
         rows.append(BitstringRow(bits, count, float(probs[z]), float(energies[z]), *flags))
     aggregate = float(sum(probs[from_bitstring(b, graph.n)] for b in maximum))
     return QuantumResult(
-        graph_hash=graph_fingerprint(graph), n=graph.n, c6=config.c6, shots=config.shots, seed=config.seed,
+        graph_hash=graph_fingerprint(graph), n=graph.n, c6=config.c6, seed=config.seed,
         duration=schedule.duration, rows=tuple(rows), maximum_sets=maximum, mis_aggregate_probability=aggregate,
     )
 

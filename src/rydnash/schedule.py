@@ -6,13 +6,12 @@ breakpoints is linear interpolation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstraintViolation, InvalidInput
+from .errors import ConstraintViolation, InvalidInput, real
 from .geometry import Violation
 
 Waveform = tuple[tuple[float, float], ...]
@@ -46,17 +45,13 @@ class Schedule:
     duration: float
 
     def __post_init__(self):
-        duration = float(self.duration)
-        if not (math.isfinite(duration) and duration > 0):
-            raise InvalidInput(f"duration must be positive and finite, got {self.duration!r}")
+        duration = real("duration", self.duration, positive=True)
         object.__setattr__(self, "duration", duration)
         for name in ("omega", "delta"):
-            wf = tuple((float(t), float(v)) for t, v in getattr(self, name))
+            wf = tuple((real(f"{name} time", t), real(f"{name} value", v)) for t, v in getattr(self, name))
             object.__setattr__(self, name, wf)
             if len(wf) < 2:
                 raise InvalidInput(f"{name}: need at least two breakpoints")
-            if any(not (math.isfinite(t) and math.isfinite(v)) for t, v in wf):
-                raise InvalidInput(f"{name}: non-finite breakpoint")
             times = [t for t, _ in wf]
             if times[0] != 0.0:
                 raise InvalidInput(f"{name}: first breakpoint must be at t=0, got {times[0]}")
@@ -101,8 +96,7 @@ def default_schedule(duration: float = _REF_DURATION) -> Schedule:
     Raises ConstraintViolation when ``duration`` exceeds
     ``MAX_EVOLUTION_TIME``.
     """
-    if not (math.isfinite(duration) and duration > 0):
-        raise InvalidInput(f"duration must be positive and finite, got {duration!r}")
+    duration = real("duration", duration, positive=True)
     if duration > MAX_EVOLUTION_TIME:
         raise ConstraintViolation(f"duration {duration} us exceeds the {MAX_EVOLUTION_TIME} us hardware limit")
     s = duration / _REF_DURATION

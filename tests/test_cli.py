@@ -78,6 +78,9 @@ def graph_a_results():
 
 REFUSED_VALIDATION_REPORT = os.path.join("refused", VALIDATION_REPORT)
 
+#: What RunConfig asks of each number it checks, as its refusals say.
+RUN_NUMBERS = {"shots": "an integer >= 1", "seed": "an integer >= 0", "c6": "a positive finite number"}
+
 
 @pytest.fixture(scope="module")
 def graph_a_all_run(tmp_path_factory):
@@ -261,6 +264,28 @@ class TestClassicalCommand:
         out = str(tmp_path / "out")
         assert main(["classical", "--graph", str(tmp_path / "nope.yaml"), "--out", out]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("option, kind", [("--graph", "directory"), ("--game", "directory"), ("--graph", "utf16")])
+    def test_unreadable_file(self, option, kind, tmp_path, capsys):
+        path = str(tmp_path / "configs")
+        if kind == "directory":
+            os.makedirs(path)
+        else:
+            with open(path, "wb") as fh:
+                fh.write(b"\xff\xfe")
+        args = ["classical", "--graph", path if option == "--graph" else GRAPH_A_FILE, "--out", str(tmp_path / "out")]
+        if option == "--game":
+            args += ["--game", path]
+        assert main(args) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "out")
+        assert main(["classical", "--graph", GRAPH_A_FILE, "--out", out]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and out in err
+
     def test_coincident_atoms(self, tmp_path, capsys):
         graph = str(tmp_path / "coincide.yaml")
         with open(graph, "w") as fh:
@@ -404,7 +429,7 @@ class TestRefusedBeforeAnnealing:
         out = str(tmp_path / "out")
         args = ["anneal", "--graph", GRAPH_A_FILE, "--coupling-c", str(C_A), "--seed", "-1", "--out", out]
         assert main(args) == EXIT_ERROR
-        assert "seed must be >= 0" in capsys.readouterr().err
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
         with pytest.raises(InvalidInput):
             RunConfig(graph_path=GRAPH_A_FILE, seed=-1)
 
@@ -412,7 +437,7 @@ class TestRefusedBeforeAnnealing:
     def test_bool_is_not_a_number(self, field):
         # True would pass as 1 and be written as true, which the report
         # reader refuses
-        with pytest.raises(InvalidInput, match=f"{field} must be a number, not the bool True"):
+        with pytest.raises(InvalidInput, match=f"{field} must be {RUN_NUMBERS[field]}, got True"):
             RunConfig(graph_path=GRAPH_A_FILE, **{field: True})
 
     @pytest.mark.parametrize("field, value", [("seed", 1.5), ("shots", 2.5), ("c6", "1e6")])
@@ -420,7 +445,7 @@ class TestRefusedBeforeAnnealing:
         # each used to run the anneal first, then fail on it
         calls = []
         monkeypatch.setattr(rydnash.pipeline, "evolve", lambda *args: calls.append(args))
-        with pytest.raises(InvalidInput, match=f"{field} must be (integral|real), got {value!r}"):
+        with pytest.raises(InvalidInput, match=f"{field} must be {RUN_NUMBERS[field]}, got {value!r}"):
             run_quantum(RunConfig(graph_path=pair_graph_file, **{field: value}))
         assert calls == []
 
@@ -438,7 +463,7 @@ class TestRefusedBeforeAnnealing:
         monkeypatch.setattr(rydnash.pipeline, "enumerate_mis", enumerate_mis)
         out = tmp_path / "out"
         assert main(["all", "--graph", GRAPH_A_FILE, "--coupling-c", c6, "--out", str(out)]) == EXIT_ERROR
-        assert "c6 must be positive and finite" in capsys.readouterr().err
+        assert f"c6 must be a positive finite number, got {float(c6)!r}" in capsys.readouterr().err
         assert not out.exists()
         with pytest.raises(InvalidInput):
             RunConfig(graph_path=GRAPH_A_FILE, c6=float(c6))
@@ -494,7 +519,7 @@ class TestCompareCommand:
         [
             (CLASSICAL_REPORT, lambda d: d.pop("witnesses"), "missing required field 'witnesses'"),
             (ANNEAL_REPORT, lambda d: d.pop("top_k"), "missing required field 'top_k'"),
-            (ANNEAL_REPORT, lambda d: d.update(shots=d["shots"] + 1), "counts sum to"),
+            (ANNEAL_REPORT, lambda d: d.update(shots=d["shots"] + 1), "'shots' is 201, but the other fields give 200"),
             (ANNEAL_REPORT, lambda d: d["classification"][0].update(count=-1), "counts must be nonnegative"),
             (ANNEAL_REPORT, lambda d: d["classification"][0].pop("mis"), "'classification[0]': missing required"),
             (CLASSICAL_REPORT, lambda d: d.update(witnesses=[["100110"]]), "'witnesses[0]' must be a list of 2"),
@@ -541,6 +566,7 @@ class TestCompareCommand:
             (CLASSICAL_REPORT, ClassicalResult, "nash_equals_mis", lambda d: d.update(nash_equals_mis=False)),
             (ANNEAL_REPORT, QuantumResult, "counts",
              lambda d: d["counts"].update({"100110": d["counts"]["100110"] + 1})),
+            (ANNEAL_REPORT, QuantumResult, "shots", lambda d: d.update(shots=d["shots"] + 1)),
             (ANNEAL_REPORT, QuantumResult, "top_k", lambda d: d.update(top_k=[d["classification"][1]["bitstring"]])),
             (ANNEAL_REPORT, QuantumResult, "mis_in_topk", lambda d: d.update(mis_in_topk=False)),
             (COMPARE_REPORT, ComparisonReport, "verdicts.overall_pass",
@@ -549,7 +575,7 @@ class TestCompareCommand:
              lambda d: d["verdicts"].update(nash_equals_mis=False, overall_pass=False)),
         ],
         ids=[
-            "ok", "maximum_independent_sets", "witnesses", "nash_equals_mis", "counts", "top_k", "mis_in_topk",
+            "ok", "maximum_independent_sets", "witnesses", "nash_equals_mis", "counts", "shots", "top_k", "mis_in_topk",
             "verdicts.overall_pass", "verdicts",
         ],
     )
@@ -700,7 +726,7 @@ class TestPipelineApi:
 
         nash = counting("nash", rydnash.game.enumerate_specialized_nash)
         mis = counting("mis", rydnash.indsets.enumerate_mis)
-        for module in (rydnash.game, rydnash.indsets, rydnash.pipeline):
+        for module in (rydnash.game, rydnash.pipeline):
             monkeypatch.setattr(module, "enumerate_specialized_nash", nash)
         for module in (rydnash.indsets, rydnash.pipeline):
             monkeypatch.setattr(module, "enumerate_mis", mis)

@@ -49,10 +49,10 @@ from rydnash.errors import (
     InvalidInput,
     TooLarge,
 )
-from rydnash.fileio import save_graph
+from rydnash.fileio import from_mapping, save_graph, to_mapping
 from rydnash.geometry import build_unit_disk_graph
 from rydnash.indsets import maximum_independent_sets
-from rydnash.pipeline import RunConfig, run_quantum
+from rydnash.pipeline import QuantumResult, RunConfig, run_quantum
 from rydnash.schedule import Schedule, default_schedule
 
 
@@ -97,7 +97,7 @@ class TestInteractionMatrix:
         with pytest.raises(InvalidInput):
             RydbergSystem(triangle_system.graph, 0.0)
         # a bool would read as 1.0
-        with pytest.raises(InvalidInput, match="c6 must be positive and finite, got True"):
+        with pytest.raises(InvalidInput, match="c6 must be a positive finite number, got True"):
             RydbergSystem(triangle_system.graph, True)
 
     def test_exhaustive_limit(self, chain25):
@@ -635,12 +635,12 @@ class TestSample:
         with pytest.raises(InvalidInput):
             sample(QuantumState.all_ground(1), 0, seed=1)
         # a bool would draw 1 shot
-        with pytest.raises(InvalidInput, match="shots must be a positive integer, got True"):
+        with pytest.raises(InvalidInput, match="shots must be an integer >= 1, got True"):
             sample(QuantumState.all_ground(1), True, seed=1)
 
     @pytest.mark.parametrize("seed", [1.5, -1, "7", True])
     def test_bad_seed(self, seed):
-        with pytest.raises(InvalidInput, match="seed must be a nonnegative integer"):
+        with pytest.raises(InvalidInput, match="seed must be an integer >= 0"):
             sample(QuantumState.all_ground(1), 10, seed)
 
     @pytest.fixture
@@ -658,9 +658,15 @@ class TestSample:
         assert tied_result.top_k == ("01", "10")
 
     def test_counts_must_sum(self, tied_result):
-        # a report's counts come in from outside through QuantumResult's rows
-        with pytest.raises(InvalidInput, match="counts sum to 12, expected 13 shots"):
+        # a report's counts come in from outside through QuantumResult's
+        # rows; shots is their sum, and a report that says otherwise is refused
+        assert tied_result.shots == 12
+        with pytest.raises(ValueError, match="shots is declared with init=False"):
             dataclasses.replace(tied_result, shots=13)
+        data = to_mapping(tied_result)
+        data["shots"] = 13
+        with pytest.raises(ValueError, match="'shots' is 13, but the other fields give 12"):
+            from_mapping(QuantumResult, data)
         first, second, _ = tied_result.rows
         rows = (dataclasses.replace(first, count=14), dataclasses.replace(second, count=-2))
         with pytest.raises(InvalidInput, match="counts must be nonnegative"):

@@ -13,7 +13,7 @@ from conftest import (
     unit_disk_layouts,
 )
 from rydnash.errors import InvalidInput, TooLarge
-from rydnash.game import GameParams
+from rydnash.game import GameParams, enumerate_specialized_nash
 from rydnash.geometry import build_unit_disk_graph
 from rydnash.indsets import (
     correspondence_witnesses,
@@ -21,7 +21,6 @@ from rydnash.indsets import (
     is_independent,
     is_maximal,
     maximum_independent_sets,
-    verify_correspondence,
 )
 
 
@@ -158,20 +157,22 @@ class TestCorrespondence:
         assert witnesses == (("01", "nash_only"), ("11", "mis_only"))
         assert correspondence_witnesses(["10"], ["10"]) == ()
 
+    @staticmethod
+    def witnesses(g):
+        return correspondence_witnesses(enumerate_specialized_nash(g, GameParams()), enumerate_mis(g))
+
     def test_graph_a(self, graph_a):
-        ok, witnesses = verify_correspondence(graph_a, GameParams())
-        assert ok and witnesses == ()
+        assert self.witnesses(graph_a) == ()
 
     def test_graph_b(self, graph_b):
-        ok, witnesses = verify_correspondence(graph_b, GameParams())
-        assert ok and witnesses == ()
+        assert self.witnesses(graph_b) == ()
 
     def test_fifty_random_layouts(self):
         rng = np.random.default_rng(304)
         for _ in range(50):
             g = random_unit_disk(rng, n_max=8)
-            ok, witnesses = verify_correspondence(g, GameParams())
-            assert ok, f"mismatch on {g.positions} r={g.radius}: {witnesses}"
+            witnesses = self.witnesses(g)
+            assert witnesses == (), f"mismatch on {g.positions} r={g.radius}: {witnesses}"
 
 
 class TestAutomorphismClosure:
