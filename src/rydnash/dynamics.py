@@ -52,10 +52,10 @@ _BLOCK = 4
 # bounds the tables' memory on long segments.
 _CHUNK = 64
 # Bytes of the fused diagonal-phase table, one 2**n-entry complex row per
-# stage: as many rows as fit, at least one. 128 KiB keeps four rows at
-# n = 11, where one or two rows per fill slowed the anneal, and costs less
-# peak memory at n = 6 than 256 KiB: there the table and numpy's buffers for
-# its broadcast multiplies are the growth.
+# stage (see _table_rows). 128 KiB keeps three rows at n = 11, where one or
+# two rows per fill slowed the anneal, and costs less peak memory at n = 6
+# than 256 KiB: there the table and the block of pair phases tiled to its
+# size are the growth.
 _TABLE_BYTES = 1 << 17
 
 #: The step-halving contract of ``evolve``: it returns once halving its step
@@ -271,6 +271,13 @@ def _rotation_calls(
     return calls
 
 
+def _table_rows(n: int) -> int:
+    """Rows of the fused phase table: as many as fit in ``_TABLE_BYTES``, at
+    least one, and a multiple of 3 from 3 rows up."""
+    rows = max(1, _TABLE_BYTES >> (n + 4))
+    return rows - rows % 3 if rows >= 3 else rows
+
+
 def _pair_phase(pair: np.ndarray, s: float, out: np.ndarray) -> None:
     """``exp(-i s pair)`` written into ``out``."""
     out.real = 0.0
@@ -305,12 +312,15 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
     rotation. A row holds one stage's closing half phase merged with the
     next one's opening half; rows are filled in bulk for a group of stages:
     one ``take`` of their popcount phases over the excitation counts, then
-    one multiply per triple-jump position by the segment's pair phase
-    (``(w1 + w1) h / 2`` at the first position, ``(w1 + w0) h / 2`` at the
-    other two). Each segment opens with one multiply of the state by the
-    pair phase that takes the previous segment's closing half to the
-    ``w1 h / 2`` its first row assumes; the last phase also untwists the
-    state. The table holds ``_TABLE_BYTES`` of rows, at least one.
+    one same-shape multiply by a block that holds, for each row, the
+    segment's pair phase at its triple-jump position (``(w1 + w1) h / 2``
+    at the first position, ``(w1 + w0) h / 2`` at the other two); each
+    segment tiles its two pair phases into that block once. Each segment
+    opens with one multiply of the state by the pair phase that takes the
+    previous segment's closing half to the ``w1 h / 2`` its first row
+    assumes; the last phase also untwists the state. The table holds
+    ``_TABLE_BYTES`` of rows, at least one, in multiples of 3 from 3 up
+    (``_table_rows``).
     """
     step = real("step", step, positive=True)
     n = system.n
@@ -331,10 +341,14 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
     current = 0  # index of the buffer holding the state
     # one row of fused diagonal phases per stage, for a group of stages
     # within a chunk
-    table = np.empty((max(1, _TABLE_BYTES >> (n + 4)), 1 << n), dtype=np.complex128)
+    table = np.empty((_table_rows(n), 1 << n), dtype=np.complex128)
     rows = list(table)
-    # the segment's pair phase at triple-jump position 0, and at 1 and 2
-    pattern = np.empty((2, 1 << n), dtype=np.complex128)
+    # row i: the segment's pair phase at triple-jump position i % 3. With
+    # three or more table rows every group starts at position 0; with one or
+    # two it starts anywhere, and the group's rows are a slice of two or four
+    tiled = np.empty((len(rows) if len(rows) >= 3 else 2 * len(rows), 1 << n), dtype=np.complex128)
+    spread = np.minimum(np.arange(2, len(tiled)) % 3, 1)
+    pattern = tiled[:2]  # positions 0 and 1
     # the last stage's closing half phase, still to be applied: x / 2 for
     # the pair phase and x * delta / 2 for the popcount phase
     carry_s = carry_a = 0.0
@@ -353,6 +367,7 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
         np.multiply(buffers[current], pattern[0], out=buffers[current])
         _pair_phase(pair, outer + outer, pattern[0])
         _pair_phase(pair, outer + inner, pattern[1])
+        pattern.take(spread, axis=0, out=tiled[2:], mode="clip")
         for first in range(0, substeps, _CHUNK):
             stages = 3 * (min(first + _CHUNK, substeps) - first)
             mid = t0 + (first + offsets[:stages]) * h
@@ -367,9 +382,10 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
             for j in range(0, stages, len(rows)):
                 r = min(len(rows), stages - j)
                 detuning[j : j + r].take(count, axis=1, out=table[:r], mode="clip")
-                # chunk stage j + row sits at triple-jump position (j + row) % 3
-                for position in range(len(_WEIGHTS)):
-                    table[(position - j) % 3 : r : 3] *= pattern[min(position, 1)]
+                # chunk stage j sits at triple-jump position j % 3; a
+                # two-row block's second row serves positions 1 and 2
+                o = min(j % 3, len(tiled) - r)
+                np.multiply(table[:r], tiled[o : o + r], out=table[:r])
                 for i, row in enumerate(rows[:r], j):
                     psi = buffers[current]
                     psi *= row

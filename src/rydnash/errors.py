@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the one check of a
-numeric argument."""
+numeric argument or a sequence of number pairs."""
 
 import math
 import numbers
@@ -12,10 +12,10 @@ class RydnashError(Exception):
 
 class InvalidInput(RydnashError):
     """Malformed argument of any kind: a number refused by :func:`real` or
-    :func:`integer`, a coincident atom, an undefined blockade radius, a bad
-    waveform or bitstring, an agent out of range, a dependent set where an
-    independent one is needed, or a state vector of the wrong length or
-    norm."""
+    :func:`integer`, a point or breakpoint refused by :func:`pairs`, a
+    coincident atom, an undefined blockade radius, a bad waveform or
+    bitstring, an agent out of range, a dependent set where an independent
+    one is needed, or a state vector of the wrong length or norm."""
 
 
 def real(name: str, value, positive: bool = False) -> float:
@@ -37,6 +37,25 @@ def integer(name: str, value, low: int) -> int:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low:
         return int(value)
     raise InvalidInput(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def pairs(value, entry: str, parts: tuple[str, str]) -> tuple[tuple[float, float], ...]:
+    """``value`` as a tuple of pairs of Python floats, each checked by
+    :func:`real`. A value that is no sequence, or an entry that is no pair,
+    is refused with InvalidInput naming ``entry``, and the entry's index
+    and ``parts``."""
+    try:
+        entries = tuple(value)
+    except TypeError:
+        raise InvalidInput(f"expected a sequence of {entry}s, got {value!r}") from None
+    checked = []
+    for k, item in enumerate(entries):
+        try:
+            a, b = item
+        except (TypeError, ValueError):
+            raise InvalidInput(f"{entry} {k}: expected a ({', '.join(parts)}) pair, got {item!r}") from None
+        checked.append((real(f"{entry} {k} {parts[0]}", a), real(f"{entry} {k} {parts[1]}", b)))
+    return tuple(checked)
 
 
 class TooLarge(RydnashError):

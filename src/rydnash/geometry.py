@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import InvalidInput, real
+from .errors import InvalidInput, pairs, real
 
 Point = tuple[float, float]
 
@@ -35,15 +35,11 @@ class EmbeddedGraph:
     radius: float
 
     def __post_init__(self):
-        if len(self.positions) < 1:
+        clean = pairs(self.positions, "atom", ("x", "y"))
+        if not clean:
             raise InvalidInput("layout needs at least one atom")
         object.__setattr__(self, "radius", real("radius", self.radius, positive=True))
-        clean = []
-        for k, p in enumerate(self.positions):
-            if len(p) != 2:
-                raise InvalidInput(f"atom {k}: expected a 2D point, got {p!r}")
-            clean.append(tuple(real(f"atom {k} coordinate", c) for c in p))
-        object.__setattr__(self, "positions", tuple(clean))
+        object.__setattr__(self, "positions", clean)
         for i in range(len(clean)):
             for j in range(i + 1, len(clean)):
                 if math.dist(clean[i], clean[j]) == 0.0:

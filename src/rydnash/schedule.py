@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstraintViolation, InvalidInput, real
+from .errors import ConstraintViolation, InvalidInput, pairs, real
 from .geometry import Violation
 
 Waveform = tuple[tuple[float, float], ...]
@@ -48,7 +48,7 @@ class Schedule:
         duration = real("duration", self.duration, positive=True)
         object.__setattr__(self, "duration", duration)
         for name in ("omega", "delta"):
-            wf = tuple((real(f"{name} time", t), real(f"{name} value", v)) for t, v in getattr(self, name))
+            wf = pairs(getattr(self, name), f"{name} breakpoint", ("time", "value"))
             object.__setattr__(self, name, wf)
             if len(wf) < 2:
                 raise InvalidInput(f"{name}: need at least two breakpoints")

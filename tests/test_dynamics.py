@@ -384,6 +384,21 @@ class TestPropagateAndEvolve:
             tracemalloc.stop()
         assert peak <= (1 << n) * 100
 
+    def test_propagate_peak_memory_small(self):
+        # at n = 6 the 126-row phase table and the pair phases tiled to the
+        # same 126 rows (126 KiB each) are most of it: tracemalloc read
+        # 413 KB, 421 KB on a process's first call, which also builds the
+        # cached rotation indices
+        system = RydbergSystem(build_unit_disk_graph([(6.0 * i, 0.0) for i in range(6)], 6.0), 1e6)
+        system.pair_energy, system.excitation_count
+        tracemalloc.start()
+        try:
+            propagate(system, default_schedule(duration=0.4), 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 440_000
+
     def test_integration_failure_at_step_floor(self, monkeypatch):
         # two atoms at the 4 um floor and the default C6 need five passes,
         # down to a 6.25e-5 us step; with the floor raised to 5e-4 us the
@@ -526,13 +541,15 @@ class TestWalshHadamardStage:
         # block; 13 is (3, 3, 3, 4) and 16 is (4, 4, 4, 4), with two each
         assert_matches_reference(build_unit_disk_graph([(6.0 * i, 0.0) for i in range(n)], 6.0))
 
-    @pytest.mark.parametrize("rows", [1, 2, 4, 5])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("n", [6, 7])
     def test_table_rows_match_reference(self, n, rows, monkeypatch):
-        # phase tables whose row counts divide neither the three-stage
-        # pattern nor the chunk, so groups start at every triple-jump
-        # position and a segment's first row falls inside or outside them
+        # budgets of three rows and more round down to a multiple of 3, so
+        # every group starts at triple-jump position 0; with one or two rows
+        # groups start at every position, and the group's pair phases are a
+        # slice of the tiled block that starts inside it
         monkeypatch.setattr(rydnash.dynamics, "_TABLE_BYTES", rows * 16 << n)
+        assert rydnash.dynamics._table_rows(n) == {4: 3, 5: 3}.get(rows, rows)
         assert_matches_reference(build_unit_disk_graph([(6.0 * i, 0.0) for i in range(n)], 6.0))
 
     @settings(max_examples=25, deadline=None)

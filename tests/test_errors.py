@@ -71,6 +71,23 @@ def test_helpers_return_python_numbers():
         integer("k", np.bool_(False), 0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: EmbeddedGraph((5.0, (1.0, 2.0)), 3.0), r"atom 0: expected a \(x, y\) pair, got 5\.0"),
+        (lambda: EmbeddedGraph(None, 3.0), "expected a sequence of atoms, got None"),
+        (lambda: Schedule(((0.0,), (1.0, 1.0)), WAVE, 1.0), r"omega breakpoint 0: expected a \(time, value\) pair"),
+        (lambda: Schedule(None, WAVE, 1.0), "expected a sequence of omega breakpoints, got None"),
+    ],
+    ids=["float-point", "no-points", "short-breakpoint", "no-breakpoints"],
+)
+def test_malformed_pairs_refused(call, message):
+    # a point or breakpoint that is no pair of numbers is named, not left to
+    # a TypeError or ValueError from unpacking it
+    with pytest.raises(InvalidInput, match=message):
+        call()
+
+
 @pytest.mark.parametrize("e_star", [1, np.float64(1.0)], ids=["int", "numpy"])
 def test_game_round_trip(e_star, tmp_path):
     # an int e_star used to be written as 1, which reads back as no float,
