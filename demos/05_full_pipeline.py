@@ -35,7 +35,7 @@ print(f"anneal: modal readout {quantum.top_k[0]}, "
 report = compare(classical, quantum)
 verdicts = report.verdicts
 print(f"verdicts: nash==mis {verdicts.nash_equals_mis}, "
-      f"optima in top-{len(report.maximum_sets)} {verdicts.mis_in_topk}, "
+      f"optima in top-{len(quantum.maximum_sets)} {verdicts.mis_in_topk}, "
       f"overall {'PASS' if verdicts.overall_pass else 'FAIL'}")
 
 write_report(os.path.join(OUT, "classical_report.yaml"), to_mapping(classical))

@@ -11,6 +11,7 @@ convention; :func:`to_bitstring` and :func:`from_bitstring` convert both ways.
 from __future__ import annotations
 
 import itertools
+from contextlib import suppress
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +45,18 @@ def from_bitstring(bits: str, n: int) -> int:
     if not (isinstance(bits, str) and len(bits) == n > 0 and set(bits) <= {"0", "1"}):
         raise InvalidInput(f"expected a bitstring of length {n} over '0'/'1', got {bits!r}")
     return int(bits, 2)
+
+
+def check_bitstrings(family: Sequence[str], n: int) -> None:
+    """InvalidInput, as :func:`from_bitstring` words it, unless every item of
+    ``family`` is a bitstring that :func:`from_bitstring` accepts. One pass
+    over the joined family, not one call per item, when all of them are."""
+    with suppress(TypeError, UnicodeError):  # an item that is no string, or no text
+        text = "".join(family).encode()
+        if n > 0 and set(map(len, family)) <= {n} and not text.translate(None, b"01"):
+            return
+    for bits in family:
+        from_bitstring(bits, n)
 
 
 def index_of(members, n: int) -> int:

@@ -138,10 +138,13 @@ def _write(outdir: str, name: str, data: dict) -> str:
 
 
 def _validate(config: RunConfig) -> ValidationReport:
-    """``config.validation``, and one stderr line when C6 is outside the window."""
+    """``config.validation``, and one stderr line when the window is empty or
+    C6 is outside it."""
     report = config.validation
     lo, hi = report.window
-    if not lo < report.c6 < hi:
+    if lo >= hi:
+        print("warning: no C6 makes the maximum independent sets the lowest drive-off states", file=sys.stderr)
+    elif not lo < report.c6 < hi:
         print(f"warning: C6 {report.c6:.4g} is outside the drive-off window ({lo:.4g}, {hi:.4g}) "
               "where the maximum independent sets have the lowest energies", file=sys.stderr)
     return report
@@ -191,13 +194,18 @@ def cmd_anneal(args: argparse.Namespace) -> int:
     return code
 
 
+def _compare(command: str, outdir: str, classical: ClassicalResult, quantum: QuantumResult) -> int:
+    """Shared by compare/all: writes the compare report; returns the exit code."""
+    report = compare(classical, quantum)
+    path = _write(outdir, COMPARE_REPORT, to_mapping(report))
+    print(f"{command}: overall {'PASS' if report.verdicts.overall_pass else 'FAIL'}: {path}")
+    return EXIT_OK if report.verdicts.overall_pass else EXIT_VERDICT
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     classical = load(os.path.join(args.outdir, CLASSICAL_REPORT), ClassicalResult)
     quantum = load(os.path.join(args.outdir, ANNEAL_REPORT), QuantumResult)
-    report = compare(classical, quantum)
-    path = _write(args.outdir, COMPARE_REPORT, to_mapping(report))
-    print(f"compare: overall {'PASS' if report.verdicts.overall_pass else 'FAIL'}: {path}")
-    return EXIT_OK if report.verdicts.overall_pass else EXIT_VERDICT
+    return _compare("compare", args.outdir, classical, quantum)
 
 
 def cmd_all(args: argparse.Namespace) -> int:
@@ -205,12 +213,7 @@ def cmd_all(args: argparse.Namespace) -> int:
     classical = run_classical(config)
     _write(config.outdir, CLASSICAL_REPORT, to_mapping(classical))
     quantum, code = _run_anneal(config)
-    if quantum is None:
-        return code
-    report = compare(classical, quantum)
-    path = _write(config.outdir, COMPARE_REPORT, to_mapping(report))
-    print(f"all: overall {'PASS' if report.verdicts.overall_pass else 'FAIL'}: {path}")
-    return EXIT_OK if report.verdicts.overall_pass else EXIT_VERDICT
+    return code if quantum is None else _compare("all", config.outdir, classical, quantum)
 
 
 def main(argv=None) -> int:

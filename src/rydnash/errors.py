@@ -72,7 +72,7 @@ class ConstraintViolation(RydnashError):
 
 
 class IncompatibleRuns(RydnashError):
-    """Attempted to compare results computed on different graphs."""
+    """Attempted to compare results of different graphs or maximum sets."""
 
 
 class ConfigError(RydnashError):

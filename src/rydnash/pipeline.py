@@ -14,13 +14,13 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ._bits import from_bitstring
+from ._bits import check_bitstrings, from_bitstring
 from .dynamics import DEFAULT_C6, RydbergSystem, drive_off_window, evolve, sample
 from .errors import ConstraintViolation, IncompatibleRuns, InvalidInput, integer, real
 from .fileio import load_graph
 from .game import GameParams, enumerate_specialized_nash
 from .geometry import EmbeddedGraph, Violation, validate_embedding
-from .indsets import correspondence_witnesses, enumerate_mis, is_independent, largest
+from .indsets import correspondence_witnesses, enumerate_mis, is_independent, is_maximal, largest
 from .schedule import Schedule, default_schedule, validate_schedule
 
 #: Documented default sampling seed; reports quote it so reruns reproduce.
@@ -123,6 +123,10 @@ class ClassicalResult:
     witnesses: tuple[tuple[str, str], ...] = field(init=False)
 
     def __post_init__(self):
+        check_bitstrings(self.nash, self.n)
+        check_bitstrings(self.maximal_sets, self.n)
+        if not self.maximal_sets:
+            raise InvalidInput("the maximal independent sets must not be empty")
         object.__setattr__(self, "maximum_sets", largest(self.maximal_sets))
         object.__setattr__(self, "witnesses", correspondence_witnesses(self.nash, self.maximal_sets))
         object.__setattr__(self, "nash_equals_mis", not self.witnesses)
@@ -130,7 +134,7 @@ class ClassicalResult:
 
 @dataclass(frozen=True)
 class BitstringRow:
-    """One observed readout, classified against the graph's set families.
+    """One observed readout, flagged by the local rules and the maximum size.
 
     The field order is the histogram CSV's column order.
     """
@@ -163,14 +167,21 @@ class QuantumResult:
     mis_in_topk: bool = field(init=False)
 
     def __post_init__(self):
+        check_bitstrings([row.bitstring for row in self.rows], self.n)
+        check_bitstrings(self.maximum_sets, self.n)
+        if not self.maximum_sets:
+            raise InvalidInput("the maximum independent sets must not be empty")
         counts = {row.bitstring: row.count for row in self.rows}
         if any(c < 0 for c in counts.values()):
             raise InvalidInput("counts must be nonnegative")
         ranks = [(-row.count, row.bitstring) for row in self.rows]
         if ranks != sorted(ranks) or len(counts) < len(ranks):
             raise InvalidInput("classification rows must be ranked by count descending, then bitstring, each once")
-        if any(row.mis != (row.bitstring in self.maximum_sets) for row in self.rows):
-            raise InvalidInput("a classification row's mis flag disagrees with the maximum sets")
+        # the flags come from the local rules, so this checks the maximum sets
+        maximum, size = frozenset(self.maximum_sets), max(s.count("1") for s in self.maximum_sets)
+        for row in self.rows:
+            if row.mis != (row.bitstring in maximum) or (row.maximal and row.bitstring.count("1") > size):
+                raise InvalidInput(f"readout {row.bitstring} disagrees with the maximum sets {list(self.maximum_sets)}")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "shots", sum(counts.values()))
         object.__setattr__(self, "top_k", tuple(row.bitstring for row in self.rows[: len(self.maximum_sets)]))
@@ -191,19 +202,10 @@ class Verdicts:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Side-by-side families and the readout's top-k; the verdicts are
-    derived from the fields next to them."""
+    """The verdicts of one graph's two results, each as that result decided it."""
 
     graph_hash: str
-    nash: tuple[str, ...]
-    maximal_sets: tuple[str, ...]
-    maximum_sets: tuple[str, ...]
-    top_k: tuple[str, ...]
-    verdicts: Verdicts = field(init=False)
-
-    def __post_init__(self):
-        nash_equals_mis = not correspondence_witnesses(self.nash, self.maximal_sets)
-        object.__setattr__(self, "verdicts", Verdicts(nash_equals_mis, set(self.maximum_sets) <= set(self.top_k)))
+    verdicts: Verdicts
 
 
 def run_classical(config: RunConfig) -> ClassicalResult:
@@ -225,8 +227,8 @@ def run_quantum(config: RunConfig) -> QuantumResult:
     if not report.ok:
         raise ConstraintViolation(f"hardware validation failed with {len(report.violations)} violation(s)")
     graph, schedule, system = config.graph, config.schedule, config.system
-    maximal = set(config.maximal_sets)
     maximum = config.maximum_sets
+    size = maximum[0].count("1")
     state = evolve(system, schedule)
     counts = sample(state, config.shots, config.seed)
     # by descending count, bitstring as tiebreak
@@ -236,7 +238,9 @@ def run_quantum(config: RunConfig) -> QuantumResult:
     rows = []
     for bits, count in ranked:
         z = from_bitstring(bits, graph.n)
-        flags = is_independent(graph, bits), bits in maximal, bits in maximum
+        independent = is_independent(graph, bits)
+        maximal = independent and is_maximal(graph, bits)
+        flags = independent, maximal, maximal and bits.count("1") == size
         rows.append(BitstringRow(bits, count, float(probs[z]), float(energies[z]), *flags))
     aggregate = float(sum(probs[from_bitstring(b, graph.n)] for b in maximum))
     return QuantumResult(
@@ -246,14 +250,15 @@ def run_quantum(config: RunConfig) -> QuantumResult:
 
 
 def compare(classical: ClassicalResult, quantum: QuantumResult) -> ComparisonReport:
-    """Cross-check the two analyses of one graph.
+    """Join the verdicts of the two analyses of one graph.
 
-    Raises IncompatibleRuns when the graph fingerprints differ.
+    Raises IncompatibleRuns when the graph hashes or maximum sets differ.
     """
     if classical.graph_hash != quantum.graph_hash:
         raise IncompatibleRuns(
             f"classical run is for graph {classical.graph_hash}, annealing run for {quantum.graph_hash}"
         )
-    return ComparisonReport(
-        classical.graph_hash, classical.nash, classical.maximal_sets, classical.maximum_sets, quantum.top_k
-    )
+    if classical.maximum_sets != quantum.maximum_sets:
+        raise IncompatibleRuns(f"classical run has maximum sets {list(classical.maximum_sets)}, "
+                               f"annealing run {list(quantum.maximum_sets)}")
+    return ComparisonReport(classical.graph_hash, Verdicts(classical.nash_equals_mis, quantum.mis_in_topk))

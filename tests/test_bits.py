@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import unit_disk_layouts
-from rydnash._bits import rule_supports
+from rydnash._bits import check_bitstrings, from_bitstring, rule_supports
+from rydnash.errors import InvalidInput
 from rydnash.game import GameParams, enumerate_specialized_nash
 from rydnash.geometry import build_unit_disk_graph
 from rydnash.indsets import enumerate_mis
@@ -51,6 +52,32 @@ class TestRuleSupports:
         # such as a count that passes for members and non-members alike.
         for rule in (rule_table(code, g.n), np.ones((2, g.n + 1), bool), np.zeros((2, g.n + 1), bool)):
             assert rule_supports(g.neighbors, rule) == brute_force_supports(g, rule)
+
+
+class TestCheckBitstrings:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        family=st.lists(st.one_of(st.text(alphabet="01\ud800x", max_size=4), st.integers(0, 3)), max_size=4),
+        n=st.integers(-1, 4),
+    )
+    @example(family=["01", "1"], n=2)  # right total length, wrong item lengths
+    @example(family=["01"], n=0)
+    @example(family=["\ud800\ud800"], n=2)  # no UTF-8 text
+    def test_agrees_with_from_bitstring(self, family, n):
+        # the batch pass refuses exactly what one from_bitstring per item
+        # refuses, with from_bitstring's message for the first refused item
+        expected = None
+        try:
+            for bits in family:
+                from_bitstring(bits, n)
+        except InvalidInput as exc:
+            expected = str(exc)
+        if expected is None:
+            check_bitstrings(family, n)
+        else:
+            with pytest.raises(InvalidInput) as refused:
+                check_bitstrings(family, n)
+            assert str(refused.value) == expected
 
 
 def perfect_matching(n):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import runpy
@@ -31,7 +32,7 @@ from rydnash.cli import (
     main,
 )
 from rydnash.dynamics import RydbergSystem
-from rydnash.errors import ConfigError, IntegrationFailure, InvalidInput
+from rydnash.errors import ConfigError, IncompatibleRuns, IntegrationFailure, InvalidInput
 from rydnash.fileio import SERIES_SAMPLES, load, read_report, save_graph, save_schedule, to_mapping, write_report
 from rydnash.geometry import build_unit_disk_graph
 from rydnash.pipeline import (
@@ -40,6 +41,7 @@ from rydnash.pipeline import (
     QuantumResult,
     RunConfig,
     ValidationReport,
+    Verdicts,
     compare,
     run_classical,
     run_quantum,
@@ -108,6 +110,31 @@ def graph_a_all_run(tmp_path_factory):
 def _write_results(out, classical, quantum):
     write_report(os.path.join(out, CLASSICAL_REPORT), to_mapping(classical))
     write_report(os.path.join(out, ANNEAL_REPORT), to_mapping(quantum))
+
+
+def _rename_last_row(data):
+    # the last readout, renamed in its row and in counts alike
+    row = data["classification"][-1]
+    data["counts"]["zz"] = data["counts"].pop(row["bitstring"])
+    row["bitstring"] = "zz"
+
+
+def _add_support_2(data):
+    # a support '2', with the witnesses and verdict it would give
+    data["nash_supports"].append("2")
+    data["witnesses"] = [["2", "nash_only"]]
+    data["nash_equals_mis"] = False
+
+
+def _empty_families(data):
+    # no set in any family, and the verdict an empty match would give
+    data.update(nash_supports=[], maximal_independent_sets=[], maximum_independent_sets=[], witnesses=[])
+    data["nash_equals_mis"] = True
+
+
+def _no_maximum_sets(data):
+    # no maximum set, so no top-k, and the vacuous verdict that would give
+    data.update(maximum_independent_sets=[], top_k=[], mis_in_topk=True)
 
 
 def _count_calls(monkeypatch, command, out):
@@ -187,6 +214,21 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "C6 5.42e+06 is outside the drive-off window (1.712e+05, 4.579e+06)" in err
         assert err.count("\n") == 1
+
+    def test_empty_window_is_named_empty(self, tmp_path, capsys):
+        # only atoms 0 and 3 are blockaded. The maximum set 1110 lies above
+        # the dependent 1111 below C6 = lo, and above the 2-sets 0101 and 0011
+        # above hi < lo, so no C6 is inside, and the warning says so instead
+        # of printing the window as an interval
+        graph = str(tmp_path / "empty.yaml")
+        save_graph(graph, build_unit_disk_graph([(14.8, 11.2), (14.2, 21.6), (4.7, 16.9), (15.2, 2.0)], 10.3))
+        out = str(tmp_path / "out")
+        assert main(["validate", "--graph", graph, "--out", out]) == EXIT_OK
+        assert capsys.readouterr().err == (
+            "warning: no C6 makes the maximum independent sets the lowest drive-off states\n"
+        )
+        lo, hi = load(os.path.join(out, VALIDATION_REPORT), ValidationReport).window
+        assert lo >= hi
 
     def test_coupling_inside_the_window_is_quiet(self, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -528,7 +570,13 @@ class TestCompareCommand:
             (ANNEAL_REPORT, lambda d: d["classification"][0].update(count="7"), "'classification[0].count' must be"),
             (CLASSICAL_REPORT, lambda d: d.update(colour="red"), "unknown fields ['colour']"),
             (ANNEAL_REPORT, lambda d: d["classification"].reverse(), "classification rows must be ranked"),
-            (ANNEAL_REPORT, lambda d: d["classification"][1].update(mis=True), "a classification row's mis flag"),
+            (ANNEAL_REPORT, lambda d: d["classification"][1].update(mis=True),
+             "readout 010100 disagrees with the maximum sets ['100110']"),
+            (ANNEAL_REPORT, _rename_last_row, "expected a bitstring of length 6 over '0'/'1', got 'zz'"),
+            (CLASSICAL_REPORT, _add_support_2, "expected a bitstring of length 6 over '0'/'1', got '2'"),
+            (ANNEAL_REPORT, lambda d: d.update(n=9), "expected a bitstring of length 9 over '0'/'1', got '"),
+            (CLASSICAL_REPORT, _empty_families, "the maximal independent sets must not be empty"),
+            (ANNEAL_REPORT, _no_maximum_sets, "the maximum independent sets must not be empty"),
         ],
         ids=[
             "classical-no-witnesses",
@@ -543,6 +591,11 @@ class TestCompareCommand:
             "classical-unknown-key",
             "anneal-rows-out-of-rank-order",
             "anneal-row-wrong-mis-flag",
+            "anneal-row-not-bitstring",
+            "classical-support-not-bitstring",
+            "anneal-n-not-bitstring-length",
+            "classical-empty-families",
+            "anneal-empty-maximum-sets",
         ],
     )
     def test_malformed_report(self, name, edit, message, graph_a_results, tmp_path, capsys):
@@ -571,12 +624,10 @@ class TestCompareCommand:
             (ANNEAL_REPORT, QuantumResult, "mis_in_topk", lambda d: d.update(mis_in_topk=False)),
             (COMPARE_REPORT, ComparisonReport, "verdicts.overall_pass",
              lambda d: d["verdicts"].update(overall_pass=False)),
-            (COMPARE_REPORT, ComparisonReport, "verdicts",
-             lambda d: d["verdicts"].update(nash_equals_mis=False, overall_pass=False)),
         ],
         ids=[
             "ok", "maximum_independent_sets", "witnesses", "nash_equals_mis", "counts", "shots", "top_k", "mis_in_topk",
-            "verdicts.overall_pass", "verdicts",
+            "verdicts.overall_pass",
         ],
     )
     def test_derived_value_is_checked(self, name, cls, key, edit, graph_a_all_run, tmp_path, capsys):
@@ -620,7 +671,7 @@ class TestAllCommand:
             assert os.path.exists(os.path.join(out, name))
         report = read_report(os.path.join(out, COMPARE_REPORT))
         assert report["verdicts"]["overall_pass"] is True
-        assert report["top_k"] == ["100110"]
+        assert read_report(os.path.join(out, ANNEAL_REPORT))["top_k"] == ["100110"]
 
     @pytest.mark.parametrize("layout", ["graph_b", "chain11"])
     def test_libyaml_reports_match_pure_python(self, layout, tmp_path, monkeypatch):
@@ -704,15 +755,60 @@ class TestPipelineApi:
         assert not config.validation.ok
         assert [v.kind for v in config.validation.violations] == ["pair_distance"]
 
-    def test_compare_verdicts_recomputable(self, pair_graph_file):
+    def test_compare_joins_the_results_verdicts(self, pair_graph_file):
         config = RunConfig(graph_path=pair_graph_file, shots=50)
         classical = run_classical(config)
         quantum = run_quantum(config)
         report = compare(classical, quantum)
-        verdicts = report.verdicts
-        assert verdicts.nash_equals_mis == (set(report.nash) == set(report.maximal_sets))
-        assert verdicts.mis_in_topk == (set(report.maximum_sets) <= set(report.top_k))
-        assert verdicts.overall_pass == (verdicts.nash_equals_mis and verdicts.mis_in_topk)
+        assert report == ComparisonReport(classical.graph_hash, Verdicts(classical.nash_equals_mis, quantum.mis_in_topk))
+        assert report.verdicts.overall_pass == (classical.nash_equals_mis and quantum.mis_in_topk)
+
+    def test_compare_refuses_other_maximum_sets(self, graph_a_results, tmp_path, capsys):
+        # an anneal result, consistent in itself, whose maximum sets add a
+        # bitstring it never read out: compare refuses the pair, exit 1
+        classical, quantum = graph_a_results
+        absent = next(bits for bits in map("{:06b}".format, range(64)) if bits not in quantum.counts)
+        other = dataclasses.replace(quantum, maximum_sets=(*quantum.maximum_sets, absent))
+        message = f"classical run has maximum sets ['100110'], annealing run ['100110', '{absent}']"
+        with pytest.raises(IncompatibleRuns) as refused:
+            compare(classical, other)
+        assert str(refused.value) == message
+        out = str(tmp_path / "out")
+        _write_results(out, classical, other)
+        assert main(["compare", "--out", out]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(os.path.join(out, COMPARE_REPORT))
+
+    @pytest.mark.parametrize(
+        "graph, c6, dropped, maximum",
+        [
+            (GRAPH_A_FILE, C_A, "010001", None),
+            (GRAPH_B_FILE, 6e5, "100110", ["010101", "100101", "101010"]),
+            (GRAPH_A_FILE, C_A, "100110", ["010001", "010100", "100001", "101000"]),
+        ],
+        ids=["graph_a-non-maximum", "graph_b-one-of-four-maximum", "graph_a-only-maximum"],
+    )
+    def test_readout_flags_check_the_sweep(self, graph, c6, dropped, maximum, monkeypatch, tmp_path, capsys):
+        # the readout flags come from the local rules, not from the MIS
+        # sweep: a sweep that loses a non-maximum set leaves every row as it
+        # was, and one that loses a maximum set is refused at that readout
+        # (the largest maximal one on graph_a), before any report is written
+        rows = run_quantum(RunConfig(graph_path=graph, c6=c6, shots=200)).rows
+        assert any(row.bitstring == dropped and row.maximal for row in rows)
+        sweep = rydnash.pipeline.enumerate_mis
+        monkeypatch.setattr(rydnash.pipeline, "enumerate_mis", lambda g: tuple(s for s in sweep(g) if s != dropped))
+        if maximum is None:
+            assert run_quantum(RunConfig(graph_path=graph, c6=c6, shots=200)).rows == rows
+            return
+        message = f"readout {dropped} disagrees with the maximum sets {maximum}"
+        with pytest.raises(InvalidInput) as refused:
+            run_quantum(RunConfig(graph_path=graph, c6=c6, shots=200))
+        assert str(refused.value) == message
+        out = tmp_path / "out"
+        args = ["anneal", "--graph", graph, "--coupling-c", str(c6), "--shots", "200", "--out", str(out)]
+        assert main(args) == EXIT_ERROR
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")  # after any window warning
+        assert not out.exists()
 
     def test_run_classical_sweeps_each_family_once(self, monkeypatch):
         calls = {"nash": 0, "mis": 0}
@@ -804,11 +900,9 @@ class TestReportSchema:
             "graph_hash", "n", "c6", "shots", "seed", "duration", "counts", "classification",
             "maximum_independent_sets", "top_k", "mis_aggregate_probability", "mis_in_topk",
         }
-        # the compare report copies no readout: the anneal report holds it
-        assert set(report) == {
-            "graph_hash", "nash_supports", "maximal_independent_sets", "maximum_independent_sets", "top_k",
-            "verdicts",
-        }
+        # the compare report copies no family and no readout: the classical
+        # and anneal reports hold them
+        assert set(report) == {"graph_hash", "verdicts"}
         assert set(report["verdicts"]) == {"nash_equals_mis", "mis_in_topk", "overall_pass"}
         row_keys = {"bitstring", "count", "probability", "energy", "independent", "maximal", "mis"}
         assert anneal["classification"] and all(set(row) == row_keys for row in anneal["classification"])
