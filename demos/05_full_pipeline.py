@@ -21,7 +21,6 @@ config = RunConfig(
     c6=2.2e6,
     shots=1000,
     seed=7,
-    outdir=OUT,
 )
 
 classical = run_classical(config)

@@ -6,11 +6,17 @@ a verdict failure (constraint violations, equilibrium/set mismatch, missing
 optima in the readout), and 1 on execution errors such as unreadable
 configuration files, an output directory that cannot be written or
 incompatible runs.
+
+Each command has an output set: the files it can write, plus every file
+derived from them (the compare report, from the classical and anneal
+reports). A command that writes any file removes the files of its set that
+it did not rewrite, so no earlier run's output is left beside its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -40,6 +46,7 @@ EXIT_ERROR = 1
 EXIT_VERDICT = 2
 
 OUTDIR_ENV = "RYDNASH_OUT"
+DEFAULT_OUTDIR = "rydnash_out"
 
 CLASSICAL_REPORT = "classical_report.yaml"
 ANNEAL_REPORT = "anneal_report.yaml"
@@ -48,14 +55,50 @@ VALIDATION_REPORT = "validation_report.yaml"
 HISTOGRAM_CSV = "histogram.csv"
 SCHEDULE_SERIES_CSV = "schedule_series.csv"
 
+_ANNEAL_OUTPUTS = (VALIDATION_REPORT, ANNEAL_REPORT, HISTOGRAM_CSV, SCHEDULE_SERIES_CSV, COMPARE_REPORT)
+#: Each command's output set, by command name.
+OUTPUT_SETS = {
+    "validate": (VALIDATION_REPORT,),
+    "classical": (CLASSICAL_REPORT, COMPARE_REPORT),
+    "anneal": _ANNEAL_OUTPUTS,
+    "compare": (COMPARE_REPORT,),
+    "all": (CLASSICAL_REPORT, *_ANNEAL_OUTPUTS),
+}
+
+
+class _Outputs:
+    """One command's writes into its output directory. On leaving the
+    ``with`` block, once anything was written, the files of the command's
+    output set that it did not write are removed."""
+
+    def __init__(self, outdir: str, names: tuple[str, ...]):
+        self.outdir = outdir
+        self.names = names
+        self.written = set()
+
+    def write(self, name: str, writer, data) -> str:
+        path = os.path.join(self.outdir, name)
+        writer(path, data)
+        self.written.add(name)
+        return path
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.written:
+            for name in set(self.names) - self.written:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(os.path.join(self.outdir, name))
+
 
 def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--out",
         dest="outdir",
         metavar="OUT",
-        default=os.environ.get(OUTDIR_ENV, RunConfig.outdir),
-        help=f"output directory (default ${OUTDIR_ENV} or rydnash_out)",
+        default=os.environ.get(OUTDIR_ENV, DEFAULT_OUTDIR),
+        help=f"output directory (default ${OUTDIR_ENV} or {DEFAULT_OUTDIR})",
     )
 
 
@@ -81,7 +124,9 @@ def _add_quantum(p: argparse.ArgumentParser) -> None:
     _add_drive(p)
     p.add_argument("--shots", type=int, help="measurement shots")
     p.add_argument("--seed", type=int, help="sampling seed")
-    p.add_argument("--plot-data", action="store_true", help="also emit a ready-to-plot schedule series CSV")
+    p.add_argument(
+        "--plot-data", action="store_true", default=False, help="also emit a ready-to-plot schedule series CSV"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,18 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Option dests are RunConfig field names; game and schedule are paths."""
-    options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    """Option dests are RunConfig field names, apart from the outputs'
+    ``outdir`` and ``plot_data``; game and schedule are paths."""
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "outdir", "plot_data")}
     for name, load in (("game", load_game), ("schedule", load_schedule)):
         if name in options:
             options[name] = load(options[name])
     return RunConfig(**options)
-
-
-def _write(outdir: str, name: str, data: dict) -> str:
-    path = os.path.join(outdir, name)
-    write_report(path, data)
-    return path
 
 
 def _validate(config: RunConfig) -> ValidationReport:
@@ -150,18 +190,18 @@ def _validate(config: RunConfig) -> ValidationReport:
     return report
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace, out: _Outputs) -> int:
     config = _config_from_args(args)
     report = _validate(config)
-    path = _write(config.outdir, VALIDATION_REPORT, to_mapping(report))
+    path = out.write(VALIDATION_REPORT, write_report, to_mapping(report))
     print(f"validation {'ok' if report.ok else 'FAILED'}: {path}")
     return EXIT_OK if report.ok else EXIT_VERDICT
 
 
-def cmd_classical(args: argparse.Namespace) -> int:
+def cmd_classical(args: argparse.Namespace, out: _Outputs) -> int:
     config = _config_from_args(args)
     result = run_classical(config)
-    path = _write(config.outdir, CLASSICAL_REPORT, to_mapping(result))
+    path = out.write(CLASSICAL_REPORT, write_report, to_mapping(result))
     print(
         f"classical: {len(result.nash)} equilibria, {len(result.maximal_sets)} maximal sets, "
         f"{len(result.maximum_sets)} maximum sets; match={result.nash_equals_mis}: {path}"
@@ -169,18 +209,18 @@ def cmd_classical(args: argparse.Namespace) -> int:
     return EXIT_OK if result.nash_equals_mis else EXIT_VERDICT
 
 
-def _run_anneal(config: RunConfig):
+def _run_anneal(config: RunConfig, out: _Outputs, plot_data: bool):
     """Shared by anneal/all: returns (result, exit_code); writes reports."""
     report = _validate(config)
     if not report.ok:
-        path = _write(config.outdir, VALIDATION_REPORT, to_mapping(report))
+        path = out.write(VALIDATION_REPORT, write_report, to_mapping(report))
         print(f"anneal refused, hardware validation failed: {path}", file=sys.stderr)
         return None, EXIT_VERDICT
     result = run_quantum(config)
-    _write(config.outdir, ANNEAL_REPORT, to_mapping(result))
-    write_histogram_csv(os.path.join(config.outdir, HISTOGRAM_CSV), result.rows)
-    if config.plot_data:
-        write_schedule_series(os.path.join(config.outdir, SCHEDULE_SERIES_CSV), config.schedule)
+    out.write(ANNEAL_REPORT, write_report, to_mapping(result))
+    out.write(HISTOGRAM_CSV, write_histogram_csv, result.rows)
+    if plot_data:
+        out.write(SCHEDULE_SERIES_CSV, write_schedule_series, config.schedule)
     print(
         f"anneal: {result.shots} shots, top readout {result.top_k[0] if result.top_k else '-'}, "
         f"optima in top-{len(result.maximum_sets)}: {result.mis_in_topk}"
@@ -188,39 +228,39 @@ def _run_anneal(config: RunConfig):
     return result, EXIT_OK if result.mis_in_topk else EXIT_VERDICT
 
 
-def cmd_anneal(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    _, code = _run_anneal(config)
+def cmd_anneal(args: argparse.Namespace, out: _Outputs) -> int:
+    _, code = _run_anneal(_config_from_args(args), out, args.plot_data)
     return code
 
 
-def _compare(command: str, outdir: str, classical: ClassicalResult, quantum: QuantumResult) -> int:
+def _compare(command: str, out: _Outputs, classical: ClassicalResult, quantum: QuantumResult) -> int:
     """Shared by compare/all: writes the compare report; returns the exit code."""
     report = compare(classical, quantum)
-    path = _write(outdir, COMPARE_REPORT, to_mapping(report))
+    path = out.write(COMPARE_REPORT, write_report, to_mapping(report))
     print(f"{command}: overall {'PASS' if report.verdicts.overall_pass else 'FAIL'}: {path}")
     return EXIT_OK if report.verdicts.overall_pass else EXIT_VERDICT
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    classical = load(os.path.join(args.outdir, CLASSICAL_REPORT), ClassicalResult)
-    quantum = load(os.path.join(args.outdir, ANNEAL_REPORT), QuantumResult)
-    return _compare("compare", args.outdir, classical, quantum)
+def cmd_compare(args: argparse.Namespace, out: _Outputs) -> int:
+    classical = load(os.path.join(out.outdir, CLASSICAL_REPORT), ClassicalResult)
+    quantum = load(os.path.join(out.outdir, ANNEAL_REPORT), QuantumResult)
+    return _compare("compare", out, classical, quantum)
 
 
-def cmd_all(args: argparse.Namespace) -> int:
+def cmd_all(args: argparse.Namespace, out: _Outputs) -> int:
     config = _config_from_args(args)
     classical = run_classical(config)
-    _write(config.outdir, CLASSICAL_REPORT, to_mapping(classical))
-    quantum, code = _run_anneal(config)
-    return code if quantum is None else _compare("all", config.outdir, classical, quantum)
+    out.write(CLASSICAL_REPORT, write_report, to_mapping(classical))
+    quantum, code = _run_anneal(config, out, args.plot_data)
+    return code if quantum is None else _compare("all", out, classical, quantum)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _Outputs(args.outdir, OUTPUT_SETS[args.command]) as out:
+            return args.func(args, out)
     except (RydnashError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

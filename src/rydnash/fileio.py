@@ -22,7 +22,8 @@ with ``str`` keys, lists, ``bool``, ``int``, ``float`` and ``str`` made of
 would write the second as an alias). Keys are sorted at every level, floats
 are repr-exact, and a list or mapping of scalars only is written in flow
 style. Any other value raises TypeError, so identical data produces
-byte-identical files.
+byte-identical files. Every file, YAML or CSV, is written to a sibling
+temporary name and moved into place with ``os.replace``.
 """
 
 from __future__ import annotations
@@ -251,10 +252,23 @@ def save_schedule(path: str, schedule: Schedule) -> None:
 
 
 def _write_yaml(path: str, data: dict, header: tuple[str, ...] = ()) -> None:
-    text = "".join(f"# {line}\n" for line in header) + _dump(data)
+    _write_text(path, "".join(f"# {line}\n" for line in header) + _dump(data))
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all: into a sibling
+    temporary file, which ``os.replace`` then moves over ``path``, so an
+    interrupted write leaves the old file or none, never half of one."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
 
 
 # What PyYAML's emitter does with this grammar: a flow item that would start
@@ -442,11 +456,9 @@ def write_histogram_csv(path: str, rows) -> None:
     Each row is a dataclass whose fields come in ``HISTOGRAM_COLUMNS`` order
     (``pipeline.BitstringRow``).
     """
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(HISTOGRAM_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_value(getattr(row, f.name)) for f in fields(row)) + "\n")
+    lines = [",".join(HISTOGRAM_COLUMNS)]
+    lines += (",".join(_csv_value(getattr(row, f.name)) for f in fields(row)) for row in rows)
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_schedule_series(path: str, schedule: Schedule) -> None:
@@ -457,8 +469,6 @@ def write_schedule_series(path: str, schedule: Schedule) -> None:
     ts = np.linspace(0.0, schedule.duration, SERIES_SAMPLES)
     om = schedule.omega_at(ts)
     de = schedule.delta_at(ts)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t_us,omega_rad_per_us,delta_rad_per_us\n")
-        for t, o, d in zip(ts, om, de):
-            fh.write(f"{float(t)!r},{float(o)!r},{float(d)!r}\n")
+    lines = ["t_us,omega_rad_per_us,delta_rad_per_us"]
+    lines += (f"{float(t)!r},{float(o)!r},{float(d)!r}" for t, o, d in zip(ts, om, de))
+    _write_text(path, "\n".join(lines) + "\n")

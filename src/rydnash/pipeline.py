@@ -10,7 +10,6 @@ configuration and seed produce byte-identical files.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,6 +21,17 @@ from .game import GameParams, enumerate_specialized_nash
 from .geometry import EmbeddedGraph, Violation, validate_embedding
 from .indsets import correspondence_witnesses, enumerate_mis, is_independent, is_maximal, largest
 from .schedule import Schedule, default_schedule, validate_schedule
+
+# hashlib loads OpenSSL's libcrypto, about 3 MiB of library pages, for this
+# one digest; CPython's own SHA-256 module gives the same digest without it.
+# An interpreter built without its own hashes falls back to hashlib.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 #: Documented default sampling seed; reports quote it so reruns reproduce.
 DEFAULT_SEED = 7
@@ -43,8 +53,6 @@ class RunConfig:
     c6: float = DEFAULT_C6
     shots: int = 1000
     seed: int = DEFAULT_SEED
-    outdir: str = "rydnash_out"
-    plot_data: bool = False
 
     def __post_init__(self):
         # checked before any work, and kept as Python numbers: the report
@@ -87,7 +95,7 @@ class RunConfig:
 
 def graph_fingerprint(graph: EmbeddedGraph) -> str:
     """Short digest of the exact layout, used to pair up runs."""
-    h = hashlib.sha256()
+    h = sha256()
     h.update(str(graph.n).encode())
     h.update(graph.radius.hex().encode())
     for x, y in graph.positions:

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import math
 import os
 import runpy
 import shutil
+import subprocess
 import sys
 import tempfile
 
@@ -11,7 +13,7 @@ import pytest
 import yaml
 from hypothesis import given, settings
 
-from conftest import C_A, GRAPH_A_MIS_FAMILY, OVER_LIMIT, unit_disk_layouts
+from conftest import C_A, C_B, GRAPH_A_MIS_FAMILY, OVER_LIMIT, unit_disk_layouts
 import rydnash.fileio
 import rydnash.game
 import rydnash.indsets
@@ -21,10 +23,13 @@ from rydnash.cli import (
     ANNEAL_REPORT,
     CLASSICAL_REPORT,
     COMPARE_REPORT,
+    DEFAULT_OUTDIR,
     EXIT_ERROR,
     EXIT_OK,
     EXIT_VERDICT,
     HISTOGRAM_CSV,
+    OUTDIR_ENV,
+    OUTPUT_SETS,
     SCHEDULE_SERIES_CSV,
     VALIDATION_REPORT,
     _config_from_args,
@@ -33,7 +38,16 @@ from rydnash.cli import (
 )
 from rydnash.dynamics import RydbergSystem
 from rydnash.errors import ConfigError, IncompatibleRuns, IntegrationFailure, InvalidInput
-from rydnash.fileio import SERIES_SAMPLES, load, read_report, save_graph, save_schedule, to_mapping, write_report
+from rydnash.fileio import (
+    SERIES_SAMPLES,
+    load,
+    load_graph,
+    read_report,
+    save_graph,
+    save_schedule,
+    to_mapping,
+    write_report,
+)
 from rydnash.geometry import build_unit_disk_graph
 from rydnash.pipeline import (
     ClassicalResult,
@@ -43,6 +57,7 @@ from rydnash.pipeline import (
     ValidationReport,
     Verdicts,
     compare,
+    graph_fingerprint,
     run_classical,
     run_quantum,
 )
@@ -710,10 +725,12 @@ class TestAllCommand:
             assert len(read_report(os.path.join(tmp_path, "out", ANNEAL_REPORT))["classification"]) > 150
 
     def test_outdir_env_default(self, pair_graph_file, tmp_path, monkeypatch):
+        monkeypatch.delenv(OUTDIR_ENV, raising=False)
+        assert build_parser().parse_args(["classical", "--graph", pair_graph_file]).outdir == DEFAULT_OUTDIR
         env_dir = str(tmp_path / "envout")
-        monkeypatch.setenv("RYDNASH_OUT", env_dir)
+        monkeypatch.setenv(OUTDIR_ENV, env_dir)
         assert main(["classical", "--graph", pair_graph_file]) == EXIT_OK
-        assert os.path.exists(os.path.join(env_dir, CLASSICAL_REPORT))
+        assert os.listdir(env_dir) == [CLASSICAL_REPORT]
 
     @settings(max_examples=10, deadline=None)
     @given(graph=unit_disk_layouts(n_max=5))
@@ -739,7 +756,11 @@ class TestAllCommand:
 
     def test_omitted_options_take_run_config_defaults(self):
         args = build_parser().parse_args(["all", "--graph", GRAPH_A_FILE, "--out", "o"])
-        assert _config_from_args(args) == RunConfig(graph_path=GRAPH_A_FILE, outdir="o")
+        assert _config_from_args(args) == RunConfig(graph_path=GRAPH_A_FILE)
+        # the output options stay the CLI's own
+        assert (args.outdir, args.plot_data) == ("o", False)
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert fields == {"graph_path", "game", "schedule", "c6", "shots", "seed"}
 
 
 class TestPipelineApi:
@@ -928,3 +949,130 @@ class TestReportSchema:
         assert main(["validate", "--graph", graph, "--out", out]) == EXIT_VERDICT
         (v,) = read_report(os.path.join(out, VALIDATION_REPORT))["violations"]
         assert set(v) == {"kind", "subject", "value", "limit"} and v["subject"] == [0, 1]
+
+
+def _close_pair_file(tmp_path):
+    """A 3 um pair: below the 4 um floor, so its anneal is refused."""
+    path = str(tmp_path / "close.yaml")
+    save_graph(path, build_unit_disk_graph([(0.0, 0.0), (3.0, 0.0)], 4.0))
+    return path
+
+
+def _all_a(out):
+    """``all`` on graph_a at its pinned coupling, with every file it can write."""
+    assert main(["all", "--graph", GRAPH_A_FILE, "--coupling-c", str(C_A), "--plot-data", "--out", out]) == EXIT_OK
+    assert sorted(os.listdir(out)) == sorted(set(OUTPUT_SETS["all"]) - {VALIDATION_REPORT})
+
+
+class TestOutputSets:
+    """A command that writes any file removes the files of its output set
+    that it did not rewrite, so none of an earlier run's is left beside its own."""
+
+    @pytest.mark.parametrize("command", ["all", "anneal"])
+    def test_refused_anneal_after_all(self, command, tmp_path):
+        out = str(tmp_path / "X")
+        _all_a(out)
+        close = _close_pair_file(tmp_path)
+        assert main([command, "--graph", close, "--out", out]) == EXIT_VERDICT
+        assert sorted(os.listdir(out)) == [CLASSICAL_REPORT, VALIDATION_REPORT]
+        # all rewrote the classical report for the pair; anneal left graph_a's
+        expected = close if command == "all" else GRAPH_A_FILE
+        assert load(os.path.join(out, CLASSICAL_REPORT), ClassicalResult).graph_hash == graph_fingerprint(
+            load_graph(expected)
+        )
+        assert not load(os.path.join(out, VALIDATION_REPORT), ValidationReport).ok
+
+    def test_anneal_after_refusal_removes_the_validation_report(self, pair_graph_file, tmp_path):
+        out = str(tmp_path / "X")
+        assert main(["anneal", "--graph", _close_pair_file(tmp_path), "--out", out]) == EXIT_VERDICT
+        assert main(["anneal", "--graph", pair_graph_file, "--shots", "20", "--out", out]) == EXIT_OK
+        assert sorted(os.listdir(out)) == [ANNEAL_REPORT, HISTOGRAM_CSV]
+
+    def test_classical_after_all(self, tmp_path):
+        out = str(tmp_path / "X")
+        _all_a(out)
+        assert main(["classical", "--graph", GRAPH_B_FILE, "--out", out]) == EXIT_OK
+        # the anneal outputs are not classical's to remove; the compare
+        # report, derived from the classical report, is
+        assert sorted(os.listdir(out)) == [ANNEAL_REPORT, CLASSICAL_REPORT, HISTOGRAM_CSV, SCHEDULE_SERIES_CSV]
+        assert main(["compare", "--out", out]) == EXIT_ERROR
+        assert COMPARE_REPORT not in os.listdir(out)
+
+    def test_error_after_a_write_still_removes_the_rest(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "X")
+        _all_a(out)
+
+        def evolve(*args, **kwargs):
+            raise IntegrationFailure("stopped at the anneal")
+
+        monkeypatch.setattr(rydnash.pipeline, "evolve", evolve)
+        assert main(["all", "--graph", GRAPH_B_FILE, "--coupling-c", str(C_B), "--out", out]) == EXIT_ERROR
+        assert os.listdir(out) == [CLASSICAL_REPORT]
+
+    def test_error_before_any_write_removes_nothing(self, tmp_path):
+        out = str(tmp_path / "X")
+        _all_a(out)
+        before = sorted(os.listdir(out))
+        assert main(["all", "--graph", str(tmp_path / "missing.yaml"), "--out", out]) == EXIT_ERROR
+        assert sorted(os.listdir(out)) == before
+
+    def test_rerun_over_another_run_matches_a_clean_run(self, tmp_path):
+        dirty, clean = str(tmp_path / "dirty"), str(tmp_path / "clean")
+        _all_a(dirty)
+        args = ["all", "--graph", GRAPH_B_FILE, "--coupling-c", str(C_B), "--seed", "7"]
+        assert main([*args, "--out", dirty]) == main([*args, "--out", clean]) == EXIT_OK
+        names = sorted(os.listdir(clean))
+        assert names == sorted(os.listdir(dirty)) == [ANNEAL_REPORT, CLASSICAL_REPORT, COMPARE_REPORT, HISTOGRAM_CSV]
+        for name in names:
+            with open(os.path.join(dirty, name), "rb") as f1, open(os.path.join(clean, name), "rb") as f2:
+                assert f1.read() == f2.read(), name
+
+
+def _reference_fingerprint(graph):
+    """``graph_fingerprint`` through hashlib: the same bytes, hashed at once."""
+    text = str(graph.n) + graph.radius.hex() + "".join(x.hex() + y.hex() for x, y in graph.positions)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _fresh_python(code, *args):
+    """The last line ``code`` prints in a new interpreter that imports this rydnash."""
+    src = os.path.dirname(os.path.dirname(rydnash.pipeline.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()[-1]
+
+
+class TestGraphFingerprint:
+    @pytest.mark.parametrize("path, digest", [(GRAPH_A_FILE, "e6af62dd5018d773"), (GRAPH_B_FILE, "9599c48070d06adf")])
+    def test_bundled_graphs(self, path, digest):
+        graph = load_graph(path)
+        assert graph_fingerprint(graph) == _reference_fingerprint(graph) == digest
+
+    @settings(max_examples=50, deadline=None)
+    @given(graph=unit_disk_layouts())
+    def test_matches_hashlib(self, graph):
+        assert graph_fingerprint(graph) == _reference_fingerprint(graph)
+
+    def test_commands_that_never_sample_leave_openssl_unloaded(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["anneal", "--graph", GRAPH_B_FILE, "--coupling-c", str(C_B), "--out", out]) == EXIT_OK
+        code = (
+            "import sys\n"
+            "from rydnash import cli\n"
+            "graph, c6, out = sys.argv[1:]\n"
+            "runs = [['classical', '--graph', graph, '--out', out],\n"
+            "        ['validate', '--graph', graph, '--coupling-c', c6, '--out', out], ['compare', '--out', out]]\n"
+            "print([cli.main(argv) for argv in runs], '_hashlib' in sys.modules)\n"
+        )
+        assert _fresh_python(code, GRAPH_B_FILE, str(C_B), out) == f"[{EXIT_OK}, {EXIT_OK}, {EXIT_OK}] False"
+
+    def test_hashlib_fallback_gives_the_same_digest(self):
+        code = (
+            "import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\n"
+            "from rydnash import fileio, pipeline\n"
+            "assert pipeline.sha256 is hashlib.sha256\n"
+            "print(*(pipeline.graph_fingerprint(fileio.load_graph(path)) for path in sys.argv[1:]))\n"
+        )
+        assert _fresh_python(code, GRAPH_A_FILE, GRAPH_B_FILE) == "e6af62dd5018d773 9599c48070d06adf"

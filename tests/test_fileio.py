@@ -174,6 +174,27 @@ class TestHistogramCsv:
         assert lines[2] == "01,3,0.25,-7.27,true,false,false"
 
 
+class TestWholeWrites:
+    @pytest.mark.parametrize("write, data", [
+        (write_report, {"graph_hash": "new"}),
+        (write_histogram_csv, [BitstringRow("1", 1, 1.0, 0.0, True, True, True)]),
+    ], ids=["report", "histogram"])
+    def test_interrupted_write_keeps_the_old_file(self, write, data, tmp_path, monkeypatch):
+        path = str(tmp_path / "out.txt")
+        with open(path, "w") as fh:
+            fh.write("old\n")
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(rydnash.fileio.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write(path, data)
+        with open(path) as fh:
+            assert fh.read() == "old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+
 @pytest.mark.parametrize(
     "load, data, key",
     [
