@@ -10,7 +10,9 @@ Two six-atom layouts, both with 6 um nearest-neighbor spacing:
 The script builds both, shows the derived adjacency, and checks them
 against the hardware spacing floor. It then prints each layout's drive-off
 C6 window: the couplings at which the maximum independent sets are exactly
-the lowest energies once the drive is off at the ramp's final detuning.
+the lowest energies once the drive is off at the ramp's final detuning. The
+C6 a run derives when none is given, final detuning times radius**6, lies
+inside both windows.
 """
 
 import math
@@ -36,7 +38,7 @@ graph_b = build_unit_disk_graph(
 
 COUPLINGS = (6.0e5, 2.2e6, 5.42e6)  # rad/us um^6
 schedule = default_schedule()
-final_delta = schedule.delta_at(schedule.duration)
+final_delta = schedule.final_detuning
 
 for name, g in (("A", graph_a), ("B", graph_b)):
     print(f"graph {name}: {g.n} atoms, radius {g.radius} um")
@@ -48,6 +50,9 @@ for name, g in (("A", graph_a), ("B", graph_b)):
     print(f"  drive-off C6 window at delta = {final_delta}: ({lo:.4g}, {hi:.4g})")
     for c6 in COUPLINGS:
         print(f"    c6 = {c6:9.3g}: {'inside' if lo < c6 < hi else 'outside'}")
+    # a run given no C6 takes the one whose drive-off blockade radius is R
+    derived = final_delta * g.radius**6
+    print(f"    derived c6 = delta * R^6 = {derived:.4g}: {'inside' if lo < derived < hi else 'outside'}")
 
 # The blockade radius is where the pair interaction equals the drive scale.
 # At the coupling used for graph A below, it lands between the 6 um edges

@@ -3,8 +3,10 @@ simulated anneal, and the cross-check report, written to ./demo_out.
 
 Equivalent to:
 
-    rydnash all --graph configs/graph_a.yaml --coupling-c 2.2e6 \
-        --seed 7 --out demo_out
+    rydnash all --graph configs/graph_a.yaml --seed 7 --out demo_out
+
+With no coupling given, C6 is the final detuning times the graph's radius
+to the sixth: 7.27 * 8**6 = 1.906e6 rad/us um^6 for graph A.
 """
 
 import os
@@ -18,7 +20,6 @@ OUT = os.path.join(os.getcwd(), "demo_out")
 
 config = RunConfig(
     graph_path=os.path.join(HERE, os.pardir, "configs", "graph_a.yaml"),
-    c6=2.2e6,
     shots=1000,
     seed=7,
 )
@@ -28,7 +29,7 @@ print(f"classical: {len(classical.nash)} equilibria, "
       f"{len(classical.maximum_sets)} maximum set(s), match={classical.nash_equals_mis}")
 
 quantum = run_quantum(config)
-print(f"anneal: modal readout {quantum.top_k[0]}, "
+print(f"anneal at C6 {quantum.c6:.4g}: modal readout {quantum.top_k[0]}, "
       f"optimum weight {quantum.mis_aggregate_probability:.3f}")
 
 report = compare(classical, quantum)

@@ -115,9 +115,8 @@ def _add_game(p: argparse.ArgumentParser) -> None:
 
 def _add_drive(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schedule", help="schedule file (YAML: omega, delta, duration); default: reference ramp")
-    p.add_argument(
-        "--coupling-c", dest="c6", metavar="COUPLING_C", type=float, help="van der Waals coefficient, rad/us*um^6"
-    )
+    p.add_argument("--coupling-c", dest="c6", metavar="COUPLING_C", type=float,
+                   help="van der Waals coefficient, rad/us*um^6 (default: final detuning * radius^6)")
 
 
 def _add_quantum(p: argparse.ArgumentParser) -> None:

@@ -31,9 +31,9 @@ from .errors import IntegrationFailure, InvalidInput, integer, real
 from .geometry import EmbeddedGraph
 from .schedule import Schedule
 
-#: Default van der Waals coefficient, rad/us * um**6. Production-scale
-#: magnitude; analyses that depend on where the blockade radius falls
-#: relative to a specific layout should pin their own value.
+#: ``RydbergSystem``'s default coupling, rad/us * um**6. No run uses it, as
+#: ``RunConfig`` pins C6 or derives it; it stays because ``benchmarks/child.py``
+#: builds its traced stiff pair as ``RydbergSystem(graph)``.
 DEFAULT_C6 = 5.42e6
 
 # Triple-jump composition coefficients turning a self-adjoint second-order

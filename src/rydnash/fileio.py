@@ -239,20 +239,8 @@ def load_schedule(path: str) -> Schedule:
     return load(path, Schedule)
 
 
-def save_graph(path: str, graph: EmbeddedGraph) -> None:
-    _write_yaml(path, _mapping(graph), header=("unit-disk graph: coordinates and radius in um",))
-
-
-def save_game(path: str, params: GameParams) -> None:
-    _write_yaml(path, _mapping(params), header=("public-goods game parameters",))
-
-
-def save_schedule(path: str, schedule: Schedule) -> None:
-    _write_yaml(path, _mapping(schedule), header=("piecewise-linear drive waveforms", "times in us, values in rad/us"))
-
-
-def _write_yaml(path: str, data: dict, header: tuple[str, ...] = ()) -> None:
-    _write_text(path, "".join(f"# {line}\n" for line in header) + _dump(data))
+def _write_yaml(path: str, data: dict) -> None:
+    _write_text(path, _dump(data))
 
 
 def _write_text(path: str, text: str) -> None:

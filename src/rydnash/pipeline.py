@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._bits import check_bitstrings, from_bitstring
-from .dynamics import DEFAULT_C6, RydbergSystem, drive_off_window, evolve, sample
+from .dynamics import RydbergSystem, drive_off_window, evolve, sample
 from .errors import ConstraintViolation, IncompatibleRuns, InvalidInput, integer, real
 from .fileio import load_graph
 from .game import GameParams, enumerate_specialized_nash
@@ -39,7 +39,8 @@ DEFAULT_SEED = 7
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one pipeline run needs, with conservative defaults.
+    """Everything one pipeline run needs, with conservative defaults; a
+    ``c6`` of None is derived from the layout and the ramp (see ``system``).
 
     Validation and both analyses of one config share its graph, set
     families, Rydberg system and validation report: each is made once, on
@@ -50,7 +51,7 @@ class RunConfig:
     graph_path: str
     game: GameParams = GameParams()
     schedule: Schedule | None = None  # None selects the default ramp
-    c6: float = DEFAULT_C6
+    c6: float | None = None  # None derives C6 = Δ_f·R⁶
     shots: int = 1000
     seed: int = DEFAULT_SEED
 
@@ -59,7 +60,8 @@ class RunConfig:
         # writer takes no numpy scalar
         object.__setattr__(self, "shots", integer("shots", self.shots, 1))
         object.__setattr__(self, "seed", integer("seed", self.seed, 0))
-        object.__setattr__(self, "c6", real("c6", self.c6, positive=True))
+        if self.c6 is not None:
+            object.__setattr__(self, "c6", real("c6", self.c6, positive=True))
         if self.schedule is None:
             object.__setattr__(self, "schedule", default_schedule())
 
@@ -80,17 +82,22 @@ class RunConfig:
 
     @cached_property
     def system(self) -> RydbergSystem:
-        """The layout at this run's coupling."""
-        return RydbergSystem(self.graph, self.c6)
+        """The layout at ``c6``, or else at Δ_f·R⁶: the C6 at which the
+        drive-off blockade radius is the disk radius R. The rule reads the
+        layout and the schedule only, never the set families. Raises
+        InvalidInput, before any 2**n work, when Δ_f is not positive."""
+        delta = self.schedule.final_detuning
+        if self.c6 is None and delta <= 0:
+            raise InvalidInput(f"the schedule's final detuning {delta} rad/us gives no C6 to derive; pass --coupling-c")
+        return RydbergSystem(self.graph, delta * self.graph.radius**6 if self.c6 is None else self.c6)
 
     @cached_property
     def validation(self) -> ValidationReport:
         """Hardware validation for the run: the spacing floor and the
         waveform limits, plus the run's drive-off C6 window."""
-        schedule = self.schedule
-        violations = validate_embedding(self.graph) + validate_schedule(schedule)
-        window = drive_off_window(self.system, schedule.delta_at(schedule.duration), self.maximum_sets)
-        return ValidationReport(violations, self.c6, window)
+        violations = validate_embedding(self.graph) + validate_schedule(self.schedule)
+        window = drive_off_window(self.system, self.schedule.final_detuning, self.maximum_sets)
+        return ValidationReport(violations, self.system.c6, window)
 
 
 def graph_fingerprint(graph: EmbeddedGraph) -> str:
@@ -241,7 +248,7 @@ def run_quantum(config: RunConfig) -> QuantumResult:
     counts = sample(state, config.shots, config.seed)
     # by descending count, bitstring as tiebreak
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    energies = system.diagonal(schedule.delta_at(schedule.duration))
+    energies = system.diagonal(schedule.final_detuning)
     probs = state.probabilities()
     rows = []
     for bits, count in ranked:
@@ -252,7 +259,7 @@ def run_quantum(config: RunConfig) -> QuantumResult:
         rows.append(BitstringRow(bits, count, float(probs[z]), float(energies[z]), *flags))
     aggregate = float(sum(probs[from_bitstring(b, graph.n)] for b in maximum))
     return QuantumResult(
-        graph_hash=graph_fingerprint(graph), n=graph.n, c6=config.c6, seed=config.seed,
+        graph_hash=graph_fingerprint(graph), n=graph.n, c6=system.c6, seed=config.seed,
         duration=schedule.duration, rows=tuple(rows), maximum_sets=maximum, mis_aggregate_probability=aggregate,
     )
 

@@ -84,6 +84,11 @@ class Schedule:
         out = np.interp(t, ts, vs)
         return float(out) if np.isscalar(t) else out
 
+    @property
+    def final_detuning(self) -> float:
+        """Δ_f, the detuning at ``duration``, where the readout happens."""
+        return self.delta[-1][1]
+
     @cached_property
     def breakpoint_times(self) -> tuple[float, ...]:
         """Union of both waveforms' breakpoint times, sorted."""

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from rydnash._bits import from_bitstring, node_mask
 from rydnash.dynamics import _W0, _W1, QuantumState, RydbergSystem
 from rydnash.errors import InvalidInput
+from rydnash.fileio import to_mapping, write_report
 from rydnash.geometry import build_unit_disk_graph
 from rydnash.schedule import Schedule
 
@@ -61,6 +62,12 @@ def graph_b():
 @pytest.fixture(scope="session")
 def chain25():
     return build_unit_disk_graph(CHAIN25_POSITIONS, CHAIN25_RADIUS)
+
+
+def save_yaml(path, obj) -> None:
+    """Write a layout, game or schedule (any dataclass of the file formats)
+    to ``path`` as rydnash writes its reports."""
+    write_report(str(path), to_mapping(obj))
 
 
 def random_unit_disk(rng, n_max=8, box=10.0):

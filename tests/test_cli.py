@@ -13,7 +13,16 @@ import pytest
 import yaml
 from hypothesis import given, settings
 
-from conftest import C_A, C_B, GRAPH_A_MIS_FAMILY, OVER_LIMIT, unit_disk_layouts
+from conftest import (
+    C_A,
+    C_B,
+    GRAPH_A_MIS_FAMILY,
+    GRAPH_A_RADIUS,
+    GRAPH_B_RADIUS,
+    OVER_LIMIT,
+    save_yaml,
+    unit_disk_layouts,
+)
 import rydnash.fileio
 import rydnash.game
 import rydnash.indsets
@@ -43,8 +52,6 @@ from rydnash.fileio import (
     load,
     load_graph,
     read_report,
-    save_graph,
-    save_schedule,
     to_mapping,
     write_report,
 )
@@ -74,7 +81,7 @@ def pair_graph_file(tmp_path):
     from rydnash.geometry import build_unit_disk_graph
 
     path = str(tmp_path / "pair.yaml")
-    save_graph(path, build_unit_disk_graph([(0.0, 0.0), (6.0, 0.0)], 8.0))
+    save_yaml(path, build_unit_disk_graph([(0.0, 0.0), (6.0, 0.0)], 8.0))
     return path
 
 
@@ -82,7 +89,7 @@ def pair_graph_file(tmp_path):
 def chain25_file(tmp_path, chain25):
     """A layout one atom past the exhaustive limit, clear of every hardware limit."""
     path = str(tmp_path / "chain25.yaml")
-    save_graph(path, chain25)
+    save_yaml(path, chain25)
     return path
 
 
@@ -108,7 +115,7 @@ def graph_a_all_run(tmp_path_factory):
     for command in ("all", "validate"):
         assert main([command, "--graph", GRAPH_A_FILE, "--coupling-c", str(C_A), "--out", out]) == EXIT_OK
     close = os.path.join(out, "close.yaml")
-    save_graph(close, build_unit_disk_graph([(0.0, 0.0), (3.0, 0.0)], 4.0))
+    save_yaml(close, build_unit_disk_graph([(0.0, 0.0), (3.0, 0.0)], 4.0))
     assert main(["anneal", "--graph", close, "--out", os.path.join(out, "refused")]) == EXIT_VERDICT
     config = RunConfig(graph_path=GRAPH_A_FILE, c6=C_A)
     classical, quantum = run_classical(config), run_quantum(config)
@@ -153,7 +160,7 @@ def _no_maximum_sets(data):
 
 
 def _count_calls(monkeypatch, command, out):
-    """Run ``command`` on graph_a at its pinned coupling and count graph
+    """Run ``command`` on graph_a at its derived coupling and count graph
     loads, MIS sweeps, drive-off window passes and spacing scans."""
     calls = {"load": 0, "mis": 0, "window": 0, "spacing": 0}
 
@@ -172,9 +179,15 @@ def _count_calls(monkeypatch, command, out):
         monkeypatch.setattr(module, "enumerate_mis", mis)
     monkeypatch.setattr(rydnash.pipeline, "drive_off_window", counting("window", rydnash.pipeline.drive_off_window))
     monkeypatch.setattr(rydnash.pipeline, "validate_embedding", counting("spacing", rydnash.pipeline.validate_embedding))
-    args = [command, "--graph", GRAPH_A_FILE, "--coupling-c", str(C_A), "--shots", "100", "--out", str(out)]
-    assert main(args) == EXIT_OK
+    assert main([command, "--graph", GRAPH_A_FILE, "--shots", "100", "--out", str(out)]) == EXIT_OK
     return calls
+
+
+def _ramp_ending_at(tmp_path, final):
+    """A 1 us schedule file whose detuning ends at ``final`` rad/us."""
+    path = str(tmp_path / "ramp.yaml")
+    save_yaml(path, Schedule(((0.0, 0.0), (0.5, 7.27), (1.0, 0.0)), ((0.0, -7.27), (1.0, final)), 1.0))
+    return path
 
 
 class TestValidateCommand:
@@ -202,7 +215,7 @@ class TestValidateCommand:
         # unbounded interaction, not a division by zero, and the run is
         # refused as any too-close pair is
         graph = str(tmp_path / "touching.yaml")
-        save_graph(graph, build_unit_disk_graph([(0.0, 0.0), (1e-55, 0.0)], 4.0))
+        save_yaml(graph, build_unit_disk_graph([(0.0, 0.0), (1e-55, 0.0)], 4.0))
         out = str(tmp_path / "out")
         assert main(["validate", "--graph", graph, "--out", out]) == EXIT_VERDICT
         (v,) = read_report(os.path.join(out, VALIDATION_REPORT))["violations"]
@@ -210,7 +223,7 @@ class TestValidateCommand:
 
     def test_long_schedule_fails(self, tmp_path):
         sched = str(tmp_path / "long.yaml")
-        save_schedule(
+        save_yaml(
             sched,
             Schedule(((0.0, 0.0), (2.5, 7.27), (5.0, 0.0)), ((0.0, -7.27), (5.0, 7.27)), 5.0),
         )
@@ -221,13 +234,13 @@ class TestValidateCommand:
         assert [v["kind"] for v in report["violations"]] == ["duration"]
         assert report["violations"][0]["subject"] == []
 
-    def test_default_coupling_names_the_window(self, tmp_path, capsys):
-        # graph_a's window tops out at 4.579e6, below the default 5.42e6: the
-        # warning says so on stderr and changes neither verdict nor exit code
+    def test_coupling_outside_the_window_is_named(self, tmp_path, capsys):
+        # graph_b's window tops out at 1.284e6, below 2.2e6: the warning says
+        # so on stderr and changes neither verdict nor exit code
         out = str(tmp_path / "out")
-        assert main(["validate", "--graph", GRAPH_A_FILE, "--out", out]) == EXIT_OK
+        assert main(["validate", "--graph", GRAPH_B_FILE, "--coupling-c", "2.2e6", "--out", out]) == EXIT_OK
         err = capsys.readouterr().err
-        assert "C6 5.42e+06 is outside the drive-off window (1.712e+05, 4.579e+06)" in err
+        assert "C6 2.2e+06 is outside the drive-off window (3.386e+05, 1.284e+06)" in err
         assert err.count("\n") == 1
 
     def test_empty_window_is_named_empty(self, tmp_path, capsys):
@@ -236,7 +249,7 @@ class TestValidateCommand:
         # above hi < lo, so no C6 is inside, and the warning says so instead
         # of printing the window as an interval
         graph = str(tmp_path / "empty.yaml")
-        save_graph(graph, build_unit_disk_graph([(14.8, 11.2), (14.2, 21.6), (4.7, 16.9), (15.2, 2.0)], 10.3))
+        save_yaml(graph, build_unit_disk_graph([(14.8, 11.2), (14.2, 21.6), (4.7, 16.9), (15.2, 2.0)], 10.3))
         out = str(tmp_path / "out")
         assert main(["validate", "--graph", graph, "--out", out]) == EXIT_OK
         assert capsys.readouterr().err == (
@@ -255,7 +268,7 @@ class TestValidateCommand:
         # nothing bounds one atom's C6: the window (0, inf) writes inf as
         # YAML's .inf and reads it back
         graph = str(tmp_path / "one.yaml")
-        save_graph(graph, build_unit_disk_graph([(0.0, 0.0)], 1.0))
+        save_yaml(graph, build_unit_disk_graph([(0.0, 0.0)], 1.0))
         out = str(tmp_path / "out")
         assert main(["validate", "--graph", graph, "--out", out]) == EXIT_OK
         assert capsys.readouterr().err == ""
@@ -443,16 +456,17 @@ class TestAnnealCommand:
             raise IntegrationFailure("stopped at the anneal")
 
         monkeypatch.setattr(rydnash.pipeline, "evolve", evolve)
-        assert main([command, "--graph", GRAPH_A_FILE, "--out", str(tmp_path)]) == EXIT_ERROR
+        args = [command, "--graph", GRAPH_B_FILE, "--coupling-c", "2.2e6", "--out", str(tmp_path)]
+        assert main(args) == EXIT_ERROR
         warning, error = capsys.readouterr().err.splitlines()
-        assert warning.startswith("warning: C6 5.42e+06 is outside the drive-off window")
+        assert warning.startswith("warning: C6 2.2e+06 is outside the drive-off window (3.386e+05, 1.284e+06)")
         assert error == "error: stopped at the anneal"
 
     def test_diabatic_schedule_misses_optimum(self, pair_graph_file, tmp_path):
         # a very short ramp leaves the register near the all-ground state,
         # so the optima drop out of the top ranks and the verdict fails
         sched = str(tmp_path / "fast.yaml")
-        save_schedule(
+        save_yaml(
             sched,
             Schedule(((0.0, 0.0), (0.05, 7.27), (0.1, 0.0)), ((0.0, -7.27), (0.1, 7.27)), 0.1),
         )
@@ -524,6 +538,51 @@ class TestRefusedBeforeAnnealing:
         assert not out.exists()
         with pytest.raises(InvalidInput):
             RunConfig(graph_path=GRAPH_A_FILE, c6=float(c6))
+
+    @pytest.mark.parametrize("final", [0.0, -7.27])
+    @pytest.mark.parametrize("command", ["validate", "anneal", "all"])
+    def test_no_coupling_derived_from_final_detuning(self, command, final, tmp_path, capsys, monkeypatch):
+        # C6 = Δ_f·R⁶ needs Δ_f > 0: the run is refused before any 2**n table
+        def pair_energy(self):
+            raise AssertionError("no 2**n table may be built for a refused input")
+
+        monkeypatch.setattr(RydbergSystem, "pair_energy", property(pair_energy))
+        sched = _ramp_ending_at(tmp_path, final)
+        out = tmp_path / "out"
+        assert main([command, "--graph", GRAPH_B_FILE, "--schedule", sched, "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the schedule's final detuning {final} rad/us") and "--coupling-c" in err
+        assert not (out / VALIDATION_REPORT).exists() and not (out / ANNEAL_REPORT).exists()
+
+
+class TestDerivedCoupling:
+    """With no --coupling-c, a run's C6 is Δ_f·R⁶: 7.27 rad/us on the
+    reference ramp, R the graph file's radius."""
+
+    @pytest.mark.parametrize(
+        "path, radius", [(GRAPH_A_FILE, GRAPH_A_RADIUS), (GRAPH_B_FILE, GRAPH_B_RADIUS)], ids=["graph_a", "graph_b"]
+    )
+    def test_bundled_graphs_pass(self, path, radius, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["all", "--graph", path, "--out", out]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert main(["validate", "--graph", path, "--out", out]) == EXIT_OK
+        for name in (ANNEAL_REPORT, VALIDATION_REPORT):
+            assert read_report(os.path.join(out, name))["c6"] == 7.27 * radius**6
+
+    def test_explicit_coupling_needs_no_positive_final_detuning(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        args = ["validate", "--graph", GRAPH_B_FILE, "--schedule", _ramp_ending_at(tmp_path, 0.0)]
+        assert main([*args, "--coupling-c", "6e5", "--out", out]) == EXIT_OK
+        assert "no C6 makes" in capsys.readouterr().err
+        assert load(os.path.join(out, VALIDATION_REPORT), ValidationReport).c6 == 6e5
+
+    def test_rule_reads_no_set_family(self, monkeypatch):
+        def enumerate_mis(*args, **kwargs):
+            raise AssertionError("the coupling must not depend on the maximum sets")
+
+        monkeypatch.setattr(rydnash.pipeline, "enumerate_mis", enumerate_mis)
+        assert RunConfig(graph_path=GRAPH_A_FILE).system.c6 == 7.27 * GRAPH_A_RADIUS**6
 
 
 class TestModuleEntryPoint:
@@ -699,26 +758,25 @@ class TestAllCommand:
         written = []
         write_yaml = rydnash.fileio._write_yaml
 
-        def recording(path, data, header=()):
-            written.append((path, data, header))
-            write_yaml(path, data, header)
+        def recording(path, data):
+            written.append((path, data))
+            write_yaml(path, data)
 
         monkeypatch.setattr(rydnash.fileio, "_write_yaml", recording)
         if layout == "graph_b":
             args = ["--graph", GRAPH_B_FILE, "--coupling-c", "6e5"]
         else:
             graph, ramp = str(tmp_path / "chain.yaml"), str(tmp_path / "ramp.yaml")
-            save_graph(graph, build_unit_disk_graph([(6.0 * i, 0.0) for i in range(11)], 6.0))
-            save_schedule(ramp, default_schedule(duration=1.0))
+            save_yaml(graph, build_unit_disk_graph([(6.0 * i, 0.0) for i in range(11)], 6.0))
+            save_yaml(ramp, default_schedule(duration=1.0))
             args = ["--graph", graph, "--schedule", ramp, "--coupling-c", "1e6"]
         assert main(["all", *args, "--out", str(tmp_path / "out"), "--seed", "7"]) == EXIT_OK
-        assert {os.path.basename(path) for path, _, _ in written} >= {CLASSICAL_REPORT, ANNEAL_REPORT, COMPARE_REPORT}
-        for path, data, header in written:
+        assert {os.path.basename(path) for path, _ in written} >= {CLASSICAL_REPORT, ANNEAL_REPORT, COMPARE_REPORT}
+        for path, data in written:
             with open(path, encoding="utf-8", newline="") as fh:
                 text = fh.read()
-            comments = "".join(f"# {line}\n" for line in header)
             for dumper in (yaml.SafeDumper, yaml.CSafeDumper):
-                assert text == comments + yaml.dump(data, Dumper=dumper, sort_keys=True, default_flow_style=None)
+                assert text == yaml.dump(data, Dumper=dumper, sort_keys=True, default_flow_style=None)
             for loader in (yaml.SafeLoader, yaml.CSafeLoader):
                 assert yaml.load(text, Loader=loader) == data
         if layout == "chain11":
@@ -739,8 +797,8 @@ class TestAllCommand:
         # layout refused for spacing compares its validation reports
         with tempfile.TemporaryDirectory() as tmp:
             graph_file, ramp = os.path.join(tmp, "graph.yaml"), os.path.join(tmp, "ramp.yaml")
-            save_graph(graph_file, graph)
-            save_schedule(ramp, default_schedule(duration=1.0))
+            save_yaml(graph_file, graph)
+            save_yaml(ramp, default_schedule(duration=1.0))
             args = ["all", "--graph", graph_file, "--schedule", ramp, "--coupling-c", "1e5", "--seed", "7"]
             runs = [os.path.join(tmp, name) for name in ("run1", "run2")]
             codes = [main([*args, "--out", out]) for out in runs]
@@ -954,7 +1012,7 @@ class TestReportSchema:
 def _close_pair_file(tmp_path):
     """A 3 um pair: below the 4 um floor, so its anneal is refused."""
     path = str(tmp_path / "close.yaml")
-    save_graph(path, build_unit_disk_graph([(0.0, 0.0), (3.0, 0.0)], 4.0))
+    save_yaml(path, build_unit_disk_graph([(0.0, 0.0), (3.0, 0.0)], 4.0))
     return path
 
 

@@ -28,6 +28,7 @@ from conftest import (
     dense_hamiltonian,
     diagonal_energy,
     reference_propagate,
+    save_yaml,
     unit_disk_layouts,
 )
 from rydnash._bits import EXHAUSTIVE_LIMIT
@@ -49,7 +50,7 @@ from rydnash.errors import (
     InvalidInput,
     TooLarge,
 )
-from rydnash.fileio import from_mapping, save_graph, to_mapping
+from rydnash.fileio import from_mapping, to_mapping
 from rydnash.geometry import build_unit_disk_graph
 from rydnash.indsets import maximum_independent_sets
 from rydnash.pipeline import QuantumResult, RunConfig, run_quantum
@@ -664,7 +665,7 @@ class TestSample:
     def tied_result(self, tmp_path, monkeypatch):
         """run_quantum on a blockaded pair whose readout ties two counts."""
         path = str(tmp_path / "pair.yaml")
-        save_graph(path, build_unit_disk_graph([(0.0, 0.0), (6.0, 0.0)], 8.0))
+        save_yaml(path, build_unit_disk_graph([(0.0, 0.0), (6.0, 0.0)], 8.0))
         monkeypatch.setattr(rydnash.pipeline, "evolve", lambda system, schedule: QuantumState.all_ground(2))
         monkeypatch.setattr(rydnash.pipeline, "sample", lambda state, shots, seed: {"10": 5, "01": 5, "11": 2})
         return run_quantum(RunConfig(graph_path=path, shots=12))

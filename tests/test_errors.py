@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import save_yaml
 from rydnash.dynamics import QuantumState, RydbergSystem, propagate, sample
 from rydnash.errors import InvalidInput, integer, real
-from rydnash.fileio import load_game, save_game
+from rydnash.fileio import load_game
 from rydnash.game import GameParams, payoff
 from rydnash.geometry import EmbeddedGraph, blockade_radius, build_unit_disk_graph
 from rydnash.pipeline import RunConfig
@@ -93,7 +94,7 @@ def test_game_round_trip(e_star, tmp_path):
     # an int e_star used to be written as 1, which reads back as no float,
     # and a numpy one could not be written at all
     path, default = str(tmp_path / "game.yaml"), str(tmp_path / "default.yaml")
-    save_game(path, GameParams(e_star=e_star))
-    save_game(default, GameParams())
+    save_yaml(path, GameParams(e_star=e_star))
+    save_yaml(default, GameParams())
     assert load_game(path) == GameParams()
     assert open(path, encoding="utf-8").read() == open(default, encoding="utf-8").read()
