@@ -13,13 +13,13 @@ import os
 
 from rydnash import RunConfig, compare, run_classical, run_quantum
 from rydnash.cli import HISTOGRAM_CSV
-from rydnash.fileio import to_mapping, write_histogram_csv, write_report
+from rydnash.fileio import load_graph, to_mapping, write_histogram_csv, write_report
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUT = os.path.join(os.getcwd(), "demo_out")
 
 config = RunConfig(
-    graph_path=os.path.join(HERE, os.pardir, "configs", "graph_a.yaml"),
+    graph=load_graph(os.path.join(HERE, os.pardir, "configs", "graph_a.yaml")),
     shots=1000,
     seed=7,
 )

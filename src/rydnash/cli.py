@@ -25,6 +25,7 @@ from .errors import RydnashError
 from .fileio import (
     load,
     load_game,
+    load_graph,
     load_schedule,
     to_mapping,
     write_histogram_csv,
@@ -103,9 +104,7 @@ def _add_out(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--graph", dest="graph_path", metavar="GRAPH", required=True, help="graph file (YAML: nodes, radius)"
-    )
+    p.add_argument("--graph", required=True, help="graph file (YAML: nodes, radius)")
     _add_out(p)
 
 
@@ -168,9 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """Option dests are RunConfig field names, apart from the outputs'
-    ``outdir`` and ``plot_data``; game and schedule are paths."""
+    ``outdir`` and ``plot_data``; game, schedule and graph are paths."""
     options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "outdir", "plot_data")}
-    for name, load in (("game", load_game), ("schedule", load_schedule)):
+    for name, load in (("game", load_game), ("schedule", load_schedule), ("graph", load_graph)):
         if name in options:
             options[name] = load(options[name])
     return RunConfig(**options)

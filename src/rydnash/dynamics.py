@@ -21,6 +21,9 @@ drive rotation.
 from __future__ import annotations
 
 import math
+import random
+import sys
+import types
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 
@@ -432,6 +435,31 @@ def evolve(system: RydbergSystem, schedule: Schedule) -> QuantumState:
         coarse = fine
 
 
+def _random():
+    """``numpy.random``, imported so that a run that seeds its generator does
+    not load OpenSSL.
+
+    numpy's ``bit_generator`` imports ``secrets``, which imports ``hmac`` and
+    with it ``_hashlib`` and libcrypto, only for ``secrets.randbits``, which
+    draws the entropy of an unseeded generator. When neither module is
+    loaded yet, ``numpy.random`` is imported under a stand-in ``secrets``
+    whose ``randbits`` is what the stdlib defines it as,
+    ``random.SystemRandom().getrandbits``. The stand-in is in
+    ``sys.modules`` only for that one import; a later ``import secrets``
+    loads the stdlib module.
+    """
+    if "numpy.random" in sys.modules or "secrets" in sys.modules:
+        return np.random
+    stand_in = types.ModuleType("secrets")
+    stand_in.randbits = random.SystemRandom().getrandbits
+    sys.modules["secrets"] = stand_in
+    try:
+        import numpy.random
+    finally:
+        del sys.modules["secrets"]
+    return numpy.random
+
+
 def sample(state: QuantumState, shots: int, seed: int) -> dict[str, int]:
     """Projective-measurement statistics: a multinomial draw over |a_z|^2,
     as the count of every observed bitstring, in canonical order.
@@ -443,7 +471,6 @@ def sample(state: QuantumState, shots: int, seed: int) -> dict[str, int]:
     p = state.probabilities()
     total = float(p.sum())
     _check_norm(math.sqrt(total))
-    rng = np.random.default_rng(seed)
-    counts_vec = rng.multinomial(shots, p / total)
+    counts_vec = _random().default_rng(seed).multinomial(shots, p / total)
     n = state.n
     return {to_bitstring(int(z), n): int(counts_vec[z]) for z in np.flatnonzero(counts_vec)}

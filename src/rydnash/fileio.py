@@ -171,7 +171,8 @@ def _read(hint, value, where: str):
             return value
         if hint is float and kind is int:
             return float(value)
-        raise TypeError(f"{where!r} must be {_KINDS[hint]}, got {value!r}")
+        why = _text_float(value) if hint is float and kind is str else ""
+        raise TypeError(f"{where!r} must be {_KINDS[hint]}, got {value!r}{why}")
     origin, args = get_origin(hint), get_args(hint)
     if origin is tuple:
         if kind is not list:
@@ -186,6 +187,17 @@ def _read(hint, value, where: str):
     if origin is dict:
         return {_read(args[0], k, where): _read(args[1], v, f"{where}[{k!r}]") for k, v in value.items()}
     return _instance(hint, value, where)
+
+
+def _text_float(value: str) -> str:
+    """Why a string that Python reads as a float is still refused: YAML 1.1
+    reads ``9e0`` or ``1.5e6`` as text, and a spelling that reads as the
+    float; empty if ``value`` is no float at all."""
+    try:
+        number = float(value)
+    except ValueError:
+        return ""
+    return f", which YAML 1.1 reads as text (a float needs a '.', and its exponent a sign); write {_float_text(number)}"
 
 
 def read_report(path: str) -> dict:

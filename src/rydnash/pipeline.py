@@ -1,5 +1,5 @@
-"""End-to-end orchestration: load configs, run the classical and annealing
-analyses on the same graph, and compare the two.
+"""End-to-end orchestration: run the classical and annealing analyses on the
+same loaded graph, and compare the two. Nothing here reads a file.
 
 Every report is the mapping of its result dataclass, written with
 ``fileio.write_report(path, fileio.to_mapping(result))`` and read back with
@@ -16,7 +16,6 @@ from functools import cached_property
 from ._bits import check_bitstrings, from_bitstring
 from .dynamics import RydbergSystem, drive_off_window, evolve, sample
 from .errors import ConstraintViolation, IncompatibleRuns, InvalidInput, integer, real
-from .fileio import load_graph
 from .game import GameParams, enumerate_specialized_nash
 from .geometry import EmbeddedGraph, Violation, validate_embedding
 from .indsets import correspondence_witnesses, enumerate_mis, is_independent, is_maximal, largest
@@ -42,13 +41,13 @@ class RunConfig:
     """Everything one pipeline run needs, with conservative defaults; a
     ``c6`` of None is derived from the layout and the ramp (see ``system``).
 
-    Validation and both analyses of one config share its graph, set
-    families, Rydberg system and validation report: each is made once, on
-    first use. Above ``_bits.EXHAUSTIVE_LIMIT`` nodes, the set families,
-    the system and the validation each raise TooLarge.
+    Validation and both analyses of one config share its set families,
+    Rydberg system and validation report: each is made once, on first use.
+    Above ``_bits.EXHAUSTIVE_LIMIT`` nodes, the set families, the system
+    and the validation each raise TooLarge.
     """
 
-    graph_path: str
+    graph: EmbeddedGraph
     game: GameParams = GameParams()
     schedule: Schedule | None = None  # None selects the default ramp
     c6: float | None = None  # None derives C6 = Δ_f·R⁶
@@ -64,11 +63,6 @@ class RunConfig:
             object.__setattr__(self, "c6", real("c6", self.c6, positive=True))
         if self.schedule is None:
             object.__setattr__(self, "schedule", default_schedule())
-
-    @cached_property
-    def graph(self) -> EmbeddedGraph:
-        """The layout read from ``graph_path``."""
-        return load_graph(self.graph_path)
 
     @cached_property
     def maximal_sets(self) -> tuple[str, ...]:

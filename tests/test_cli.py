@@ -23,6 +23,7 @@ from conftest import (
     save_yaml,
     unit_disk_layouts,
 )
+import rydnash.cli
 import rydnash.fileio
 import rydnash.game
 import rydnash.indsets
@@ -96,7 +97,7 @@ def chain25_file(tmp_path, chain25):
 @pytest.fixture(scope="module")
 def graph_a_results():
     """Both analyses of graph_a at its pinned coupling, run once per module."""
-    config = RunConfig(graph_path=GRAPH_A_FILE, c6=C_A, shots=200)
+    config = RunConfig(graph=load_graph(GRAPH_A_FILE), c6=C_A, shots=200)
     return run_classical(config), run_quantum(config)
 
 
@@ -117,14 +118,14 @@ def graph_a_all_run(tmp_path_factory):
     close = os.path.join(out, "close.yaml")
     save_yaml(close, build_unit_disk_graph([(0.0, 0.0), (3.0, 0.0)], 4.0))
     assert main(["anneal", "--graph", close, "--out", os.path.join(out, "refused")]) == EXIT_VERDICT
-    config = RunConfig(graph_path=GRAPH_A_FILE, c6=C_A)
+    config = RunConfig(graph=load_graph(GRAPH_A_FILE), c6=C_A)
     classical, quantum = run_classical(config), run_quantum(config)
     results = {
         CLASSICAL_REPORT: classical,
         ANNEAL_REPORT: quantum,
         COMPARE_REPORT: compare(classical, quantum),
         VALIDATION_REPORT: config.validation,
-        REFUSED_VALIDATION_REPORT: RunConfig(graph_path=close).validation,
+        REFUSED_VALIDATION_REPORT: RunConfig(graph=load_graph(close)).validation,
     }
     return out, results
 
@@ -173,7 +174,7 @@ def _count_calls(monkeypatch, command, out):
 
     load = counting("load", rydnash.fileio.load_graph)
     mis = counting("mis", rydnash.indsets.enumerate_mis)
-    for module in (rydnash.fileio, rydnash.pipeline):
+    for module in (rydnash.fileio, rydnash.cli):
         monkeypatch.setattr(module, "load_graph", load)
     for module in (rydnash.indsets, rydnash.pipeline):
         monkeypatch.setattr(module, "enumerate_mis", mis)
@@ -403,6 +404,29 @@ class TestRefusedConfigFile:
         assert main(args) == EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize(
+        "option, text, key, value, spelling",
+        [
+            ("--graph", "nodes: [[0.0, 0.0], [6.0, 0.0]]\nradius: 9e0\n", "radius", "9e0", "9.0"),
+            ("--graph", "nodes: [[0.0, 0.0], [6e0, 0.0]]\nradius: 9.0\n", "nodes[1][0]", "6e0", "6.0"),
+            ("--schedule", "omega: [[0.0, 0.0], [1.0, 0.0]]\ndelta: [[0.0, -7.27], [1.0, 1.5e1]]\nduration: 1.0\n",
+             "delta[1][1]", "1.5e1", "15.0"),
+        ],
+        ids=["radius", "coordinate", "breakpoint"],
+    )
+    def test_exponent_read_as_text_names_a_spelling(self, option, text, key, value, spelling, tmp_path, capsys):
+        # YAML 1.1 reads 9e0 as a string: refused, with why and what to write
+        path = tmp_path / "input.yaml"
+        path.write_text(text)
+        inputs = {"--graph": GRAPH_A_FILE, option: str(path)}
+        args = ["all", "--out", str(tmp_path / "out"), *(arg for pair in inputs.items() for arg in pair)]
+        assert main(args) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {path}: '{key}' must be a number, got '{value}', which YAML 1.1 reads as text "
+            f"(a float needs a '.', and its exponent a sign); write {spelling}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestAnnealCommand:
     def test_pair_graph_anneal(self, pair_graph_file, tmp_path):
@@ -436,7 +460,7 @@ class TestAnnealCommand:
         assert main(["anneal", "--graph", pair_graph_file, "--out", out, "--shots", "1", "--seed", "1"]) == EXIT_VERDICT
         result = load(os.path.join(out, ANNEAL_REPORT), QuantumResult)
         assert type(result.shots) is int and type(result.seed) is int
-        assert result == run_quantum(RunConfig(graph_path=pair_graph_file, shots=1, seed=1))
+        assert result == run_quantum(RunConfig(graph=load_graph(pair_graph_file), shots=1, seed=1))
 
     def test_refuses_invalid_layout(self, tmp_path):
         graph = str(tmp_path / "bad.yaml")
@@ -502,14 +526,14 @@ class TestRefusedBeforeAnnealing:
         assert main(args) == EXIT_ERROR
         assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
         with pytest.raises(InvalidInput):
-            RunConfig(graph_path=GRAPH_A_FILE, seed=-1)
+            RunConfig(graph=load_graph(GRAPH_A_FILE), seed=-1)
 
     @pytest.mark.parametrize("field", ["shots", "seed", "c6"])
     def test_bool_is_not_a_number(self, field):
         # True would pass as 1 and be written as true, which the report
         # reader refuses
         with pytest.raises(InvalidInput, match=f"{field} must be {RUN_NUMBERS[field]}, got True"):
-            RunConfig(graph_path=GRAPH_A_FILE, **{field: True})
+            RunConfig(graph=load_graph(GRAPH_A_FILE), **{field: True})
 
     @pytest.mark.parametrize("field, value", [("seed", 1.5), ("shots", 2.5), ("c6", "1e6")])
     def test_non_number_before_any_work(self, field, value, pair_graph_file, monkeypatch):
@@ -517,13 +541,14 @@ class TestRefusedBeforeAnnealing:
         calls = []
         monkeypatch.setattr(rydnash.pipeline, "evolve", lambda *args: calls.append(args))
         with pytest.raises(InvalidInput, match=f"{field} must be {RUN_NUMBERS[field]}, got {value!r}"):
-            run_quantum(RunConfig(graph_path=pair_graph_file, **{field: value}))
+            run_quantum(RunConfig(graph=load_graph(pair_graph_file), **{field: value}))
         assert calls == []
 
     def test_numpy_numbers_become_python_numbers(self, pair_graph_file):
         # the report writer takes only Python numbers
-        config = RunConfig(graph_path=pair_graph_file, shots=np.int64(50), seed=np.uint8(3), c6=np.float32(2e6))
-        assert config == RunConfig(graph_path=pair_graph_file, shots=50, seed=3, c6=2e6)
+        graph = load_graph(pair_graph_file)
+        config = RunConfig(graph=graph, shots=np.int64(50), seed=np.uint8(3), c6=np.float32(2e6))
+        assert config == RunConfig(graph=graph, shots=50, seed=3, c6=2e6)
         assert (type(config.shots), type(config.seed), type(config.c6)) == (int, int, float)
 
     @pytest.mark.parametrize("c6", ["-1", "0", "nan", "inf"])
@@ -537,7 +562,7 @@ class TestRefusedBeforeAnnealing:
         assert f"c6 must be a positive finite number, got {float(c6)!r}" in capsys.readouterr().err
         assert not out.exists()
         with pytest.raises(InvalidInput):
-            RunConfig(graph_path=GRAPH_A_FILE, c6=float(c6))
+            RunConfig(graph=load_graph(GRAPH_A_FILE), c6=float(c6))
 
     @pytest.mark.parametrize("final", [0.0, -7.27])
     @pytest.mark.parametrize("command", ["validate", "anneal", "all"])
@@ -582,7 +607,7 @@ class TestDerivedCoupling:
             raise AssertionError("the coupling must not depend on the maximum sets")
 
         monkeypatch.setattr(rydnash.pipeline, "enumerate_mis", enumerate_mis)
-        assert RunConfig(graph_path=GRAPH_A_FILE).system.c6 == 7.27 * GRAPH_A_RADIUS**6
+        assert RunConfig(graph=load_graph(GRAPH_A_FILE)).system.c6 == 7.27 * GRAPH_A_RADIUS**6
 
 
 class TestModuleEntryPoint:
@@ -814,28 +839,25 @@ class TestAllCommand:
 
     def test_omitted_options_take_run_config_defaults(self):
         args = build_parser().parse_args(["all", "--graph", GRAPH_A_FILE, "--out", "o"])
-        assert _config_from_args(args) == RunConfig(graph_path=GRAPH_A_FILE)
+        assert _config_from_args(args) == RunConfig(graph=load_graph(GRAPH_A_FILE))
         # the output options stay the CLI's own
         assert (args.outdir, args.plot_data) == ("o", False)
         fields = {f.name for f in dataclasses.fields(RunConfig)}
-        assert fields == {"graph_path", "game", "schedule", "c6", "shots", "seed"}
+        assert fields == {"graph", "game", "schedule", "c6", "shots", "seed"}
 
 
 class TestPipelineApi:
-    def test_run_quantum_refuses_from_config_validation(self, tmp_path):
+    def test_run_quantum_refuses_from_config_validation(self):
         from rydnash.errors import ConstraintViolation
 
-        graph = str(tmp_path / "bad.yaml")
-        with open(graph, "w") as fh:
-            yaml.safe_dump({"nodes": [[0.0, 0.0], [2.0, 0.0]], "radius": 4.0}, fh)
-        config = RunConfig(graph_path=graph, shots=10)
+        config = RunConfig(graph=build_unit_disk_graph([(0.0, 0.0), (2.0, 0.0)], 4.0), shots=10)
         with pytest.raises(ConstraintViolation, match="1 violation"):
             run_quantum(config)
         assert not config.validation.ok
         assert [v.kind for v in config.validation.violations] == ["pair_distance"]
 
     def test_compare_joins_the_results_verdicts(self, pair_graph_file):
-        config = RunConfig(graph_path=pair_graph_file, shots=50)
+        config = RunConfig(graph=load_graph(pair_graph_file), shots=50)
         classical = run_classical(config)
         quantum = run_quantum(config)
         report = compare(classical, quantum)
@@ -872,16 +894,16 @@ class TestPipelineApi:
         # sweep: a sweep that loses a non-maximum set leaves every row as it
         # was, and one that loses a maximum set is refused at that readout
         # (the largest maximal one on graph_a), before any report is written
-        rows = run_quantum(RunConfig(graph_path=graph, c6=c6, shots=200)).rows
+        rows = run_quantum(RunConfig(graph=load_graph(graph), c6=c6, shots=200)).rows
         assert any(row.bitstring == dropped and row.maximal for row in rows)
         sweep = rydnash.pipeline.enumerate_mis
         monkeypatch.setattr(rydnash.pipeline, "enumerate_mis", lambda g: tuple(s for s in sweep(g) if s != dropped))
         if maximum is None:
-            assert run_quantum(RunConfig(graph_path=graph, c6=c6, shots=200)).rows == rows
+            assert run_quantum(RunConfig(graph=load_graph(graph), c6=c6, shots=200)).rows == rows
             return
         message = f"readout {dropped} disagrees with the maximum sets {maximum}"
         with pytest.raises(InvalidInput) as refused:
-            run_quantum(RunConfig(graph_path=graph, c6=c6, shots=200))
+            run_quantum(RunConfig(graph=load_graph(graph), c6=c6, shots=200))
         assert str(refused.value) == message
         out = tmp_path / "out"
         args = ["anneal", "--graph", graph, "--coupling-c", str(c6), "--shots", "200", "--out", str(out)]
@@ -905,7 +927,7 @@ class TestPipelineApi:
             monkeypatch.setattr(module, "enumerate_specialized_nash", nash)
         for module in (rydnash.indsets, rydnash.pipeline):
             monkeypatch.setattr(module, "enumerate_mis", mis)
-        result = run_classical(RunConfig(graph_path=GRAPH_A_FILE))
+        result = run_classical(RunConfig(graph=load_graph(GRAPH_A_FILE)))
         assert calls == {"nash": 1, "mis": 1}
         assert result.maximum_sets == ("100110",)
         assert result.nash_equals_mis and result.witnesses == ()
@@ -914,7 +936,7 @@ class TestPipelineApi:
         # the energy column is RydbergSystem.diagonal, which evolve
         # integrates, so the all-ground readout reads 0.0, not -0.0
         _, result = graph_a_results
-        config = RunConfig(graph_path=GRAPH_A_FILE, c6=C_A)
+        config = RunConfig(graph=load_graph(GRAPH_A_FILE), c6=C_A)
         energies = RydbergSystem(config.graph, C_A).diagonal(config.schedule.delta_at(config.schedule.duration))
         assert "0" * result.n in {row.bitstring for row in result.rows}
         for row in result.rows:
@@ -1134,3 +1156,30 @@ class TestGraphFingerprint:
             "print(*(pipeline.graph_fingerprint(fileio.load_graph(path)) for path in sys.argv[1:]))\n"
         )
         assert _fresh_python(code, GRAPH_A_FILE, GRAPH_B_FILE) == "e6af62dd5018d773 9599c48070d06adf"
+
+
+class TestImportFootprint:
+    def test_import_loads_neither_yaml_nor_openssl(self):
+        code = "import sys, rydnash\nprint('yaml' in sys.modules, '_hashlib' in sys.modules)\n"
+        assert _fresh_python(code) == "False False"
+
+    def test_sampling_run_leaves_openssl_unloaded(self, tmp_path):
+        # numpy.random imports secrets, and with it OpenSSL, unless sample
+        # imports it first; the readout must be the same either way
+        code = (
+            "import os, sys\n"
+            "graph, first, out = sys.argv[1:]\n"
+            "if first == 'numpy.random':\n"
+            "    import numpy.random\n"
+            "from rydnash import cli\n"
+            "code = cli.main(['all', '--graph', graph, '--coupling-c', '2.2e6', '--out', out])\n"
+            "loaded = '_hashlib' in sys.modules\n"
+            "import secrets\n"
+            "print(code, loaded, os.path.basename(secrets.__file__), len(secrets.token_hex(4)))\n"
+        )
+        alone, numpy_first = str(tmp_path / "alone"), str(tmp_path / "numpy_first")
+        assert _fresh_python(code, GRAPH_A_FILE, "rydnash", alone) == f"{EXIT_OK} False secrets.py 8"
+        assert _fresh_python(code, GRAPH_A_FILE, "numpy.random", numpy_first).startswith(f"{EXIT_OK} ")
+        for name in (ANNEAL_REPORT, HISTOGRAM_CSV):
+            with open(os.path.join(alone, name), "rb") as f1, open(os.path.join(numpy_first, name), "rb") as f2:
+                assert f1.read() == f2.read(), name

@@ -28,7 +28,6 @@ from conftest import (
     dense_hamiltonian,
     diagonal_energy,
     reference_propagate,
-    save_yaml,
     unit_disk_layouts,
 )
 from rydnash._bits import EXHAUSTIVE_LIMIT
@@ -662,13 +661,12 @@ class TestSample:
             sample(QuantumState.all_ground(1), 10, seed)
 
     @pytest.fixture
-    def tied_result(self, tmp_path, monkeypatch):
+    def tied_result(self, monkeypatch):
         """run_quantum on a blockaded pair whose readout ties two counts."""
-        path = str(tmp_path / "pair.yaml")
-        save_yaml(path, build_unit_disk_graph([(0.0, 0.0), (6.0, 0.0)], 8.0))
+        graph = build_unit_disk_graph([(0.0, 0.0), (6.0, 0.0)], 8.0)
         monkeypatch.setattr(rydnash.pipeline, "evolve", lambda system, schedule: QuantumState.all_ground(2))
         monkeypatch.setattr(rydnash.pipeline, "sample", lambda state, shots, seed: {"10": 5, "01": 5, "11": 2})
-        return run_quantum(RunConfig(graph_path=path, shots=12))
+        return run_quantum(RunConfig(graph=graph, shots=12))
 
     def test_ranking_order(self, tied_result):
         # descending count, bitstring as tiebreak, in both the rows and top_k

@@ -15,6 +15,7 @@ from rydnash.errors import ConfigError
 from rydnash.fileio import (
     _dump,
     from_mapping,
+    load,
     load_game,
     load_graph,
     load_schedule,
@@ -23,8 +24,9 @@ from rydnash.fileio import (
     write_report,
 )
 from rydnash.game import GameParams
-from rydnash.pipeline import BitstringRow, ClassicalResult
-from rydnash.schedule import default_schedule
+from rydnash.geometry import EmbeddedGraph
+from rydnash.pipeline import BitstringRow, ClassicalResult, ValidationReport
+from rydnash.schedule import Schedule, default_schedule
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -202,6 +204,47 @@ def test_mistyped_scalar_names_file_and_key(tmp_path, load, data, key):
     path = dump(tmp_path, "config.yaml", data)
     with pytest.raises(ConfigError, match=f"^{re.escape(path)}: '{re.escape(key)}' must be"):
         load(path)
+
+
+#: Why a float spelled as YAML 1.1 text is refused, after the value itself.
+AS_TEXT = ", which YAML 1.1 reads as text (a float needs a '.', and its exponent a sign); write "
+
+
+@pytest.mark.parametrize(
+    "cls, text, key, value, spelling",
+    [
+        (EmbeddedGraph, "nodes: [[0.0, 0.0], [6.0, 1e-1]]\nradius: 9.0\n", "nodes[1][1]", "1e-1", "0.1"),
+        (EmbeddedGraph, "nodes: [[0.0, 0.0], [6.0, 0.0]]\nradius: '9.0'\n", "radius", "9.0", "9.0"),
+        (GameParams, "e_star: 1E0\n", "e_star", "1E0", "1.0"),
+        (GameParams, "cost: 5e-1\n", "cost", "5e-1", "0.5"),
+        (Schedule, "omega: [[0.0, 0.0], [1.0, 0.0]]\ndelta: [[0.0, 0.0], [1.0, 7e0]]\nduration: 1.0\n",
+         "delta[1][1]", "7e0", "7.0"),
+        (ValidationReport, "c6: 1.5e6\nok: true\nviolations: []\nwindow: [1.0, 2.0e+6]\n", "c6", "1.5e6",
+         "1500000.0"),
+        (ValidationReport, "c6: 1.0\nok: true\nviolations: []\nwindow: [1.0, 1e20]\n", "window[1]", "1e20",
+         "1.0e+20"),
+        (ValidationReport, "c6: inf\nok: true\nviolations: []\nwindow: [1.0, 2.0]\n", "c6", "inf", ".inf"),
+    ],
+    ids=["coordinate", "quoted", "e_star", "cost", "breakpoint", "report", "large", "inf"],
+)
+def test_float_read_as_text_says_how_to_write_it(tmp_path, cls, text, key, value, spelling):
+    # still refused: a quoted '9.0' is a string, and the reader never
+    # turns a string into a number
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    message = f"{path}: '{key}' must be a number, got '{value}'{AS_TEXT}{spelling}"
+    with pytest.raises(ConfigError) as refused:
+        load(str(path), cls)
+    assert str(refused.value) == message
+    # the spelling it names reads back as the number
+    assert yaml.safe_load(f"x: {spelling}")["x"] == float(value)
+
+
+def test_no_spelling_for_text_that_is_no_float(tmp_path):
+    path = dump(tmp_path, "graph.yaml", {"nodes": [[0.0, 0.0]], "radius": "nine"})
+    with pytest.raises(ConfigError) as refused:
+        load_graph(path)
+    assert str(refused.value) == f"{path}: 'radius' must be a number, got 'nine'"
 
 
 @pytest.mark.parametrize("data", [["graph_hash"], "abc", None], ids=["list", "str", "none"])
