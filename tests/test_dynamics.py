@@ -39,6 +39,7 @@ from rydnash.dynamics import (
     _rotation_calls,
     _rotation_index,
     _rotation_table,
+    _substep_matrices,
     drive_off_window,
     evolve,
     propagate,
@@ -297,6 +298,20 @@ class TestDriveOffWindow:
         assert tuple(float(f"{v:.4g}") for v in window) == expected
         assert window[0] < c6 < window[1]
 
+    @pytest.mark.parametrize(
+        "positions, radius",
+        [(GRAPH_A_POSITIONS, GRAPH_A_RADIUS), ([(0.0, 0.0), (3.0, 0.0)], 4.0)],
+        ids=["graph_a", "pair"],
+    )
+    def test_window_does_not_move_with_coupling(self, positions, radius):
+        # the old default, the two pinned couplings and the derived
+        # delta_f * R**6 give the same floats, to the last digit
+        graph = build_unit_disk_graph(positions, radius)
+        maximum = maximum_independent_sets(graph)
+        couplings = (5.42e6, C_A, C_B, default_schedule().final_detuning * radius**6)
+        windows = {drive_off_window(RydbergSystem(graph, c6), self.DELTA, maximum) for c6 in couplings}
+        assert len(windows) == 1, windows
+
     def test_nonpositive_detuning_is_empty(self):
         # at zero detuning the empty state ties a lone atom at every C6
         graph = build_unit_disk_graph([(0.0, 0.0), (5.0, 0.0)], 6.0)
@@ -387,7 +402,7 @@ class TestPropagateAndEvolve:
     def test_propagate_peak_memory_small(self):
         # at n = 6 the 126-row phase table and the pair phases tiled to the
         # same 126 rows (126 KiB each) are most of it: tracemalloc read
-        # 413 KB, 421 KB on a process's first call, which also builds the
+        # 420 KB, 429 KB on a process's first call, which also builds the
         # cached rotation indices
         system = RydbergSystem(build_unit_disk_graph([(6.0 * i, 0.0) for i in range(6)], 6.0), 1e6)
         system.pair_energy, system.excitation_count
@@ -519,6 +534,24 @@ class TestBlockRotation:
         assert np.shares_memory(calls[0][1], source)
         assert np.shares_memory(calls[-1][2], (source, spare)[len(calls) % 2])
 
+    def test_substep_fill_matches_per_matrix_take(self):
+        # one take over a substep's three rows of the side-by-side tables
+        # fills every position's matrix of every kind with the bits of its
+        # own take from its own size's table
+        kinds = {(b, lowest) for b in range(1, _BLOCK + 1) for lowest in (False, True)}
+        sizes, index, held, matrices = _substep_matrices(kinds)
+        theta = np.array([0.3, -0.7, 0.3, 1.1, -0.05, 1e-9])
+        tables = np.concatenate([_rotation_table(theta, b) for b in sizes], axis=1)
+        for first in (0, 3):
+            held[...] = np.nan
+            tables[first : first + 3].take(index, out=held, mode="clip")
+            for position, views in enumerate(matrices):
+                assert set(views) == kinds
+                for (b, lowest), matrix in views.items():
+                    assert np.shares_memory(matrix, held[position])
+                    expected = np.take(_rotation_table(theta, b)[first + position], _rotation_index(b, lowest))
+                    assert np.array_equal(matrix, expected), (first, position, b, lowest)
+
     def test_block_bounds_stay_within_block(self):
         for n in range(1, 25):
             bounds = _block_bounds(n)
@@ -551,6 +584,18 @@ class TestWalshHadamardStage:
         monkeypatch.setattr(rydnash.dynamics, "_TABLE_BYTES", rows * 16 << n)
         assert rydnash.dynamics._table_rows(n) == {4: 3, 5: 3}.get(rows, rows)
         assert_matches_reference(build_unit_disk_graph([(6.0 * i, 0.0) for i in range(n)], 6.0))
+
+    @pytest.mark.parametrize("n", [6, 7, 11])
+    def test_table_rows_leave_bits_unchanged(self, n, monkeypatch):
+        # the drive ramps on over a 70-substep segment, past one chunk, and
+        # holds through the next; at one and two rows a substep's fill and
+        # its later stages fall in different groups of rows
+        schedule = Schedule(((0.0, 0.0), (0.07, 7.27), (0.1, 7.27)), ((0.0, -7.27), (0.1, 7.27)), 0.1)
+        system = RydbergSystem(build_unit_disk_graph([(6.0 * i, 0.0) for i in range(n)], 6.0), 1e6)
+        expected = propagate(system, schedule, 1e-3).amplitudes
+        for rows in range(1, 7):
+            monkeypatch.setattr(rydnash.dynamics, "_TABLE_BYTES", rows * 16 << n)
+            assert np.array_equal(propagate(system, schedule, 1e-3).amplitudes, expected), rows
 
     @settings(max_examples=25, deadline=None)
     @given(graph=unit_disk_layouts(n_max=9))
