@@ -11,8 +11,12 @@ from the other keys, and a derived key that differs from what it computed
 is refused. ``load`` reads every such file and ``write_report`` writes a
 report. All schemas are documented in the README. Parse errors carry the
 file path (plus the line for YAML syntax errors), as do values that parse
-but that the domain types refuse. Reading goes through libyaml when PyYAML
-is built with it.
+but that the domain types refuse.
+
+A file that is, below a header of ``#`` comment lines, exactly what
+``_dump`` writes (every report, every bundled config) is read without
+importing PyYAML. Any other YAML is read by PyYAML, through libyaml when
+PyYAML is built with it.
 
 Every YAML file is written by ``_dump``, which writes byte for byte what
 PyYAML's safe representer and emitter write with sorted keys and
@@ -29,22 +33,17 @@ temporary name and moved into place with ``os.replace``.
 from __future__ import annotations
 
 import functools
+import io
 import os
 import re
 import reprlib
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
-import yaml
-
 from .errors import ConfigError, RydnashError
 from .game import GameParams
 from .geometry import EmbeddedGraph
 from .schedule import Schedule
-
-# libyaml's parser reads a report of a few hundred readouts about six times
-# faster than the pure-Python one, into the same values.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 HISTOGRAM_COLUMNS = ("bitstring", "count", "probability", "energy", "is_independent", "is_maximal", "is_mis")
 #: Rows of a schedule series: evenly spaced times from 0 to the duration.
@@ -206,20 +205,34 @@ def read_report(path: str) -> dict:
     mapping."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.load(fh, Loader=_LOADER)
+            text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"{path}: file not found") from None
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    data = _read_canonical(text)
+    if data is None:
+        data = _read_yaml(path, text)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a mapping at the top level, got {type(data).__name__}")
+    return data
+
+
+def _read_yaml(path: str, text: str):
+    """``text`` read by PyYAML, through libyaml when PyYAML has it; a
+    ConfigError naming the file, and the line if known, if it is not YAML."""
+    import yaml
+
+    stream = io.StringIO(text)
+    stream.name = path  # PyYAML's error messages name the stream
+    try:
+        return yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1})" if mark is not None else ""
         raise ConfigError(f"{path}{where}: not valid YAML: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a mapping at the top level, got {type(data).__name__}")
-    return data
 
 
 def load(path: str, cls):
@@ -278,8 +291,14 @@ def _write_text(path: str, text: str) -> None:
 _WIDTH = 80
 _SIMPLE_KEY = 128
 _WORD = re.compile(r"[0-9A-Za-z_]+")
-_RESOLVER = yaml.resolver.Resolver()
-_STR_TAG = "tag:yaml.org,2002:str"
+# PyYAML's YAML 1.1 bool, null and int patterns, as far as a word of _WORD
+# can match them (https://yaml.org/type/): such a word would read back as
+# True, None or a number, so it is written quoted. No word reads as a float,
+# which needs a '.'.
+_NOT_STR = re.compile(
+    r"yes|Yes|YES|no|No|NO|true|True|TRUE|false|False|FALSE|on|On|ON|off|Off|OFF|null|Null|NULL"
+    r"|0b[01_]+|0x[0-9a-fA-F_]+|0[0-7_]*|[1-9][0-9_]*"
+)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -289,9 +308,7 @@ def _str_text(value: str) -> str | None:
     grammar."""
     if not _WORD.fullmatch(value):
         return None
-    if _RESOLVER.resolve(yaml.ScalarNode, value, (True, False)) == _STR_TAG:
-        return value
-    return f"'{value}'"
+    return f"'{value}'" if _NOT_STR.fullmatch(value) else value
 
 
 _FLOAT_WORDS = {"inf": ".inf", "-inf": "-.inf", "nan": ".nan"}
@@ -434,6 +451,89 @@ def _dump(data: dict) -> str:
         _flow(out, "{", texts, "}", 0, 2)
     out.append("\n")
     return "".join(out)
+
+
+# The reader of what _dump writes. It guesses the data from the tokens of
+# the text, and the guess counts only if _dump writes it back as the same
+# text. PyYAML reads _dump's text as the data that was written, so a guess
+# that counts is what PyYAML would have read.
+_HEADER = re.compile(r"(?:#[\t -~]*\n)*")
+_TOKEN = re.compile(
+    r"\n( *)"  # the indent of a line
+    r"|(- )"  # a sequence entry
+    r"|('?[0-9A-Za-z_]+'?):(?: |(?=\n))"  # a mapping key
+    r"|\[([^\[\]]*)\]|\{([^{}]*)\}"  # a flow sequence or mapping of scalars
+    r"|([^\s\[\]{},]+)"  # a scalar
+)
+_SEQ, _KEY, _VALUE = range(3)
+_CONSTANTS = {"true": True, "false": False, ".inf": float("inf"), "-.inf": float("-inf"), ".nan": float("nan")}
+
+
+def _read_canonical(text: str) -> dict | None:
+    """The data that ``_dump`` wrote as ``text`` below a header of ``#``
+    comment lines, or None if ``text`` is no such file. A header line holds
+    tabs and printable ASCII only: YAML reads some other characters as line
+    breaks, and refuses others."""
+    body = text[_HEADER.match(text).end() :]
+    try:
+        data = _build(_events(body), 0)[0]
+        if _dump(data) == body:
+            return data
+    except (IndexError, TypeError, ValueError, RecursionError):
+        pass  # not what _dump writes
+    return None
+
+
+def _events(body: str) -> list[tuple[int, int, object]]:
+    """(kind, column, payload) of each sequence entry, mapping key and value
+    in ``body``; a key's payload is the key, a value's the value."""
+    events, col = [], 0
+    for match in _TOKEN.finditer(body):
+        group, text = match.lastindex, match[match.lastindex]
+        if group == 1:
+            col = len(text)
+        elif group == 2:
+            events.append((_SEQ, col, None))
+            col += 2
+        elif group == 3:
+            events.append((_KEY, col, _scalar(text)))
+        elif group == 4:
+            events.append((_VALUE, col, [_scalar(item.strip()) for item in text.split(",")] if text else []))
+        elif group == 5:
+            pairs = (item.strip().partition(": ") for item in text.split(",")) if text else ()
+            events.append((_VALUE, col, {_scalar(k): _scalar(v) for k, _, v in pairs}))
+        else:
+            events.append((_VALUE, col, _scalar(text)))
+    return events
+
+
+def _build(events: list, i: int) -> tuple[object, int]:
+    """The value that starts at ``events[i]``, and the index of the event
+    after it: a block collection runs on while its kind recurs in its column."""
+    kind, col, value = events[i]
+    if kind == _VALUE:
+        return value, i + 1
+    out = [] if kind == _SEQ else {}
+    while i < len(events) and events[i][0] == kind and events[i][1] == col:
+        value, j = _build(events, i + 1)
+        if kind == _SEQ:
+            out.append(value)
+        else:
+            out[events[i][2]] = value
+        i = j
+    return out, i
+
+
+def _scalar(text: str):
+    """The value of a scalar's text, as ``_scalar_text`` writes it: every
+    float has a '.', and a plain word that is no str is an int."""
+    if text in _CONSTANTS:
+        return _CONSTANTS[text]
+    if text[0] == "'":
+        return text[1:-1]
+    if "." in text:
+        return float(text)
+    return text if _str_text(text) == text else int(text)
 
 
 def write_report(path: str, data: dict) -> None:

@@ -55,6 +55,17 @@ class RunConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        # a path or a mapping in place of a loaded input would fail only deep
+        # inside a run, or not at all
+        inputs = (
+            ("graph", EmbeddedGraph, "an EmbeddedGraph"),
+            ("game", GameParams, "a GameParams"),
+            ("schedule", (Schedule, type(None)), "a Schedule or None"),
+        )
+        for name, cls, kind in inputs:
+            value = getattr(self, name)
+            if not isinstance(value, cls):
+                raise InvalidInput(f"{name} must be {kind}, got {value!r}; read a file with fileio.load_{name}")
         # checked before any work, and kept as Python numbers: the report
         # writer takes no numpy scalar
         object.__setattr__(self, "shots", integer("shots", self.shots, 1))

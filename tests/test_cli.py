@@ -544,6 +544,24 @@ class TestRefusedBeforeAnnealing:
             run_quantum(RunConfig(graph=load_graph(pair_graph_file), **{field: value}))
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("graph", GRAPH_A_FILE), ("game", {"e_star": 1.0}), ("schedule", "x")],
+        ids=["graph-path", "game-mapping", "schedule-text"],
+    )
+    def test_unloaded_input_before_any_work(self, field, value, monkeypatch):
+        # a path or a mapping used to fail inside run_classical with an
+        # AttributeError, and a schedule of "x" was taken
+        def enumerate_mis(*args, **kwargs):
+            raise AssertionError("enumerate_mis must not run for a refused input")
+
+        monkeypatch.setattr(rydnash.pipeline, "enumerate_mis", enumerate_mis)
+        with pytest.raises(InvalidInput) as refused:
+            run_classical(RunConfig(**{"graph": load_graph(GRAPH_A_FILE), field: value}))
+        message = str(refused.value)
+        assert message.startswith(f"{field} must be ") and message.endswith(f"; read a file with fileio.load_{field}")
+        assert repr(value) in message
+
     def test_numpy_numbers_become_python_numbers(self, pair_graph_file):
         # the report writer takes only Python numbers
         graph = load_graph(pair_graph_file)
@@ -771,6 +789,21 @@ class TestAllCommand:
         report = read_report(os.path.join(out, COMPARE_REPORT))
         assert report["verdicts"]["overall_pass"] is True
         assert read_report(os.path.join(out, ANNEAL_REPORT))["top_k"] == ["100110"]
+
+    def test_block_style_graph_gives_the_same_reports(self, graph_a_all_run, tmp_path):
+        # a hand-written layout is read by PyYAML, the bundled one without it
+        out, _ = graph_a_all_run
+        block = tmp_path / "graph_a.yaml"
+        block.write_text("# graph_a in block style\n" + yaml.safe_dump(read_report(GRAPH_A_FILE)))
+        assert rydnash.fileio._read_canonical(block.read_text()) is None
+        block_out = str(tmp_path / "out")
+        for command in ("all", "validate"):
+            assert main([command, "--graph", str(block), "--coupling-c", str(C_A), "--out", block_out]) == EXIT_OK
+        names = sorted(os.listdir(block_out))
+        assert names == sorted([ANNEAL_REPORT, CLASSICAL_REPORT, COMPARE_REPORT, HISTOGRAM_CSV, VALIDATION_REPORT])
+        for name in names:
+            with open(os.path.join(out, name), "rb") as f1, open(os.path.join(block_out, name), "rb") as f2:
+                assert f1.read() == f2.read(), name
 
     @pytest.mark.parametrize("layout", ["graph_b", "chain11"])
     def test_libyaml_reports_match_pure_python(self, layout, tmp_path, monkeypatch):
@@ -1162,6 +1195,26 @@ class TestImportFootprint:
     def test_import_loads_neither_yaml_nor_openssl(self):
         code = "import sys, rydnash\nprint('yaml' in sys.modules, '_hashlib' in sys.modules)\n"
         assert _fresh_python(code) == "False False"
+
+    def test_commands_leave_yaml_unloaded(self, tmp_path):
+        # the bundled configs and the reports are what rydnash writes, so no
+        # command needs PyYAML to read them
+        code = (
+            "import sys\n"
+            "from rydnash import cli\n"
+            "configs, out_a, out_b = sys.argv[1:]\n"
+            "seen = ['yaml' in sys.modules]\n"
+            "game, schedule = f'{configs}/game_default.yaml', f'{configs}/schedule_default.yaml'\n"
+            "for args in (['all', '--graph', f'{configs}/graph_a.yaml', '--game', game, '--schedule', schedule,\n"
+            "              '--out', out_a],\n"
+            "             ['compare', '--out', out_a],\n"
+            "             ['classical', '--graph', f'{configs}/graph_b.yaml', '--game', game, '--out', out_b],\n"
+            "             ['validate', '--graph', f'{configs}/graph_b.yaml', '--schedule', schedule, '--out', out_b]):\n"
+            "    seen += [cli.main(args), 'yaml' in sys.modules]\n"
+            "print(*seen)\n"
+        )
+        out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert _fresh_python(code, CONFIGS, out_a, out_b) == " ".join(["False"] + [f"{EXIT_OK} False"] * 4)
 
     def test_sampling_run_leaves_openssl_unloaded(self, tmp_path):
         # numpy.random imports secrets, and with it OpenSSL, unless sample

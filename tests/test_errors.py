@@ -25,9 +25,9 @@ WAVE = ((0.0, 0.0), (1.0, 1.0))
 # (site, call, a value the site takes, a value out of its range); ``call``
 # returns what the site stores, or what it returns when it stores nothing
 SITES = [
-    ("RunConfig.shots", lambda v: RunConfig("unread.yaml", shots=v).shots, 5, 0),
-    ("RunConfig.seed", lambda v: RunConfig("unread.yaml", seed=v).seed, 3, -1),
-    ("RunConfig.c6", lambda v: RunConfig("unread.yaml", c6=v).c6, 2e6, 0.0),
+    ("RunConfig.shots", lambda v: RunConfig(PAIR, shots=v).shots, 5, 0),
+    ("RunConfig.seed", lambda v: RunConfig(PAIR, seed=v).seed, 3, -1),
+    ("RunConfig.c6", lambda v: RunConfig(PAIR, c6=v).c6, 2e6, 0.0),
     ("RydbergSystem.c6", lambda v: RydbergSystem(PAIR, v).c6, 2e6, -1.0),
     ("propagate.step", lambda v: propagate(PAIR_SYSTEM, RAMP, v).amplitudes.tobytes(), 0.05, 0.0),
     ("sample.shots", lambda v: sample(PLUS, v, 1), 20, 0),

@@ -2,6 +2,7 @@ import glob
 import math
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import save_yaml
 from rydnash.errors import ConfigError
 from rydnash.fileio import (
     _dump,
+    _str_text,
     from_mapping,
     load,
     load_game,
@@ -69,12 +71,27 @@ class TestGraphFiles:
             load_graph(str(tmp_path / "nope.yaml"))
 
     def test_yaml_error_carries_line(self, tmp_path, monkeypatch):
+        # no file _dump writes, so PyYAML reads it, through the loader that
+        # yaml.CSafeLoader names: libyaml's, or the pure-Python one patched in
         path = tmp_path / "broken.yaml"
         path.write_text("nodes: [[0, 0]\nradius: 1\n")
         for loader in LOADERS:
-            monkeypatch.setattr(rydnash.fileio, "_LOADER", loader)
-            with pytest.raises(ConfigError, match=f"^{re.escape(str(path))} \\(line 2\\): not valid YAML"):
+            monkeypatch.setattr(yaml, "CSafeLoader", loader, raising=False)
+            with open(path) as fh, pytest.raises(yaml.YAMLError) as problem:
+                yaml.load(fh, Loader=loader)
+            with pytest.raises(ConfigError) as refused:
                 load_graph(str(path))
+            assert str(refused.value) == f"{path} (line 2): not valid YAML: {problem.value}"
+
+    def test_not_utf8_names_file_offset(self, tmp_path):
+        # past the 8 KiB chunks that a streamed decode counts its offset from
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"radius: 1.0\nnodes: [" + b"[0.0, 0.0], " * 1666 + b"\xff]\n")
+        offset = path.read_bytes().index(b"\xff")
+        assert offset > 16 << 10
+        with pytest.raises(ConfigError) as refused:
+            load_graph(str(path))
+        assert str(refused.value) == f"{path}: not UTF-8 text (invalid start byte at byte {offset})"
 
     @pytest.mark.parametrize(
         "data",
@@ -281,6 +298,17 @@ values = st.recursive(
 )
 
 
+#: Every YAML 1.1 bool and null spelling that is a word (https://yaml.org/type/).
+YAML11_BOOL_NULL = ("y Y yes Yes YES n N no No NO true True TRUE false False FALSE on On ON off Off OFF "
+                    "null Null NULL").split()
+STR_TAG = "tag:yaml.org,2002:str"
+
+
+def resolved_tag(word: str) -> str:
+    """The tag PyYAML's YAML 1.1 resolver gives ``word`` written plain."""
+    return yaml.resolver.Resolver().resolve(yaml.ScalarNode, word, (True, False))
+
+
 def pyyaml_dumps(data) -> list[str]:
     return [yaml.dump(data, Dumper=dumper, sort_keys=True, default_flow_style=None) for dumper in DUMPERS]
 
@@ -297,6 +325,17 @@ class TestYamlWriter:
     @example({"benefit": "satiating_linear", "cost": 0.5, "e_star": 1.0})
     def test_matches_pyyaml(self, data):
         assert pyyaml_dumps(data) == [_dump(data)] * len(DUMPERS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(words)
+    @example("y")
+    def test_quotes_what_the_resolver_reads_as_no_str(self, word):
+        assert (_str_text(word) != word) == (resolved_tag(word) != STR_TAG)
+
+    @pytest.mark.parametrize("word", YAML11_BOOL_NULL)
+    def test_every_bool_and_null_spelling(self, word):
+        # YAML 1.1 spells y, Y, n and N as bools too; PyYAML reads them as text
+        assert _str_text(word) == (f"'{word}'" if resolved_tag(word) != STR_TAG else word)
 
     @pytest.mark.parametrize("width", range(1, 11))
     def test_flow_wraps_at_every_offset(self, width):
@@ -332,3 +371,117 @@ class TestYamlWriter:
         with pytest.raises(TypeError, match=f"under key {re.escape(repr(key))}"):
             write_report(str(path), data)
         assert not path.exists()
+
+
+def pyyaml_read_report(path):
+    """What ``read_report`` gave when it read every file with PyYAML: the
+    mapping, or the message of the ConfigError it raised."""
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = yaml.load(fh, Loader=loader)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" (line {mark.line + 1})" if mark is not None else ""
+            return f"{path}{where}: not valid YAML: {exc}"
+    if not isinstance(data, dict):
+        return f"{path}: expected a mapping at the top level, got {type(data).__name__}"
+    return data
+
+
+def same(a, b) -> bool:
+    """Equal data of equal types, as ``_dump`` writes it: a bool is no int,
+    and nan is nan."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(same, a, b))
+    return repr(a) == repr(b)
+
+
+def assert_reads_as_pyyaml(path):
+    want = pyyaml_read_report(path)
+    try:
+        got = read_report(str(path))
+    except ConfigError as exc:
+        got = str(exc)
+    assert same(got, want), (got, want)
+
+
+#: What a header comment line may hold after its '#': tab and printable ASCII.
+HEADER_CHARACTERS = "\t" + "".join(map(chr, range(32, 127)))
+
+# Hand-written YAML. Apart from the CRLF file, which reads as a canonical
+# one once its line ends are translated, none is what _dump writes.
+NOT_CANONICAL = {
+    "block-style": "nodes:\n- - 0.0\n  - 0.0\n- - 6.0\n  - 0.0\nradius: 8.0\n",
+    "double-quoted": 'benefit: "satiating_linear"\ncost: 0.5\n',
+    "unsorted-keys": "radius: 8.0\nnodes: [[0.0, 0.0]]\n",
+    "mid-file-comment": "nodes: [[0.0, 0.0]]\n# the radius\nradius: 8.0\n",
+    "crlf": "# header\r\nnodes: [[0.0, 0.0]]\r\nradius: 8.0\r\n",
+    "bom": "\ufeff# header\nnodes: [[0.0, 0.0]]\nradius: 8.0\n",
+    "header-cr": "# a\rradius: 9.0\n# b\nradius: 8.0\n",
+    "header-nel": "# a\x85radius: 9.0\n",
+    "header-line-separator": "# a\u2028radius: 9.0\n",
+    "header-non-printable": "# a\x01\nradius: 9.0\n",
+    "header-del": "# a\x7f\nradius: 9.0\n",
+    "header-latin": "# \u00e9\nradius: 9.0\n",
+    "yes": "a: yes\n",
+    "Null": "a: Null\n",
+    "1e5": "a: 1e5\n",
+    "010": "a: 010\n",
+    "08": "a: 08\n",
+    "0b2": "a: 0b2\n",
+    "plain-int-key": "1: a\n",
+    "sequence": "- - - 1\n",
+    "deep-sequence": "- " * 10_000 + "1\n",
+    "empty": "",
+    "comments-only": "# a\n# b\n",
+    "tab-indent": "a:\n\t- 1\n",
+    "unclosed": "a: [" * 1000 + "\n",
+}
+
+
+class TestCanonicalReading:
+    """Text that ``_dump`` writes is read without PyYAML; any other text
+    reads as PyYAML reads it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.dictionaries(words, values, max_size=8), header=st.lists(st.text(HEADER_CHARACTERS), max_size=3))
+    @example(data={"witnesses": [["100110", "011001"], ["0", "1"]], "empty": [], "none": {}}, header=[])
+    @example(data={"rows": [{"pair": [0, 1], "nested": {"a": [[]], "b": {}}}], "z": [[[1.5]]]}, header=["", "#"])
+    @example(data={token: [token] for token in RESOLVER_TOKENS}, header=["\t"])
+    def test_dumped_data_reads_back_without_pyyaml(self, data, header, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "canonical.yaml"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(f"#{line}\n" for line in header) + _dump(data))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(sys.modules, "yaml", None)  # importing yaml now fails
+            assert same(read_report(str(path)), data)
+
+    @pytest.mark.parametrize("text", NOT_CANONICAL.values(), ids=NOT_CANONICAL.keys())
+    def test_other_text_reads_as_pyyaml(self, text, tmp_path):
+        path = tmp_path / "hand.yaml"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert_reads_as_pyyaml(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text() | st.text("-[]{}:,' #\t\r\n.0129aeyoNT_"))
+    def test_any_text_reads_as_pyyaml(self, text, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "any.yaml"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert_reads_as_pyyaml(path)
+
+    def test_deep_mapping_reads_as_pyyaml(self, tmp_path):
+        # too deep for the canonical reader's recursion: PyYAML reads it
+        path = tmp_path / "deep.yaml"
+        path.write_text("a:\n" + "- " * 10_000 + "1\n")
+        got, want = read_report(str(path))["a"], yaml.load(path.read_text(), Loader=yaml.CSafeLoader)["a"]
+        for _ in range(10_000):
+            assert type(got) is type(want) is list and len(got) == len(want) == 1
+            got, want = got[0], want[0]
+        assert got == want == 1
