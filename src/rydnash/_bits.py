@@ -11,6 +11,7 @@ convention; :func:`to_bitstring` and :func:`from_bitstring` convert both ways.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from contextlib import suppress
 from typing import Sequence
 
@@ -43,7 +44,7 @@ def from_bitstring(bits: str, n: int) -> int:
     """Basis index of ``bits``; InvalidInput unless it is a string of ``n``
     characters, each '0' or '1'."""
     if not (isinstance(bits, str) and len(bits) == n > 0 and set(bits) <= {"0", "1"}):
-        raise InvalidInput(f"expected a bitstring of length {n} over '0'/'1', got {bits!r}")
+        raise InvalidInput(f"expected a bitstring of length {n} over '0'/'1', got {reprlib.repr(bits)}")
     return int(bits, 2)
 
 

@@ -3,6 +3,7 @@ numeric argument or a sequence of number pairs."""
 
 import math
 import numbers
+import reprlib
 from contextlib import suppress
 
 
@@ -27,7 +28,7 @@ def real(name: str, value, positive: bool = False) -> float:
             number = float(value)
             if math.isfinite(number) and (number > 0 or not positive):
                 return number
-    raise InvalidInput(f"{name} must be a {'positive ' if positive else ''}finite number, got {value!r}")
+    raise InvalidInput(f"{name} must be a {'positive ' if positive else ''}finite number, got {reprlib.repr(value)}")
 
 
 def integer(name: str, value, low: int) -> int:
@@ -36,7 +37,7 @@ def integer(name: str, value, low: int) -> int:
     with InvalidInput naming ``name``."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low:
         return int(value)
-    raise InvalidInput(f"{name} must be an integer >= {low}, got {value!r}")
+    raise InvalidInput(f"{name} must be an integer >= {low}, got {reprlib.repr(value)}")
 
 
 def pairs(value, entry: str, parts: tuple[str, str]) -> tuple[tuple[float, float], ...]:
@@ -47,13 +48,13 @@ def pairs(value, entry: str, parts: tuple[str, str]) -> tuple[tuple[float, float
     try:
         entries = tuple(value)
     except TypeError:
-        raise InvalidInput(f"expected a sequence of {entry}s, got {value!r}") from None
+        raise InvalidInput(f"expected a sequence of {entry}s, got {reprlib.repr(value)}") from None
     checked = []
     for k, item in enumerate(entries):
         try:
             a, b = item
         except (TypeError, ValueError):
-            raise InvalidInput(f"{entry} {k}: expected a ({', '.join(parts)}) pair, got {item!r}") from None
+            raise InvalidInput(f"{entry} {k}: expected a ({', '.join(parts)}) pair, got {reprlib.repr(item)}") from None
         checked.append((real(f"{entry} {k} {parts[0]}", a), real(f"{entry} {k} {parts[1]}", b)))
     return tuple(checked)
 

@@ -61,33 +61,21 @@ _FILE_KEYS = {
 
 
 @functools.cache
-def _keys(cls) -> tuple[tuple[str, str], ...]:
-    """(field, file key) pairs of a dataclass, in field order: the writer's
-    table, kept apart from ``_schema`` because unpacking pairs costs a
-    readout row less than unpacking its 4-tuples."""
-    return tuple((f.name, _FILE_KEYS.get(f.name, f.name)) for f in fields(cls))
-
-
-@functools.cache
 def _schema(cls) -> tuple[tuple[str, str, object, bool, bool], ...]:
-    """``_keys`` with each field's type hint, whether it has no default and
-    whether it is derived (``init=False``)."""
+    """(field, file key, type hint, required, derived) of each field of a
+    dataclass, in field order: a field is required when it has no default,
+    and derived when its class sets it (``init=False``)."""
     hints = get_type_hints(cls)
     return tuple(
-        (name, key, hints[name], f.default is MISSING and f.default_factory is MISSING, not f.init)
-        for (name, key), f in zip(_keys(cls), fields(cls))
+        (f.name, _FILE_KEYS.get(f.name, f.name), hints[f.name],
+         f.default is MISSING and f.default_factory is MISSING, not f.init)
+        for f in fields(cls)
     )
 
 
 def to_mapping(obj) -> dict:
     """The file mapping of a dataclass: one key per field."""
-    return _mapping(obj)
-
-
-def _mapping(obj) -> dict:
-    # Nested values recurse here, not through the public name, so a tracing
-    # wrapper around ``to_mapping`` sees one call per file, not one per row.
-    return {key: _value(getattr(obj, name)) for name, key in _keys(type(obj))}
+    return {key: _value(getattr(obj, name)) for name, key, _, _, _ in _schema(type(obj))}
 
 
 #: Values written as they are; checked first, so each field of a readout row
@@ -103,7 +91,7 @@ def _value(value):
     if isinstance(value, tuple):
         return [_value(item) for item in value]
     if is_dataclass(value):
-        return _mapping(value)
+        return to_mapping(value)
     return value
 
 
@@ -127,10 +115,10 @@ def from_mapping(cls, data: dict):
 def _instance(cls, data: dict, where: str):
     """``from_mapping`` for the mapping at ``where``, empty at the top."""
     at = f"{where!r}: " if where else ""
-    allowed = [key for _, key in _keys(cls)]
+    allowed = [key for _, key, _, _, _ in _schema(cls)]
     unknown = sorted(set(data).difference(allowed), key=str)
     if unknown:
-        raise ValueError(f"{at}unknown fields {unknown}; allowed fields are {sorted(allowed)}")
+        raise ValueError(f"{at}unknown fields {reprlib.repr(unknown)}; allowed fields are {sorted(allowed)}")
     values, derived = {}, []
     for name, key, hint, required, is_derived in _schema(cls):
         place = f"{where}.{key}" if where else key
@@ -171,20 +159,20 @@ def _read(hint, value, where: str):
         if hint is float and kind is int:
             return float(value)
         why = _text_float(value) if hint is float and kind is str else ""
-        raise TypeError(f"{where!r} must be {_KINDS[hint]}, got {value!r}{why}")
+        raise TypeError(f"{where!r} must be {_KINDS[hint]}, got {reprlib.repr(value)}{why}")
     origin, args = get_origin(hint), get_args(hint)
     if origin is tuple:
         if kind is not list:
-            raise TypeError(f"{where!r} must be a list, got {value!r}")
+            raise TypeError(f"{where!r} must be a list, got {reprlib.repr(value)}")
         if args[-1] is Ellipsis:
             args = args[:1] * len(value)
         elif len(value) != len(args):
-            raise TypeError(f"{where!r} must be a list of {len(args)} items, got {value!r}")
+            raise TypeError(f"{where!r} must be a list of {len(args)} items, got {reprlib.repr(value)}")
         return tuple(_read(arg, item, f"{where}[{k}]") for k, (arg, item) in enumerate(zip(args, value)))
     if kind is not dict:
-        raise TypeError(f"{where!r} must be a mapping, got {value!r}")
+        raise TypeError(f"{where!r} must be a mapping, got {reprlib.repr(value)}")
     if origin is dict:
-        return {_read(args[0], k, where): _read(args[1], v, f"{where}[{k!r}]") for k, v in value.items()}
+        return {_read(args[0], k, where): _read(args[1], v, f"{where}[{reprlib.repr(k)}]") for k, v in value.items()}
     return _instance(hint, value, where)
 
 
@@ -222,7 +210,8 @@ def read_report(path: str) -> dict:
 
 def _read_yaml(path: str, text: str):
     """``text`` read by PyYAML, through libyaml when PyYAML has it; a
-    ConfigError naming the file, and the line if known, if it is not YAML."""
+    ConfigError naming the file, and the line if known, if it is not YAML
+    or nests too deeply to read."""
     import yaml
 
     stream = io.StringIO(text)
@@ -233,6 +222,8 @@ def _read_yaml(path: str, text: str):
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1})" if mark is not None else ""
         raise ConfigError(f"{path}{where}: not valid YAML: {exc}") from None
+    except RecursionError:  # PyYAML's pure-Python loader recurses once per level
+        raise ConfigError(f"{path}: nested too deeply to read") from None
 
 
 def load(path: str, cls):

@@ -10,6 +10,7 @@ with maximal independent sets of the graph.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ class GameParams:
 
     def __post_init__(self):
         if self.benefit != "satiating_linear":
-            raise InvalidInput(f"unknown benefit function {self.benefit!r}; known: ['satiating_linear']")
+            raise InvalidInput(f"unknown benefit function {reprlib.repr(self.benefit)}; known: ['satiating_linear']")
         object.__setattr__(self, "e_star", real("e_star", self.e_star, positive=True))
         object.__setattr__(self, "c", real("cost", self.c))
         cap = float(self.b(self.e_star)) / self.e_star

@@ -63,26 +63,21 @@ class Schedule:
             raise InvalidInput("omega values must be nonnegative")
 
     @cached_property
-    def _omega_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        ts, vs = zip(*self.omega)
-        return np.asarray(ts), np.asarray(vs)
+    def _tables(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Breakpoint times and values of each waveform, keyed by its name."""
+        return {name: tuple(map(np.asarray, zip(*getattr(self, name)))) for name in ("omega", "delta")}
 
-    @cached_property
-    def _delta_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        ts, vs = zip(*self.delta)
-        return np.asarray(ts), np.asarray(vs)
+    def _at(self, name: str, t):
+        out = np.interp(t, *self._tables[name])
+        return float(out) if np.isscalar(t) else out
 
     def omega_at(self, t):
         """Drive amplitude at time ``t`` (scalar or array)."""
-        ts, vs = self._omega_arrays
-        out = np.interp(t, ts, vs)
-        return float(out) if np.isscalar(t) else out
+        return self._at("omega", t)
 
     def delta_at(self, t):
         """Detuning at time ``t`` (scalar or array)."""
-        ts, vs = self._delta_arrays
-        out = np.interp(t, ts, vs)
-        return float(out) if np.isscalar(t) else out
+        return self._at("delta", t)
 
     @property
     def final_detuning(self) -> float:

@@ -427,6 +427,26 @@ class TestRefusedConfigFile:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("nodes: [[0.0, 0.0]]\nradius: " + "[" * 3000 + "]" * 3000 + "\n", "radius"),
+            ("nodes: [" + "[" * 3000 + "]" * 3000 + "]\nradius: 1.0\n", "nodes[0]"),
+            ("nodes: [[0.0, 0.0]]\nradius: [" + ", ".join(["1.0"] * 100_000) + "]\n", "radius"),
+        ],
+        ids=["deep-radius", "deep-node", "long-radius"],
+    )
+    def test_refused_value_is_shown_cut_short(self, text, key, tmp_path, capsys):
+        # the message echoes the value through reprlib: neither its nesting
+        # depth nor its length reaches stderr
+        path = tmp_path / "graph.yaml"
+        path.write_text(text)
+        assert main(["classical", "--graph", str(path), "--out", str(tmp_path / "out")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: '{key}' must be ") and err.count("\n") == 1 and len(err) < 200
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestAnnealCommand:
     def test_pair_graph_anneal(self, pair_graph_file, tmp_path):

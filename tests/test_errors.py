@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import save_yaml
+from rydnash._bits import from_bitstring
 from rydnash.dynamics import QuantumState, RydbergSystem, propagate, sample
-from rydnash.errors import InvalidInput, integer, real
+from rydnash.errors import InvalidInput, integer, pairs, real
 from rydnash.fileio import load_game
 from rydnash.game import GameParams, payoff
 from rydnash.geometry import EmbeddedGraph, blockade_radius, build_unit_disk_graph
@@ -87,6 +88,35 @@ def test_malformed_pairs_refused(call, message):
     # a TypeError or ValueError from unpacking it
     with pytest.raises(InvalidInput, match=message):
         call()
+
+
+def nested(depth):
+    value = [0.0]
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: EmbeddedGraph((nested(3000),), 1.0),
+        lambda: EmbeddedGraph(((0.0, nested(3000)),), 1.0),
+        lambda: pairs(nested(3000)[0], "atom", ("x", "y")),
+        lambda: real("radius", [1.0] * 100_000),
+        lambda: integer("shots", nested(3000), 1),
+        lambda: from_bitstring("0" * 100_000, 6),
+        lambda: GameParams(benefit="b" * 100_000),
+    ],
+    ids=["deep-point", "deep-coordinate", "deep-points", "long-number", "deep-integer", "long-bitstring",
+         "long-benefit"],
+)
+def test_refused_value_is_shown_cut_short(call):
+    # a value read from a file may be nested or long beyond what a message
+    # can show: it is echoed cut short, never in full or by a RecursionError
+    with pytest.raises(InvalidInput) as refused:
+        call()
+    assert len(str(refused.value)) < 200
 
 
 @pytest.mark.parametrize("e_star", [1, np.float64(1.0)], ids=["int", "numpy"])

@@ -83,6 +83,16 @@ class TestGraphFiles:
                 load_graph(str(path))
             assert str(refused.value) == f"{path} (line 2): not valid YAML: {problem.value}"
 
+    def test_too_deep_for_the_pure_python_loader_names_file(self, tmp_path, monkeypatch):
+        # the pure-Python loader recurses once per level, and libyaml's does
+        # not: past the recursion limit the file is refused, not a traceback
+        path = tmp_path / "deep.yaml"
+        path.write_text("a:\n" + "- " * 3000 + "1\n")
+        monkeypatch.setattr(yaml, "CSafeLoader", yaml.SafeLoader, raising=False)
+        with pytest.raises(ConfigError) as refused:
+            load_graph(str(path))
+        assert str(refused.value) == f"{path}: nested too deeply to read"
+
     def test_not_utf8_names_file_offset(self, tmp_path):
         # past the 8 KiB chunks that a streamed decode counts its offset from
         path = tmp_path / "bad.yaml"
@@ -268,6 +278,24 @@ def test_no_spelling_for_text_that_is_no_float(tmp_path):
 def test_from_mapping_refuses_non_mapping(data):
     with pytest.raises(TypeError, match=r"^ClassicalResult is read from a mapping, got "):
         from_mapping(ClassicalResult, data)
+
+
+GRAPH = {"nodes": [[0.0, 0.0]], "radius": 1.0}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: from_mapping(EmbeddedGraph, {**GRAPH, **dict.fromkeys(map(str, range(100_000)), 0)}),
+        lambda: from_mapping(EmbeddedGraph, {**GRAPH, "k" * 100_000: 0}),
+        lambda: rydnash.fileio._read(dict[str, int], {"0" * 100_000: "x"}, "counts"),
+    ],
+    ids=["many-unknown-keys", "long-unknown-key", "long-key"],
+)
+def test_refused_keys_are_shown_cut_short(call):
+    with pytest.raises((TypeError, ValueError)) as refused:
+        call()
+    assert len(str(refused.value)) < 200
 
 
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.yaml"))), ids=os.path.basename)
