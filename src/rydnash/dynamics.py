@@ -62,6 +62,10 @@ _CHUNK = 64
 # size are the growth.
 _TABLE_BYTES = 1 << 17
 
+#: Most shots ``sample`` draws: numpy's multinomial takes its count as a C
+#: int64, and a larger one raises OverflowError only after the anneal.
+MAX_SHOTS = 2**63 - 1
+
 #: The step-halving contract of ``evolve``: it returns once halving its step
 #: moves the final state by less than this, in 2-norm.
 TOLERANCE = 1e-6
@@ -95,11 +99,10 @@ class RydbergSystem:
         """Pairwise van der Waals energies ``c6 / r**6`` with zero diagonal."""
         n = self.n
         v = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                r6 = self.graph.distance(i, j) ** 6
-                # atoms so close that r**6 underflows interact without bound
-                v[i, j] = v[j, i] = self.c6 / r6 if r6 > 0 else math.inf
+        for (i, j), r in self.graph.pair_distances.items():
+            r6 = r**6
+            # atoms so close that r**6 underflows interact without bound
+            v[i, j] = v[j, i] = self.c6 / r6 if r6 > 0 else math.inf
         v.flags.writeable = False
         return v
 
@@ -112,9 +115,8 @@ class RydbergSystem:
         """
         n = self.n
         q = np.zeros(1 << n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                q.reshape(1 << i, 2, 1 << (j - i - 1), 2, 1 << (n - 1 - j))[:, 1, :, 1, :] += self.interactions[i, j]
+        for i, j in self.graph.pair_distances:
+            q.reshape(1 << i, 2, 1 << (j - i - 1), 2, 1 << (n - 1 - j))[:, 1, :, 1, :] += self.interactions[i, j]
         q.flags.writeable = False
         return q
 
@@ -501,7 +503,7 @@ def sample(state: QuantumState, shots: int, seed: int) -> dict[str, int]:
     A single generator call from a fixed seed makes the counts a pure
     function of ``(state, shots, seed)``.
     """
-    shots, seed = integer("shots", shots, 1), integer("seed", seed, 0)
+    shots, seed = integer("shots", shots, 1, MAX_SHOTS), integer("seed", seed, 0)
     p = state.probabilities()
     total = float(p.sum())
     _check_norm(math.sqrt(total))

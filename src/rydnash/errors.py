@@ -31,12 +31,14 @@ def real(name: str, value, positive: bool = False) -> float:
     raise InvalidInput(f"{name} must be a {'positive ' if positive else ''}finite number, got {reprlib.repr(value)}")
 
 
-def integer(name: str, value, low: int) -> int:
+def integer(name: str, value, low: int, high: int | None = None) -> int:
     """``value`` as a Python int: an integer (a numpy one included) of at
-    least ``low``. A bool, a float, a string or any other type is refused
-    with InvalidInput naming ``name``."""
+    least ``low``, and at most ``high`` when given. A bool, a float, a string
+    or any other type is refused with InvalidInput naming ``name``."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low:
-        return int(value)
+        if high is None or value <= high:
+            return int(value)
+        raise InvalidInput(f"{name} must be an integer <= {high}, got {reprlib.repr(value)}")
     raise InvalidInput(f"{name} must be an integer >= {low}, got {reprlib.repr(value)}")
 
 

@@ -46,6 +46,12 @@ from .geometry import EmbeddedGraph
 from .schedule import Schedule
 
 HISTOGRAM_COLUMNS = ("bitstring", "count", "probability", "energy", "is_independent", "is_maximal", "is_mis")
+#: Most mappings and sequences a YAML collection may sit inside. libyaml's
+#: composer recurses in C once per level on the calling thread's stack: on
+#: the main thread with Linux's default 8 MiB stack (``ulimit -s 8192``) it
+#: read 2 * 10**4 levels and crashed at 3 * 10**4. This bound assumes such a
+#: stack; a thread or shell with a smaller one may still crash below 2 * 10**4.
+MAX_YAML_DEPTH = 10_000
 #: Rows of a schedule series: evenly spaced times from 0 to the duration.
 SERIES_SAMPLES = 401
 
@@ -211,13 +217,29 @@ def read_report(path: str) -> dict:
 def _read_yaml(path: str, text: str):
     """``text`` read by PyYAML, through libyaml when PyYAML has it; a
     ConfigError naming the file, and the line if known, if it is not YAML
-    or nests too deeply to read."""
+    or nests too deeply to read.
+
+    The parser's events are counted before anything is composed: libyaml's
+    composer recurses once per level on the C stack, so a collection inside
+    more than ``MAX_YAML_DEPTH`` others is refused first.
+    """
     import yaml
 
     stream = io.StringIO(text)
     stream.name = path  # PyYAML's error messages name the stream
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        return yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        depth = 0
+        for event in yaml.parse(stream, Loader=loader):
+            if isinstance(event, yaml.CollectionStartEvent):
+                if depth > MAX_YAML_DEPTH:
+                    line = event.start_mark.line + 1
+                    raise ConfigError(f"{path} (line {line}): nested more than {MAX_YAML_DEPTH} levels deep")
+                depth += 1
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+        stream.seek(0)
+        return yaml.load(stream, Loader=loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1})" if mark is not None else ""

@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
+from ._bits import check_size
 from .errors import InvalidInput, pairs, real
 
 Point = tuple[float, float]
@@ -28,7 +30,7 @@ class EmbeddedGraph:
     """2D atom layout whose adjacency is derived from a unit-disk rule.
 
     Adjacency is never stored independently: ``i ~ j`` iff ``i != j`` and
-    ``dist(p_i, p_j) <= radius``.
+    ``dist(p_i, p_j) <= radius``, read from ``pair_distances``.
     """
 
     positions: tuple[Point, ...]
@@ -40,27 +42,27 @@ class EmbeddedGraph:
             raise InvalidInput("layout needs at least one atom")
         object.__setattr__(self, "radius", real("radius", self.radius, positive=True))
         object.__setattr__(self, "positions", clean)
-        for i in range(len(clean)):
-            for j in range(i + 1, len(clean)):
-                if math.dist(clean[i], clean[j]) == 0.0:
-                    raise InvalidInput(f"atoms {i} and {j} coincide at {clean[i]}")
+        # finite points are at distance 0 exactly when equal: no table needed
+        if len(set(clean)) < len(clean):
+            i = next(i for i, p in enumerate(clean) if clean.count(p) > 1)
+            raise InvalidInput(f"atoms {i} and {clean.index(clean[i], i + 1)} coincide at {clean[i]}")
 
     @property
     def n(self) -> int:
         return len(self.positions)
 
-    def distance(self, i: int, j: int) -> float:
-        return math.dist(self.positions[i], self.positions[j])
+    @cached_property
+    def pair_distances(self) -> Mapping[tuple[int, int], float]:
+        """Read-only ``{(i, j): dist(p_i, p_j)}`` over every pair ``i < j``, row-major: the one place
+        a pair's distance is computed. Above ``_bits.EXHAUSTIVE_LIMIT`` atoms, TooLarge with none built."""
+        check_size(self.n)
+        p, n = self.positions, self.n
+        return MappingProxyType({(i, j): math.dist(p[i], p[j]) for i in range(n) for j in range(i + 1, n)})
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Adjacent pairs ``(i, j)`` with ``i < j``."""
-        return tuple(
-            (i, j)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.distance(i, j) <= self.radius
-        )
+        return tuple(pair for pair, d in self.pair_distances.items() if d <= self.radius)
 
     @cached_property
     def neighbors(self) -> tuple[frozenset[int], ...]:
@@ -108,10 +110,8 @@ def validate_embedding(graph: EmbeddedGraph) -> tuple[Violation, ...]:
 
     Reports, never throws: an empty tuple means the layout passes.
     """
-    violations = []
-    for i in range(graph.n):
-        for j in range(i + 1, graph.n):
-            d = graph.distance(i, j)
-            if d < MIN_PAIR_DISTANCE:
-                violations.append(Violation("pair_distance", (i, j), d, MIN_PAIR_DISTANCE))
-    return tuple(violations)
+    return tuple(
+        Violation("pair_distance", pair, d, MIN_PAIR_DISTANCE)
+        for pair, d in graph.pair_distances.items()
+        if d < MIN_PAIR_DISTANCE
+    )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._bits import check_bitstrings, from_bitstring
-from .dynamics import RydbergSystem, drive_off_window, evolve, sample
+from .dynamics import MAX_SHOTS, RydbergSystem, drive_off_window, evolve, sample
 from .errors import ConstraintViolation, IncompatibleRuns, InvalidInput, integer, real
 from .game import GameParams, enumerate_specialized_nash
 from .geometry import EmbeddedGraph, Violation, validate_embedding
@@ -68,7 +68,7 @@ class RunConfig:
                 raise InvalidInput(f"{name} must be {kind}, got {value!r}; read a file with fileio.load_{name}")
         # checked before any work, and kept as Python numbers: the report
         # writer takes no numpy scalar
-        object.__setattr__(self, "shots", integer("shots", self.shots, 1))
+        object.__setattr__(self, "shots", integer("shots", self.shots, 1, MAX_SHOTS))
         object.__setattr__(self, "seed", integer("seed", self.seed, 0))
         if self.c6 is not None:
             object.__setattr__(self, "c6", real("c6", self.c6, positive=True))

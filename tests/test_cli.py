@@ -49,6 +49,7 @@ from rydnash.cli import (
 from rydnash.dynamics import RydbergSystem
 from rydnash.errors import ConfigError, IncompatibleRuns, IntegrationFailure, InvalidInput
 from rydnash.fileio import (
+    MAX_YAML_DEPTH,
     SERIES_SAMPLES,
     load,
     load_graph,
@@ -447,6 +448,20 @@ class TestRefusedConfigFile:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_nesting_past_the_limit_is_refused(self, tmp_path):
+        # libyaml's composer recursed once per level and crashed the process
+        # with SIGSEGV, so the command runs in a child that a crash cannot
+        # take down
+        depth = 10**5
+        path = tmp_path / "graph.yaml"
+        path.write_text("nodes: [[0.0, 0.0]]\nradius: " + "[" * depth + "]" * depth + "\n")
+        out = tmp_path / "out"
+        args = [sys.executable, "-m", "rydnash", "classical", "--graph", str(path), "--out", str(out)]
+        done = subprocess.run(args, env=_child_env(), capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (EXIT_ERROR, "")
+        assert done.stderr == f"error: {path} (line 2): nested more than {MAX_YAML_DEPTH} levels deep\n"
+        assert not out.exists()
+
 
 class TestAnnealCommand:
     def test_pair_graph_anneal(self, pair_graph_file, tmp_path):
@@ -554,6 +569,23 @@ class TestRefusedBeforeAnnealing:
         # reader refuses
         with pytest.raises(InvalidInput, match=f"{field} must be {RUN_NUMBERS[field]}, got True"):
             RunConfig(graph=load_graph(GRAPH_A_FILE), **{field: True})
+
+    def test_shots_past_int64_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # numpy's multinomial raised OverflowError on such a count, and only
+        # after both evolve passes
+        def evolve(*args, **kwargs):
+            raise AssertionError("evolve must not run for a refused input")
+
+        monkeypatch.setattr(rydnash.pipeline, "evolve", evolve)
+        refused = f"shots must be an integer <= {2**63 - 1}, got {2**63}"
+        out = tmp_path / "out"
+        assert main(["all", "--graph", GRAPH_A_FILE, "--shots", str(2**63), "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {refused}\n"
+        assert not out.exists()
+        graph = load_graph(GRAPH_A_FILE)
+        with pytest.raises(InvalidInput, match=refused):
+            run_quantum(RunConfig(graph=graph, shots=2**63))
+        assert RunConfig(graph=graph, shots=np.uint64(2**63 - 1)).shots == 2**63 - 1
 
     @pytest.mark.parametrize("field, value", [("seed", 1.5), ("shots", 2.5), ("c6", "1e6")])
     def test_non_number_before_any_work(self, field, value, pair_graph_file, monkeypatch):
@@ -1167,11 +1199,17 @@ def _reference_fingerprint(graph):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _child_env():
+    """The environment of a new interpreter that imports this rydnash."""
+    src = os.path.dirname(os.path.dirname(rydnash.pipeline.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_python(code, *args):
     """The last line ``code`` prints in a new interpreter that imports this rydnash."""
-    src = os.path.dirname(os.path.dirname(rydnash.pipeline.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=_child_env(), capture_output=True, text=True, check=True
+    )
     return done.stdout.splitlines()[-1]
 
 

@@ -184,7 +184,7 @@ class TestDiagonalEnergy:
     def test_pair_energy_is_the_direct_sum(self, graph):
         # each pair adds on its strided view in the direct sum's pair order,
         # so the table matches the scalar sum bit for bit at every index
-        assume(all(graph.distance(i, j) >= 0.1 for i in range(graph.n) for j in range(i)))
+        assume(all(d >= 0.1 for d in graph.pair_distances.values()))
         system = RydbergSystem(graph, C_A)
         n = graph.n
         direct = [diagonal_energy(system, 0.0, format(z, f"0{n}b")) for z in range(1 << n)]
@@ -245,10 +245,14 @@ class TestExactGroundStates:
             g = build_unit_disk_graph(pts, float(rng.uniform(2.0, 14.0)))
             if not g.edges:
                 continue
-            longest_edge = max(g.distance(i, j) for i, j in g.edges)
+            longest_edge = max(g.pair_distances[edge] for edge in g.edges)
             c_low = 6 * delta * longest_edge**6
             tail_coeffs = [
-                sum(1.0 / g.distance(v, u) ** 6 for u in range(6) if u != v and u not in g.neighbors[v])
+                sum(
+                    1.0 / math.dist(g.positions[v], g.positions[u]) ** 6
+                    for u in range(6)
+                    if u != v and u not in g.neighbors[v]
+                )
                 for v in range(6)
             ]
             worst_tail = max(tail_coeffs)
@@ -323,7 +327,7 @@ class TestDriveOffWindow:
     def test_window_is_exact(self, graph, c6):
         # strictly inside, the maximum sets are the lowest energies; just
         # outside either finite end, some other state is at or below one
-        assume(all(graph.distance(i, j) >= 0.1 for i in range(graph.n) for j in range(i)))
+        assume(all(d >= 0.1 for d in graph.pair_distances.values()))
         maximum = maximum_independent_sets(graph)
         lo, hi = drive_off_window(RydbergSystem(graph, c6), self.DELTA, maximum)
         if lo < hi:
@@ -442,7 +446,7 @@ class TestPropagateAndEvolve:
         # weight on readouts violating any single edge stays below 5%
         graph = request.getfixturevalue(layout)
         scale = 20 * 7.27
-        c6 = scale * max(graph.distance(i, j) for i, j in graph.edges) ** 6
+        c6 = scale * max(graph.pair_distances[edge] for edge in graph.edges) ** 6
         system = RydbergSystem(graph, c6)
         assert min(system.interactions[i, j] for i, j in graph.edges) >= scale
         state = evolve(system, default_schedule())
@@ -469,7 +473,7 @@ SHORT_RAMP = Schedule(
 def assert_matches_reference(graph):
     # pairs capped at 50 rad/us, so the merged and separate half phases stay
     # at the same round-off
-    closest = min((graph.distance(i, j) for i in range(graph.n) for j in range(i)), default=1.0)
+    closest = min(graph.pair_distances.values(), default=1.0)
     system = RydbergSystem(graph, 50.0 * closest**6)
     # the short default ramps hold the drive constant for most of their
     # substeps, where the fast stage reuses its rotation matrices; at step
@@ -601,7 +605,7 @@ class TestWalshHadamardStage:
     @given(graph=unit_disk_layouts(n_max=9))
     def test_layouts_match_reference(self, graph):
         # near-coincident atoms would underflow the coupling scale
-        assume(all(graph.distance(i, j) >= 0.1 for i in range(graph.n) for j in range(i)))
+        assume(all(d >= 0.1 for d in graph.pair_distances.values()))
         assert_matches_reference(graph)
 
     @pytest.mark.parametrize(
@@ -699,6 +703,10 @@ class TestSample:
         # a bool would draw 1 shot
         with pytest.raises(InvalidInput, match="shots must be an integer >= 1, got True"):
             sample(QuantumState.all_ground(1), True, seed=1)
+        # numpy's multinomial takes its count as a C int64
+        with pytest.raises(InvalidInput, match=f"shots must be an integer <= {2**63 - 1}, got {2**63}"):
+            sample(QuantumState.all_ground(1), 2**63, seed=1)
+        assert sample(QuantumState.all_ground(1), 2**63 - 1, seed=1) == {"0": 2**63 - 1}
 
     @pytest.mark.parametrize("seed", [1.5, -1, "7", True])
     def test_bad_seed(self, seed):

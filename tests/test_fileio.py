@@ -14,6 +14,7 @@ import rydnash.fileio
 from conftest import save_yaml
 from rydnash.errors import ConfigError
 from rydnash.fileio import (
+    MAX_YAML_DEPTH,
     _dump,
     _str_text,
     from_mapping,
@@ -83,9 +84,18 @@ class TestGraphFiles:
                 load_graph(str(path))
             assert str(refused.value) == f"{path} (line 2): not valid YAML: {problem.value}"
 
+    def test_one_level_past_the_limit_names_file_and_line(self, tmp_path):
+        # libyaml's composer recurses once per level on the C stack: the
+        # file is refused before anything is composed
+        path = tmp_path / "deep.yaml"
+        path.write_text("radius: 1.0\na:\n" + "- " * MAX_YAML_DEPTH + "- 1\n")
+        with pytest.raises(ConfigError) as refused:
+            load_graph(str(path))
+        assert str(refused.value) == f"{path} (line 3): nested more than {MAX_YAML_DEPTH} levels deep"
+
     def test_too_deep_for_the_pure_python_loader_names_file(self, tmp_path, monkeypatch):
-        # the pure-Python loader recurses once per level, and libyaml's does
-        # not: past the recursion limit the file is refused, not a traceback
+        # the pure-Python loader recurses once per level in Python: past the
+        # recursion limit the file is refused, not a traceback
         path = tmp_path / "deep.yaml"
         path.write_text("a:\n" + "- " * 3000 + "1\n")
         monkeypatch.setattr(yaml, "CSafeLoader", yaml.SafeLoader, raising=False)

@@ -1,12 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import GRAPH_A_EDGES, GRAPH_B_EDGES, random_unit_disk
-from rydnash.errors import InvalidInput
+from conftest import GRAPH_A_EDGES, GRAPH_B_EDGES, random_unit_disk, unit_disk_layouts
+from rydnash.errors import InvalidInput, TooLarge
 from rydnash.geometry import (
     MIN_PAIR_DISTANCE,
+    Violation,
     blockade_radius,
     build_unit_disk_graph,
     validate_embedding,
@@ -17,9 +21,10 @@ class TestBuildUnitDiskGraph:
     def test_graph_a_edges(self, graph_a):
         assert set(graph_a.edges) == GRAPH_A_EDGES
         # every edge at 6 um, every non-edge at sqrt(108) um or farther
+        p = graph_a.positions
         for i in range(6):
             for j in range(i + 1, 6):
-                d = graph_a.distance(i, j)
+                d = math.dist(p[i], p[j])
                 if (i, j) in GRAPH_A_EDGES:
                     assert d == pytest.approx(6.0)
                 else:
@@ -27,8 +32,9 @@ class TestBuildUnitDiskGraph:
 
     def test_graph_b_edges(self, graph_b):
         assert set(graph_b.edges) == GRAPH_B_EDGES
+        p = graph_b.positions
         for i, j in GRAPH_B_EDGES:
-            assert graph_b.distance(i, j) == pytest.approx(6.0)
+            assert math.dist(p[i], p[j]) == pytest.approx(6.0)
 
     def test_single_point(self):
         g = build_unit_disk_graph([(0.0, 0.0)], 1.0)
@@ -78,6 +84,54 @@ class TestBuildUnitDiskGraph:
             g = random_unit_disk(rng)
             bigger = build_unit_disk_graph(g.positions, g.radius * 1.5)
             assert set(g.edges) <= set(bigger.edges)
+
+
+class TestPairDistances:
+    @settings(max_examples=100, deadline=None)
+    @given(graph=unit_disk_layouts())
+    def test_one_table_feeds_edges_and_validation(self, graph):
+        # every pair i < j once, row-major, at math.dist; the edges and the
+        # spacing violations are what a pair-by-pair scan of the points finds
+        p = graph.positions
+        pairs = list(itertools.combinations(range(graph.n), 2))
+        assert list(graph.pair_distances) == pairs
+        assert [graph.pair_distances[i, j] for i, j in pairs] == [math.dist(p[i], p[j]) for i, j in pairs]
+        brute = {(i, j): math.hypot(p[i][0] - p[j][0], p[i][1] - p[j][1]) for i, j in pairs}
+        assert graph.edges == tuple(pair for pair in pairs if brute[pair] <= graph.radius)
+        assert validate_embedding(graph) == tuple(
+            Violation("pair_distance", pair, brute[pair], MIN_PAIR_DISTANCE)
+            for pair in pairs
+            if brute[pair] < MIN_PAIR_DISTANCE
+        )
+
+    def test_table_is_read_only(self, graph_a):
+        with pytest.raises(TypeError):
+            graph_a.pair_distances[0, 1] = 0.0
+        assert graph_a.pair_distances[0, 1] == math.dist(graph_a.positions[0], graph_a.positions[1])
+
+    def test_over_limit_layout_builds_no_table(self):
+        # a hand-written layout of thousands of atoms is refused at the
+        # table's first use, before any of its n**2 entries exist
+        g = build_unit_disk_graph([(5.0 * k, 0.0) for k in range(3000)], 6.0)
+        for use in (lambda: g.pair_distances, lambda: g.edges, lambda: validate_embedding(g)):
+            with pytest.raises(TooLarge, match="^3000 nodes exceeds the exhaustive limit of 24$"):
+                use()
+        assert "pair_distances" not in vars(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (1.0, 0.0), (0.0, 5e-324)]), min_size=1, max_size=30))
+    def test_coincidence_is_the_first_pair_at_distance_zero(self, points):
+        # the check compares points, not distances; for finite points the
+        # two agree, and the first such pair row-major is the one named
+        n = len(points)
+        at_zero = [(i, j) for i in range(n) for j in range(i + 1, n) if math.dist(points[i], points[j]) == 0.0]
+        if not at_zero:
+            assert build_unit_disk_graph(points, 1.0).positions == tuple(points)
+            return
+        i, j = at_zero[0]
+        with pytest.raises(InvalidInput) as refused:
+            build_unit_disk_graph(points, 1.0)
+        assert str(refused.value) == f"atoms {i} and {j} coincide at {points[i]}"
 
 
 class TestBlockadeRadius:
