@@ -43,7 +43,6 @@ from .indsets import (
     maximum_independent_sets,
 )
 from .dynamics import (
-    DEFAULT_C6,
     QuantumState,
     RydbergSystem,
     drive_off_window,

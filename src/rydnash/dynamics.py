@@ -100,7 +100,10 @@ class RydbergSystem:
         n = self.n
         v = np.zeros((n, n))
         for (i, j), r in self.graph.pair_distances.items():
-            r6 = r**6
+            try:
+                r6 = r**6
+            except OverflowError:  # atoms too far apart to interact at all
+                r6 = math.inf
             # atoms so close that r**6 underflows interact without bound
             v[i, j] = v[j, i] = self.c6 / r6 if r6 > 0 else math.inf
         v.flags.writeable = False

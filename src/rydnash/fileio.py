@@ -110,8 +110,8 @@ def from_mapping(cls, data: dict):
     mapping; a float takes an int or a float, never a bool. A derived
     (``init=False``) value must also equal what ``cls`` computes from the
     other values. A ``data`` that is no mapping raises TypeError naming
-    ``cls``, a key missing from it KeyError, and any other refusal
-    TypeError or ValueError naming the value's place in the file.
+    ``cls``, and every other refusal, a missing key at any depth included,
+    TypeError or ValueError naming its place in the file.
     """
     if type(data) is not dict:
         raise TypeError(f"{cls.__name__} is read from a mapping, got {type(data).__name__}")
@@ -132,10 +132,8 @@ def _instance(cls, data: dict, where: str):
             derived.append((name, place, _read(hint, data[key], place)))
         elif key in data:
             values[name] = _read(hint, data[key], place)
-        elif required and where:
-            raise TypeError(f"{at}missing required field {key!r}")
         elif required:
-            raise KeyError(key)
+            raise TypeError(f"{at}missing required field {key!r}")
     obj = cls(**values)
     for name, place, value in derived:
         if value != getattr(obj, name):
@@ -255,8 +253,6 @@ def load(path: str, cls):
     data = read_report(path)
     try:
         return from_mapping(cls, data)
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing required field {exc.args[0]!r}") from None
     except (TypeError, ValueError, RydnashError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -42,10 +42,13 @@ class EmbeddedGraph:
             raise InvalidInput("layout needs at least one atom")
         object.__setattr__(self, "radius", real("radius", self.radius, positive=True))
         object.__setattr__(self, "positions", clean)
-        # finite points are at distance 0 exactly when equal: no table needed
-        if len(set(clean)) < len(clean):
-            i = next(i for i, p in enumerate(clean) if clean.count(p) > 1)
-            raise InvalidInput(f"atoms {i} and {clean.index(clean[i], i + 1)} coincide at {clean[i]}")
+        # finite points are at distance 0 exactly when equal; the least
+        # (first index, repeat) pair is the first such pair, row-major
+        first: dict[Point, int] = {}
+        clashes = [(i, j) for j, p in enumerate(clean) if (i := first.setdefault(p, j)) != j]
+        if clashes:
+            i, j = min(clashes)
+            raise InvalidInput(f"atoms {i} and {j} coincide at {clean[i]}")
 
     @property
     def n(self) -> int:

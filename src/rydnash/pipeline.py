@@ -10,6 +10,8 @@ configuration and seed produce byte-identical files.
 
 from __future__ import annotations
 
+import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -90,11 +92,20 @@ class RunConfig:
         """The layout at ``c6``, or else at Δ_f·R⁶: the C6 at which the
         drive-off blockade radius is the disk radius R. The rule reads the
         layout and the schedule only, never the set families. Raises
-        InvalidInput, before any 2**n work, when Δ_f is not positive."""
-        delta = self.schedule.final_detuning
-        if self.c6 is None and delta <= 0:
+        InvalidInput, before any 2**n work, when Δ_f is not positive or
+        Δ_f·R⁶ is no positive finite float."""
+        if self.c6 is not None:
+            return RydbergSystem(self.graph, self.c6)
+        delta, radius = self.schedule.final_detuning, self.graph.radius
+        if delta <= 0:
             raise InvalidInput(f"the schedule's final detuning {delta} rad/us gives no C6 to derive; pass --coupling-c")
-        return RydbergSystem(self.graph, delta * self.graph.radius**6 if self.c6 is None else self.c6)
+        c6 = math.inf
+        with suppress(OverflowError):  # R**6 overflows past about 2.4e51 um
+            c6 = delta * radius**6
+        if not 0 < c6 < math.inf:
+            raise InvalidInput(f"the final detuning {delta} rad/us times the radius {radius} um to the sixth "
+                               "gives no positive finite C6; pass --coupling-c")
+        return RydbergSystem(self.graph, c6)
 
     @cached_property
     def validation(self) -> ValidationReport:

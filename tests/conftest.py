@@ -10,11 +10,13 @@ ground states are the maximum independent sets.
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import rydnash
 from rydnash._bits import from_bitstring, node_mask
 from rydnash.dynamics import _W0, _W1, QuantumState, RydbergSystem
 from rydnash.errors import InvalidInput
@@ -68,6 +70,12 @@ def save_yaml(path, obj) -> None:
     """Write a layout, game or schedule (any dataclass of the file formats)
     to ``path`` as rydnash writes its reports."""
     write_report(str(path), to_mapping(obj))
+
+
+def child_env():
+    """The environment of a new interpreter that imports this rydnash."""
+    src = os.path.dirname(os.path.dirname(rydnash.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def random_unit_disk(rng, n_max=8, box=10.0):

@@ -20,6 +20,7 @@ from conftest import (
     GRAPH_A_RADIUS,
     GRAPH_B_RADIUS,
     OVER_LIMIT,
+    child_env,
     save_yaml,
     unit_disk_layouts,
 )
@@ -457,7 +458,7 @@ class TestRefusedConfigFile:
         path.write_text("nodes: [[0.0, 0.0]]\nradius: " + "[" * depth + "]" * depth + "\n")
         out = tmp_path / "out"
         args = [sys.executable, "-m", "rydnash", "classical", "--graph", str(path), "--out", str(out)]
-        done = subprocess.run(args, env=_child_env(), capture_output=True, text=True)
+        done = subprocess.run(args, env=child_env(), capture_output=True, text=True)
         assert (done.returncode, done.stdout) == (EXIT_ERROR, "")
         assert done.stderr == f"error: {path} (line 2): nested more than {MAX_YAML_DEPTH} levels deep\n"
         assert not out.exists()
@@ -649,6 +650,24 @@ class TestRefusedBeforeAnnealing:
         assert err.startswith(f"error: the schedule's final detuning {final} rad/us") and "--coupling-c" in err
         assert not (out / VALIDATION_REPORT).exists() and not (out / ANNEAL_REPORT).exists()
 
+    @pytest.mark.parametrize("radius", [1.0e60, 2.0e51, 1.0e-60])
+    @pytest.mark.parametrize("command", ["validate", "anneal", "all"])
+    def test_derived_coupling_past_the_largest_float(self, command, radius, tmp_path, capsys, monkeypatch):
+        # Δ_f·R⁶ used to raise OverflowError past R = 2.4e51 um, and to be
+        # refused as "c6 ... got inf" above 1.7e51 um, or "got 0.0" where it
+        # underflows: values never passed
+        def pair_energy(self):
+            raise AssertionError("no 2**n table may be built for a refused input")
+
+        monkeypatch.setattr(RydbergSystem, "pair_energy", property(pair_energy))
+        graph = str(tmp_path / "graph.yaml")
+        save_yaml(graph, build_unit_disk_graph([(0.0, 0.0), (6.0, 0.0)], radius))
+        out = tmp_path / "out"
+        assert main([command, "--graph", graph, "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--coupling-c" in err
+        assert f"radius {radius} um" in err and "Traceback" not in err
+
 
 class TestDerivedCoupling:
     """With no --coupling-c, a run's C6 is Δ_f·R⁶: 7.27 rad/us on the
@@ -678,6 +697,19 @@ class TestDerivedCoupling:
 
         monkeypatch.setattr(rydnash.pipeline, "enumerate_mis", enumerate_mis)
         assert RunConfig(graph=load_graph(GRAPH_A_FILE)).system.c6 == 7.27 * GRAPH_A_RADIUS**6
+
+    @pytest.mark.parametrize("coupling", [[], ["--coupling-c", "1e6"]], ids=["derived", "pinned"])
+    @pytest.mark.parametrize("command", ["validate", "anneal", "all"])
+    def test_atoms_too_far_apart_to_interact(self, command, coupling, tmp_path, capsys):
+        # r**6 used to overflow in the unit-coupling table of the drive-off
+        # window; the pair reads V = 0, so no C6 above 0 lets "11" lose
+        graph = str(tmp_path / "far.yaml")
+        save_yaml(graph, build_unit_disk_graph([(0.0, 0.0), (1.0e60, 0.0)], 7.0))
+        out = str(tmp_path / "out")
+        assert main([command, "--graph", graph, *coupling, "--out", out]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        if command == "validate":
+            assert load(os.path.join(out, VALIDATION_REPORT), ValidationReport).window == (0.0, math.inf)
 
 
 class TestModuleEntryPoint:
@@ -1199,16 +1231,10 @@ def _reference_fingerprint(graph):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _child_env():
-    """The environment of a new interpreter that imports this rydnash."""
-    src = os.path.dirname(os.path.dirname(rydnash.pipeline.__file__))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 def _fresh_python(code, *args):
     """The last line ``code`` prints in a new interpreter that imports this rydnash."""
     done = subprocess.run(
-        [sys.executable, "-c", code, *args], env=_child_env(), capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args], env=child_env(), capture_output=True, text=True, check=True
     )
     return done.stdout.splitlines()[-1]
 

@@ -85,6 +85,13 @@ class TestInteractionMatrix:
         g = build_unit_disk_graph([(0.0, 0.0), (2.0, 0.0)], 3.0)
         assert RydbergSystem(g, 64.0).interactions[0, 1] == 1.0
 
+    def test_pair_too_far_apart_to_interact(self):
+        # r**6 overflows a float past about 2.4e51 um, and used to raise
+        # OverflowError; such a pair reads V = 0, and no other pair moves
+        g = build_unit_disk_graph([(0.0, 0.0), (2.0, 0.0), (1.0e60, 0.0)], 3.0)
+        v = RydbergSystem(g, 64.0).interactions
+        assert v[0, 1] == 1.0 and v[1, 2] == v[0, 2] == 0.0 and v[2, 1] == v[2, 0] == 0.0
+
     def test_distance_homogeneity(self):
         rng = np.random.default_rng(400)
         pts = [(float(x), float(y)) for x, y in rng.uniform(0, 5, size=(5, 2))]

@@ -62,6 +62,16 @@ class TestGraphFiles:
         with pytest.raises(ConfigError, match="radius"):
             load_graph(path)
 
+    def test_missing_top_level_field_is_refused_as_below_it(self, tmp_path):
+        # a missing top-level key used to raise KeyError, which load turned
+        # into the same message on a path of its own
+        with pytest.raises(TypeError, match="^missing required field 'radius'$"):
+            from_mapping(EmbeddedGraph, {"nodes": [[0.0, 0.0]]})
+        path = dump(tmp_path, "g.yaml", {"nodes": [[0.0, 0.0]]})
+        with pytest.raises(ConfigError) as refused:
+            load_graph(path)
+        assert str(refused.value) == f"{path}: missing required field 'radius'"
+
     def test_bad_node_entry(self, tmp_path):
         path = dump(tmp_path, "g.yaml", {"nodes": [[0.0, 0.0, 1.0]], "radius": 1.0})
         with pytest.raises(ConfigError, match=r"nodes\[0\]"):

@@ -1,12 +1,14 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GRAPH_A_EDGES, GRAPH_B_EDGES, random_unit_disk, unit_disk_layouts
+from conftest import GRAPH_A_EDGES, GRAPH_B_EDGES, child_env, random_unit_disk, unit_disk_layouts
 from rydnash.errors import InvalidInput, TooLarge
 from rydnash.geometry import (
     MIN_PAIR_DISTANCE,
@@ -132,6 +134,22 @@ class TestPairDistances:
         with pytest.raises(InvalidInput) as refused:
             build_unit_disk_graph(points, 1.0)
         assert str(refused.value) == f"atoms {i} and {j} coincide at {points[i]}"
+
+    def test_coincidence_found_in_one_pass(self):
+        # naming the pair used to rescan the layout once per atom, which took
+        # minutes at 10**5 atoms; a child process lets the timeout stop it
+        code = (
+            "from rydnash.errors import InvalidInput\n"
+            "from rydnash.geometry import build_unit_disk_graph\n"
+            "points = [(6.0 * k, 0.0) for k in range(99999)] + [(6.0 * 99998, 0.0)]\n"
+            "try:\n"
+            "    build_unit_disk_graph(points, 7.0)\n"
+            "except InvalidInput as exc:\n"
+            "    print(exc)\n"
+        )
+        args = [sys.executable, "-c", code]
+        done = subprocess.run(args, env=child_env(), capture_output=True, text=True, timeout=10)
+        assert (done.stdout, done.stderr) == ("atoms 99998 and 99999 coincide at (599988.0, 0.0)\n", "")
 
 
 class TestBlockadeRadius:
