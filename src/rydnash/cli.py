@@ -247,6 +247,7 @@ def cmd_compare(args: argparse.Namespace, out: _Outputs) -> int:
 
 def cmd_all(args: argparse.Namespace, out: _Outputs) -> int:
     config = _config_from_args(args)
+    config.system  # a C6 that cannot be derived is refused before the sweeps
     classical = run_classical(config)
     out.write(CLASSICAL_REPORT, write_report, to_mapping(classical))
     quantum, code = _run_anneal(config, out, args.plot_data)

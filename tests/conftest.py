@@ -17,7 +17,7 @@ import pytest
 from hypothesis import strategies as st
 
 import rydnash
-from rydnash._bits import from_bitstring, node_mask
+from rydnash._bits import from_bitstring
 from rydnash.dynamics import _W0, _W1, QuantumState, RydbergSystem
 from rydnash.errors import InvalidInput
 from rydnash.fileio import to_mapping, write_report
@@ -115,6 +115,33 @@ def brute_force_mis(graph):
     return set(out)
 
 
+def bron_kerbosch_mis(graph):
+    """Reference enumeration for large graphs: the maximal cliques of the
+    complement graph, by Bron-Kerbosch with pivoting (Bron & Kerbosch,
+    CACM 16, 1973), as a set of frozensets of nodes.
+
+    Independent of the bit tables of the sweeps: it grows sets one node at a
+    time through neighbor sets, and its work follows the number of maximal
+    sets, not 2**n.
+    """
+    nodes = frozenset(range(graph.n))
+    apart = [nodes - graph.neighbors[v] - {v} for v in range(graph.n)]  # complement neighbors
+    found = set()
+
+    def expand(clique, candidates, excluded):
+        if not candidates and not excluded:
+            found.add(clique)
+            return
+        pivot = max(candidates | excluded, key=lambda u: len(candidates & apart[u]))
+        for v in candidates - apart[pivot]:
+            expand(clique | {v}, candidates & apart[v], excluded & apart[v])
+            candidates = candidates - {v}
+            excluded = excluded | {v}
+
+    expand(frozenset(), nodes, frozenset())
+    return found
+
+
 def support_bitstring(members, n):
     return "".join("1" if i in members else "0" for i in range(n))
 
@@ -161,7 +188,7 @@ def dense_hamiltonian(system: RydbergSystem, omega: float, delta: float) -> np.n
     h[np.diag_indices(dim)] = system.diagonal(delta)
     idx = np.arange(dim)
     for i in range(system.n):
-        h[idx, idx ^ node_mask(i, system.n)] += 0.5 * omega
+        h[idx, idx ^ (1 << (system.n - 1 - i))] += 0.5 * omega  # flip node i's bit
     return h
 
 

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import unit_disk_layouts
+from conftest import bron_kerbosch_mis, brute_force_mis, support_bitstring, unit_disk_layouts
 from rydnash._bits import check_bitstrings, from_bitstring, rule_supports
 from rydnash.errors import InvalidInput
 from rydnash.game import GameParams, enumerate_specialized_nash
@@ -93,6 +94,23 @@ def kings_24():
     return build_unit_disk_graph(sites, 9.0)
 
 
+def kings_21(seed, count):
+    """``count`` 5x5 King's lattices at 6 um, radius 9 um, each with four
+    sites drawn vacant by ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    sites = [(6.0 * c, 6.0 * r) for r in range(5) for c in range(5)]
+    layouts = []
+    for _ in range(count):
+        vacant = set(rng.sample(range(len(sites)), 4))
+        layouts.append(build_unit_disk_graph([p for k, p in enumerate(sites) if k not in vacant], 9.0))
+    return layouts
+
+
+#: Layouts with 10 to 12 bits in each half: three drawn n = 21 lattices and
+#: the n = 24 one, the exhaustive limit.
+KINGS = {f"kings21-{k}": g for k, g in enumerate(kings_21(1, 3))} | {"kings24": kings_24()}
+
+
 SWEEPS = {
     "nash": lambda g: enumerate_specialized_nash(g, GameParams()),
     "mis": enumerate_mis,
@@ -121,9 +139,33 @@ class TestSweepMemory:
 
     @pytest.mark.parametrize("name", SWEEPS)
     def test_kings_24_peak(self, name):
-        # the half tables and the 38 x 38 surviving grid: 0.123 bytes per
+        # the half tables and the 38 x 38 surviving grid: 0.034 bytes per
         # index measured, against 3.0 for a full 2**n sweep
         g = kings_24()
         found, peak = sweep_peak(SWEEPS[name], g)
         assert g.n == 24 and len(found) == 544
-        assert peak <= 2**g.n // 4
+        assert peak <= 2**g.n // 16
+
+    @pytest.mark.parametrize("name", SWEEPS)
+    def test_kings_21_peak(self, name):
+        # the half tables and the pruning test on four nodes at a time:
+        # 0.14 bytes per index measured on each of the three layouts
+        for layout in ("kings21-0", "kings21-1", "kings21-2"):
+            g = KINGS[layout]
+            found, peak = sweep_peak(SWEEPS[name], g)
+            assert g.n == 21 and found
+            assert peak <= 2**g.n // 5, layout
+
+
+class TestAgainstBronKerbosch:
+    @settings(max_examples=60, deadline=None)
+    @given(g=unit_disk_layouts(n_max=N_MAX))
+    def test_oracle_matches_brute_force(self, g):
+        assert bron_kerbosch_mis(g) == brute_force_mis(g)
+
+    @pytest.mark.parametrize("layout", KINGS)
+    @pytest.mark.parametrize("name", SWEEPS)
+    def test_kings_lattices(self, name, layout):
+        # both families are the maximal sets, in canonical order
+        g = KINGS[layout]
+        assert SWEEPS[name](g) == tuple(sorted(support_bitstring(s, g.n) for s in bron_kerbosch_mis(g)))

@@ -668,6 +668,24 @@ class TestRefusedBeforeAnnealing:
         assert err.startswith("error: ") and err.count("\n") == 1 and "--coupling-c" in err
         assert f"radius {radius} um" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("final, radius", [(0.0, 7.0), (7.27, 1.0e60)], ids=["final-detuning-0", "radius-1e60"])
+    def test_all_refuses_before_the_sweeps(self, final, radius, tmp_path, capsys, monkeypatch):
+        # all derives C6 before it sweeps: a C6 it cannot derive leaves no
+        # classical report behind
+        def sweep(*args, **kwargs):
+            raise AssertionError("no sweep may run for a refused input")
+
+        monkeypatch.setattr(rydnash.pipeline, "enumerate_specialized_nash", sweep)
+        monkeypatch.setattr(rydnash.pipeline, "enumerate_mis", sweep)
+        graph = str(tmp_path / "graph.yaml")
+        save_yaml(graph, build_unit_disk_graph([(0.0, 0.0), (6.0, 0.0)], radius))
+        out = tmp_path / "out"
+        args = ["all", "--graph", graph, "--schedule", _ramp_ending_at(tmp_path, final), "--out", str(out)]
+        assert main(args) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--coupling-c" in err
+        assert not out.exists()
+
 
 class TestDerivedCoupling:
     """With no --coupling-c, a run's C6 is Δ_f·R⁶: 7.27 rad/us on the
