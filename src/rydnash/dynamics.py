@@ -21,6 +21,7 @@ drive rotation.
 from __future__ import annotations
 
 import math
+import os
 import random
 import sys
 import types
@@ -72,6 +73,8 @@ TOLERANCE = 1e-6
 # evolve's first step, and the floor below which it gives up, in us
 _INITIAL_STEP = 1e-3
 _MIN_STEP = 1e-5
+# signal.SIGKILL, which POSIX fixes at 9; a run does not otherwise load signal
+_SIGKILL = 9
 
 
 @dataclass(frozen=True)
@@ -452,18 +455,86 @@ def propagate(system: RydbergSystem, schedule: Schedule, step: float) -> Quantum
     return QuantumState(psi)
 
 
+def _sole_thread() -> bool:
+    """Whether this process runs one thread, native ones included; False
+    where ``/proc`` cannot tell, as on macOS and Windows.
+
+    Forking a process with other threads is unsafe, and a BLAS pool's
+    threads count too: OpenBLAS starts one per CPU unless its thread count
+    is pinned, and two processes' pools on the same CPUs made the overlapped
+    passes of an n = 14 anneal several times slower than serial ones.
+    """
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _first_passes(system: RydbergSystem, schedule: Schedule, h: float) -> tuple[QuantumState, QuantumState]:
+    """``evolve``'s two passes that always run, at steps ``h`` and ``h / 2``.
+
+    The coarse pass runs in a child made with ``os.fork`` while this process
+    runs the fine one; the child sends its amplitudes' bytes down a pipe and
+    leaves through ``os._exit``. A forked process shares no GIL, so the two
+    overlap even where threads could not. Where a fork is not safe or not
+    useful, both passes run here, one after the other: when another thread
+    runs (``_sole_thread``), when this process may run on fewer than two
+    CPUs, or when ``os.fork`` is refused. The states are the same bits
+    either way.
+    Any exception in the fine pass, KeyboardInterrupt included, kills and
+    reaps the child before it propagates; a child that fails or sends short
+    data raises IntegrationFailure.
+    """
+    pid = None
+    if _sole_thread() and len(os.sched_getaffinity(0)) >= 2:
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+    if pid is None:
+        return propagate(system, schedule, h), propagate(system, schedule, h / 2.0)
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            data = memoryview(propagate(system, schedule, h).amplitudes).cast("B")
+            while data:
+                data = data[os.write(write, data) :]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    try:
+        with open(read, "rb") as pipe:
+            fine = propagate(system, schedule, h / 2.0)
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, _SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or len(data) != 16 << system.n:
+        raise IntegrationFailure(
+            f"the coarse pass's worker exited with status {status} after sending {len(data)} of {16 << system.n} bytes"
+        )
+    return QuantumState(np.frombuffer(data, dtype=np.complex128)), fine
+
+
 def evolve(system: RydbergSystem, schedule: Schedule) -> QuantumState:
     """Anneal from the all-ground state, starting at a 1e-3 us step and
     halving it until one more halving moves the final state by less than
     ``TOLERANCE`` (1e-6) in 2-norm.
 
-    Returns the finer of the last two passes. Raises IntegrationFailure if
-    the step would have to fall below 1e-5 us before converging.
+    The first two passes always run, and run side by side where they can
+    (``_first_passes``); later ones run here, one at a time. Returns the
+    finer of the last two passes. Raises IntegrationFailure if the step
+    would have to fall below 1e-5 us before converging.
     """
     h = min(_INITIAL_STEP, schedule.duration)
-    coarse = propagate(system, schedule, h)
+    coarse, fine = _first_passes(system, schedule, h)
     while True:
-        fine = propagate(system, schedule, h / 2.0)
         if float(np.linalg.norm(fine.amplitudes - coarse.amplitudes)) < TOLERANCE:
             return fine
         if h / 4.0 < _MIN_STEP:
@@ -472,6 +543,7 @@ def evolve(system: RydbergSystem, schedule: Schedule) -> QuantumState:
             )
         h /= 2.0
         coarse = fine
+        fine = propagate(system, schedule, h / 2.0)
 
 
 def _random():

@@ -2,6 +2,11 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -477,6 +482,19 @@ SHORT_RAMP = Schedule(
 )
 
 
+# evolve's cases: two passes each, at the default ramp (chain11 at 1 us)
+EVOLVE_CASES = [("graph_a", C_A, 4.0), ("graph_b", C_B, 4.0), ("chain11", 1e6, 1.0)]
+
+
+def evolve_case(layout, c6, duration, request):
+    """One of ``EVOLVE_CASES`` as ``(system, schedule)``."""
+    if layout == "chain11":
+        graph = build_unit_disk_graph([(6.0 * i, 0.0) for i in range(11)], 6.0)
+    else:
+        graph = request.getfixturevalue(layout)
+    return RydbergSystem(graph, c6), default_schedule(duration=duration)
+
+
 def assert_matches_reference(graph):
     # pairs capped at 50 rad/us, so the merged and separate half phases stay
     # at the same round-off
@@ -615,25 +633,169 @@ class TestWalshHadamardStage:
         assume(all(d >= 0.1 for d in graph.pair_distances.values()))
         assert_matches_reference(graph)
 
-    @pytest.mark.parametrize(
-        "layout, c6, duration",
-        [("graph_a", C_A, 4.0), ("graph_b", C_B, 4.0), ("chain11", 1e6, 1.0)],
-    )
-    def test_evolve_pass_count(self, layout, c6, duration, request, monkeypatch):
-        if layout == "chain11":
-            graph = build_unit_disk_graph([(6.0 * i, 0.0) for i in range(11)], 6.0)
-        else:
-            graph = request.getfixturevalue(layout)
-        steps = []
+    @pytest.mark.parametrize("layout, c6, duration", EVOLVE_CASES)
+    def test_evolve_pass_count(self, layout, c6, duration, request, monkeypatch, tmp_path):
+        # the coarse pass may run in a forked worker, which an in-process
+        # spy cannot see, so each pass appends its step to a file
+        log = tmp_path / "steps"
 
         def counted(system, schedule, step):
-            steps.append(step)
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{step!r}\n")
             return propagate(system, schedule, step)
 
         monkeypatch.setattr(rydnash.dynamics, "propagate", counted)
-        state = evolve(RydbergSystem(graph, c6), default_schedule(duration=duration))
-        assert steps == [1e-3, 5e-4]
+        state = evolve(*evolve_case(layout, c6, duration, request))
+        # each pass once, in either order, and no third pass
+        assert sorted(float(step) for step in log.read_text(encoding="ascii").split()) == [5e-4, 1e-3]
         assert abs(state.norm() - 1.0) < 1e-9
+
+
+class TestCoarsePassWorker:
+    """``evolve`` runs its coarse first pass in a forked worker beside the
+    fine pass where it can, and inline otherwise, with the same bits."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Calls of ``os.fork``, with two CPUs to run on whatever the host
+        has."""
+        calls = []
+        fork = os.fork
+
+        def counted():
+            calls.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    @pytest.fixture
+    def worker(self, forks, monkeypatch):
+        """``forks``, with the worker path taken wherever fork works, also
+        beside a BLAS pool's threads."""
+        monkeypatch.setattr(rydnash.dynamics, "_sole_thread", lambda: True)
+        return forks
+
+    @pytest.fixture
+    def system_a(self, graph_a):
+        return RydbergSystem(graph_a, C_A), default_schedule()
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("layout, c6, duration", EVOLVE_CASES)
+    def test_worker_and_inline_give_the_same_bits(self, layout, c6, duration, request, worker, monkeypatch):
+        system, schedule = evolve_case(layout, c6, duration, request)
+        expected = propagate(system, schedule, 5e-4).amplitudes
+        forked = evolve(system, schedule).amplitudes
+        assert len(worker) == 1
+        self.assert_no_child()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        inline = evolve(system, schedule).amplitudes
+        assert len(worker) == 1
+        assert np.array_equal(forked, expected)
+        assert np.array_equal(inline, expected)
+
+    def test_failing_worker_raises_integration_failure(self, system_a, worker, monkeypatch):
+        def failing(system, schedule, step):
+            if step == 1e-3:
+                raise RuntimeError("the coarse pass failed")
+            return propagate(system, schedule, step)
+
+        monkeypatch.setattr(rydnash.dynamics, "propagate", failing)
+        with pytest.raises(IntegrationFailure, match="exited with status 1 after sending 0 of 1024 bytes"):
+            evolve(*system_a)
+        assert len(worker) == 1
+        self.assert_no_child()
+
+    def test_short_data_raises_integration_failure(self, system_a, worker, monkeypatch):
+        def short(system, schedule, step):
+            if step == 1e-3:
+                return QuantumState.all_ground(system.n - 1)
+            return propagate(system, schedule, step)
+
+        monkeypatch.setattr(rydnash.dynamics, "propagate", short)
+        with pytest.raises(IntegrationFailure, match="exited with status 0 after sending 512 of 1024 bytes"):
+            evolve(*system_a)
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failing_fine_pass_kills_the_worker(self, error, system_a, worker, monkeypatch):
+        def failing(system, schedule, step):
+            if step == 5e-4:
+                raise error("the fine pass failed")
+            return propagate(system, schedule, step)
+
+        monkeypatch.setattr(rydnash.dynamics, "propagate", failing)
+        with pytest.raises(error, match="the fine pass failed"):
+            evolve(*system_a)
+        assert len(worker) == 1
+        self.assert_no_child()
+
+    def test_second_thread_runs_inline(self, system_a, forks):
+        expected = propagate(*system_a, 5e-4).amplitudes
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            state = evolve(*system_a)
+        finally:
+            release.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert forks == []
+        assert np.array_equal(state.amplitudes, expected)
+
+    def test_sole_thread_counts_every_thread(self):
+        # a fresh interpreter with its BLAS pinned to one thread runs one
+        # thread until it starts a Python thread; a BLAS pool of two, which
+        # OpenBLAS starts only with two CPUs to run on, adds one from the start
+        code = (
+            "import threading, rydnash.dynamics as d\n"
+            "alone = d._sole_thread()\n"
+            "release = threading.Event()\n"
+            "thread = threading.Thread(target=release.wait)\n"
+            "thread.start()\n"
+            "print(alone, d._sole_thread())\n"
+            "release.set()\n"
+            "thread.join()\n"
+        )
+        src = str(pathlib.Path(rydnash.dynamics.__file__).parents[1])
+
+        def run(blas_threads):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), blas_threads))
+            result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+            assert result.returncode == 0, result.stderr
+            return result.stdout.split()
+
+        assert run("1") == ["True", "False"]
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert run("2") == ["False", "False"]
+
+    def test_sole_thread_without_proc(self, monkeypatch):
+        # as on macOS and Windows, where both passes run inline
+        def listdir(path):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(os, "listdir", listdir)
+        assert rydnash.dynamics._sole_thread() is False
+
+    def test_refused_fork_runs_inline(self, system_a, worker, monkeypatch):
+        def refused():
+            worker.append(None)
+            raise OSError(11, "Resource temporarily unavailable")
+
+        expected = propagate(*system_a, 5e-4).amplitudes
+        descriptors = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", refused)
+        state = evolve(*system_a)
+        assert len(worker) == 1
+        assert len(os.listdir("/proc/self/fd")) == descriptors  # the pipe is closed
+        assert np.array_equal(state.amplitudes, expected)
 
 
 class TestQuantumState:
