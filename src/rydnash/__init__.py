@@ -8,7 +8,24 @@ The package splits into five layers:
 * :mod:`rydnash.indsets`: maximal/maximum independent sets, correspondence.
 * :mod:`rydnash.dynamics` + :mod:`rydnash.schedule`: the annealing simulator.
 * :mod:`rydnash.pipeline` + :mod:`rydnash.cli`: config-driven runs and reports.
+
+Imported before numpy, the package loads numpy with BLAS pinned to one
+thread, unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS`` is set. OpenBLAS otherwise starts one thread per CPU,
+which nothing here gains from and which keeps ``evolve`` from running its
+coarse pass in a forked worker. The environment is left as it was found.
 """
+
+import os
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(name in os.environ for name in _BLAS_THREADS):
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    try:
+        import numpy  # BLAS reads its thread count as numpy loads
+    finally:
+        for _name in _BLAS_THREADS:
+            del os.environ[_name]
 
 from ._bits import EXHAUSTIVE_LIMIT
 from .errors import (

@@ -75,6 +75,9 @@ _INITIAL_STEP = 1e-3
 _MIN_STEP = 1e-5
 # signal.SIGKILL, which POSIX fixes at 9; a run does not otherwise load signal
 _SIGKILL = 9
+# bytes per amplitude that one of evolve's passes holds at its peak, with the
+# state it keeps from the pass before (see ROADMAP item 8)
+_PASS_BYTES = 112.7
 
 
 @dataclass(frozen=True)
@@ -470,6 +473,19 @@ def _sole_thread() -> bool:
         return False
 
 
+def _available_memory() -> int:
+    """The bytes the kernel reports as available (``MemAvailable`` in
+    ``/proc/meminfo``), or 0 where it cannot tell."""
+    try:
+        with open("/proc/meminfo", "rb") as meminfo:
+            for line in meminfo:
+                if line.startswith(b"MemAvailable:"):
+                    return int(line.split()[1]) << 10
+    except OSError:
+        pass
+    return 0
+
+
 def _first_passes(system: RydbergSystem, schedule: Schedule, h: float) -> tuple[QuantumState, QuantumState]:
     """``evolve``'s two passes that always run, at steps ``h`` and ``h / 2``.
 
@@ -479,14 +495,20 @@ def _first_passes(system: RydbergSystem, schedule: Schedule, h: float) -> tuple[
     overlap even where threads could not. Where a fork is not safe or not
     useful, both passes run here, one after the other: when another thread
     runs (``_sole_thread``), when this process may run on fewer than two
-    CPUs, or when ``os.fork`` is refused. The states are the same bits
-    either way.
+    CPUs, when the two passes' working sets (``_PASS_BYTES`` per amplitude
+    each) would not fit in the memory the kernel reports as available, or
+    when ``os.fork`` is refused. The states are the same bits either way.
     Any exception in the fine pass, KeyboardInterrupt included, kills and
-    reaps the child before it propagates; a child that fails or sends short
-    data raises IntegrationFailure.
+    reaps the child before it propagates. If the child fails or sends short
+    data, its pass runs again here, which raises the child's error with its
+    own type or gives the same bits.
     """
     pid = None
-    if _sole_thread() and len(os.sched_getaffinity(0)) >= 2:
+    if (
+        _sole_thread()
+        and len(os.sched_getaffinity(0)) >= 2
+        and _available_memory() >= 2 * _PASS_BYTES * (1 << system.n)
+    ):
         read, write = os.pipe()
         try:
             pid = os.fork()
@@ -510,15 +532,13 @@ def _first_passes(system: RydbergSystem, schedule: Schedule, h: float) -> tuple[
         with open(read, "rb") as pipe:
             fine = propagate(system, schedule, h / 2.0)
             data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
     except BaseException:
         os.kill(pid, _SIGKILL)
         os.waitpid(pid, 0)
         raise
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status != 0 or len(data) != 16 << system.n:
-        raise IntegrationFailure(
-            f"the coarse pass's worker exited with status {status} after sending {len(data)} of {16 << system.n} bytes"
-        )
+        return propagate(system, schedule, h), fine
     return QuantumState(np.frombuffer(data, dtype=np.complex128)), fine
 
 

@@ -3,7 +3,6 @@ import functools
 import itertools
 import math
 import os
-import pathlib
 import subprocess
 import sys
 import threading
@@ -30,6 +29,7 @@ from conftest import (
     INTEGRATOR_ORDER,
     OVER_LIMIT,
     apply_hamiltonian,
+    child_env,
     dense_hamiltonian,
     diagonal_energy,
     reference_propagate,
@@ -699,28 +699,74 @@ class TestCoarsePassWorker:
         assert np.array_equal(forked, expected)
         assert np.array_equal(inline, expected)
 
-    def test_failing_worker_raises_integration_failure(self, system_a, worker, monkeypatch):
+    def test_failing_worker_pass_runs_again_here(self, system_a, worker, monkeypatch):
+        # the worker's pass fails only in the worker, so the rerun here
+        # gives the same bits as the worker would have sent
+        caller = os.getpid()
+
         def failing(system, schedule, step):
-            if step == 1e-3:
+            if step == 1e-3 and os.getpid() != caller:
                 raise RuntimeError("the coarse pass failed")
             return propagate(system, schedule, step)
 
+        expected = propagate(*system_a, 5e-4).amplitudes
         monkeypatch.setattr(rydnash.dynamics, "propagate", failing)
-        with pytest.raises(IntegrationFailure, match="exited with status 1 after sending 0 of 1024 bytes"):
+        state = evolve(*system_a)
+        assert len(worker) == 1
+        self.assert_no_child()
+        assert np.array_equal(state.amplitudes, expected)
+
+    def test_worker_error_raises_with_its_own_type(self, system_a, worker, monkeypatch):
+        def failing(system, schedule, step):
+            if step == 1e-3:
+                raise InvalidInput("the coarse pass failed")
+            return propagate(system, schedule, step)
+
+        monkeypatch.setattr(rydnash.dynamics, "propagate", failing)
+        with pytest.raises(InvalidInput, match="the coarse pass failed"):
             evolve(*system_a)
         assert len(worker) == 1
         self.assert_no_child()
 
-    def test_short_data_raises_integration_failure(self, system_a, worker, monkeypatch):
+    def test_short_data_runs_the_pass_again_here(self, system_a, worker, monkeypatch):
+        caller = os.getpid()
+
         def short(system, schedule, step):
-            if step == 1e-3:
+            if step == 1e-3 and os.getpid() != caller:
                 return QuantumState.all_ground(system.n - 1)
             return propagate(system, schedule, step)
 
+        expected = propagate(*system_a, 5e-4).amplitudes
         monkeypatch.setattr(rydnash.dynamics, "propagate", short)
-        with pytest.raises(IntegrationFailure, match="exited with status 0 after sending 512 of 1024 bytes"):
-            evolve(*system_a)
+        state = evolve(*system_a)
+        assert len(worker) == 1
         self.assert_no_child()
+        assert np.array_equal(state.amplitudes, expected)
+
+    def test_too_little_memory_runs_inline(self, system_a, worker, monkeypatch):
+        # two passes' working sets at n = 6: 2 * 112.7 * 64 = 14425.6 bytes
+        expected = propagate(*system_a, 5e-4).amplitudes
+        monkeypatch.setattr(rydnash.dynamics, "_available_memory", lambda: 14425)
+        state = evolve(*system_a)
+        assert worker == []
+        assert np.array_equal(state.amplitudes, expected)
+        monkeypatch.setattr(rydnash.dynamics, "_available_memory", lambda: 14426)
+        state = evolve(*system_a)
+        assert len(worker) == 1
+        self.assert_no_child()
+        assert np.array_equal(state.amplitudes, expected)
+
+    def test_available_memory_reads_meminfo(self, monkeypatch):
+        with open("/proc/meminfo", encoding="ascii") as meminfo:
+            total = next(int(line.split()[1]) << 10 for line in meminfo if line.startswith("MemTotal:"))
+        assert 0 < rydnash.dynamics._available_memory() <= total
+
+        # as on macOS and Windows, where both passes run inline
+        def missing(path, mode="r"):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(rydnash.dynamics, "open", missing, raising=False)
+        assert rydnash.dynamics._available_memory() == 0
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_failing_fine_pass_kills_the_worker(self, error, system_a, worker, monkeypatch):
@@ -750,31 +796,35 @@ class TestCoarsePassWorker:
         assert np.array_equal(state.amplitudes, expected)
 
     def test_sole_thread_counts_every_thread(self):
-        # a fresh interpreter with its BLAS pinned to one thread runs one
-        # thread until it starts a Python thread; a BLAS pool of two, which
-        # OpenBLAS starts only with two CPUs to run on, adds one from the start
+        # a fresh interpreter that imports rydnash before numpy, with no BLAS
+        # thread count set, has BLAS pinned to one thread and the variables
+        # unset again after: it runs one thread until it starts a Python
+        # thread. A BLAS pool of two, which OpenBLAS starts only with two
+        # CPUs to run on, adds one from the start
         code = (
-            "import threading, rydnash.dynamics as d\n"
+            "import os, threading, rydnash.dynamics as d\n"
             "alone = d._sole_thread()\n"
             "release = threading.Event()\n"
             "thread = threading.Thread(target=release.wait)\n"
             "thread.start()\n"
-            "print(alone, d._sole_thread())\n"
+            "print(alone, d._sole_thread(), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
             "release.set()\n"
             "thread.join()\n"
         )
-        src = str(pathlib.Path(rydnash.dynamics.__file__).parents[1])
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
         def run(blas_threads):
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), blas_threads))
+            env = {name: value for name, value in child_env().items() if name not in names}
+            if blas_threads is not None:
+                env.update(dict.fromkeys(names, blas_threads))
             result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
             assert result.returncode == 0, result.stderr
             return result.stdout.split()
 
-        assert run("1") == ["True", "False"]
+        assert run(None) == ["True", "False", "None"]
+        assert run("1") == ["True", "False", "1"]
         if len(os.sched_getaffinity(0)) >= 2:
-            assert run("2") == ["False", "False"]
+            assert run("2") == ["False", "False", "2"]
 
     def test_sole_thread_without_proc(self, monkeypatch):
         # as on macOS and Windows, where both passes run inline
