@@ -21,6 +21,7 @@ drive rotation.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import random
 import sys
@@ -490,18 +491,19 @@ def _first_passes(system: RydbergSystem, schedule: Schedule, h: float) -> tuple[
     """``evolve``'s two passes that always run, at steps ``h`` and ``h / 2``.
 
     The coarse pass runs in a child made with ``os.fork`` while this process
-    runs the fine one; the child sends its amplitudes' bytes down a pipe and
-    leaves through ``os._exit``. A forked process shares no GIL, so the two
-    overlap even where threads could not. Where a fork is not safe or not
-    useful, both passes run here, one after the other: when another thread
-    runs (``_sole_thread``), when this process may run on fewer than two
-    CPUs, when the two passes' working sets (``_PASS_BYTES`` per amplitude
-    each) would not fit in the memory the kernel reports as available, or
-    when ``os.fork`` is refused. The states are the same bits either way.
-    Any exception in the fine pass, KeyboardInterrupt included, kills and
-    reaps the child before it propagates. If the child fails or sends short
-    data, its pass runs again here, which raises the child's error with its
-    own type or gives the same bits.
+    runs the fine one; the child writes its amplitudes into an anonymous
+    shared mapping made before the fork and leaves through ``os._exit``. A
+    forked process shares no GIL, so the two overlap even where threads
+    could not. Where a fork is not safe or not useful, both passes run here,
+    one after the other: when another thread runs (``_sole_thread``), when
+    this process may run on fewer than two CPUs, when the two passes'
+    working sets (``_PASS_BYTES`` per amplitude each) would not fit in the
+    memory the kernel reports as available, or when the mapping or
+    ``os.fork`` is refused. The states are the same bits either way. Any
+    exception in the fine pass, KeyboardInterrupt included, kills and reaps
+    the child before it propagates. If the child's exit status is not 0,
+    its pass runs again here, which raises the child's error with its own
+    type or gives the same bits.
     """
     pid = None
     if (
@@ -509,37 +511,31 @@ def _first_passes(system: RydbergSystem, schedule: Schedule, h: float) -> tuple[
         and len(os.sched_getaffinity(0)) >= 2
         and _available_memory() >= 2 * _PASS_BYTES * (1 << system.n)
     ):
-        read, write = os.pipe()
         try:
+            shared = mmap.mmap(-1, 16 << system.n)
             pid = os.fork()
         except OSError:
-            os.close(read)
-            os.close(write)
+            pass
     if pid is None:
         return propagate(system, schedule, h), propagate(system, schedule, h / 2.0)
+    coarse = np.frombuffer(shared, dtype=np.complex128)
     if pid == 0:
         status = 1
         try:
-            os.close(read)
-            data = memoryview(propagate(system, schedule, h).amplitudes).cast("B")
-            while data:
-                data = data[os.write(write, data) :]
+            coarse[:] = propagate(system, schedule, h).amplitudes
             status = 0
         finally:
             os._exit(status)
-    os.close(write)
     try:
-        with open(read, "rb") as pipe:
-            fine = propagate(system, schedule, h / 2.0)
-            data = pipe.read()
+        fine = propagate(system, schedule, h / 2.0)
         status = os.waitpid(pid, 0)[1]
     except BaseException:
         os.kill(pid, _SIGKILL)
         os.waitpid(pid, 0)
         raise
-    if status != 0 or len(data) != 16 << system.n:
+    if status != 0:
         return propagate(system, schedule, h), fine
-    return QuantumState(np.frombuffer(data, dtype=np.complex128)), fine
+    return QuantumState(coarse), fine
 
 
 def evolve(system: RydbergSystem, schedule: Schedule) -> QuantumState:

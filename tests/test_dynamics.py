@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -729,6 +730,9 @@ class TestCoarsePassWorker:
         self.assert_no_child()
 
     def test_short_data_runs_the_pass_again_here(self, system_a, worker, monkeypatch):
+        # the worker's state has one atom too few, so its write into the
+        # mapping fails, the worker exits with status 1 and the pass runs
+        # again here
         caller = os.getpid()
 
         def short(system, schedule, step):
@@ -742,6 +746,31 @@ class TestCoarsePassWorker:
         assert len(worker) == 1
         self.assert_no_child()
         assert np.array_equal(state.amplitudes, expected)
+
+    def test_worker_leaves_before_the_fine_pass_ends(self, worker, monkeypatch):
+        # at n = 13 the coarse state is 128 KiB, more than a pipe holds: the
+        # worker must not wait for the caller to read it. Its pass returns at
+        # once, and the caller's fine pass waits up to 5 s for it to exit,
+        # leaving it to be reaped
+        exited = []
+
+        def passes(system, schedule, step):
+            deadline = time.monotonic() + 5.0
+            while step == 5e-4 and time.monotonic() < deadline:
+                child = os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+                if child is not None:
+                    exited.append((child.si_code, child.si_status))
+                    break
+                time.sleep(0.01)
+            return QuantumState.all_ground(system.n)
+
+        chain = build_unit_disk_graph([(6.0 * i, 0.0) for i in range(13)], 6.0)
+        monkeypatch.setattr(rydnash.dynamics, "propagate", passes)
+        state = evolve(RydbergSystem(chain, 1e6), default_schedule(duration=1.0))
+        assert len(worker) == 1
+        self.assert_no_child()
+        assert exited == [(os.CLD_EXITED, 0)]
+        assert state.n == 13
 
     def test_too_little_memory_runs_inline(self, system_a, worker, monkeypatch):
         # two passes' working sets at n = 6: 2 * 112.7 * 64 = 14425.6 bytes
@@ -844,7 +873,7 @@ class TestCoarsePassWorker:
         monkeypatch.setattr(os, "fork", refused)
         state = evolve(*system_a)
         assert len(worker) == 1
-        assert len(os.listdir("/proc/self/fd")) == descriptors  # the pipe is closed
+        assert len(os.listdir("/proc/self/fd")) == descriptors  # no descriptor is left open
         assert np.array_equal(state.amplitudes, expected)
 
 
