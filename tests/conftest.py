@@ -44,6 +44,10 @@ C_B = 6.0e5  # rad/us um^6; blockade radius ~6.60 um at the 7.27 scale
 
 SEED = 7  # documented sampling seed used throughout
 
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+GRAPH_A_FILE = os.path.join(CONFIGS, "graph_a.yaml")
+GRAPH_B_FILE = os.path.join(CONFIGS, "graph_b.yaml")
+
 # One atom past the exhaustive limit of 24: a 6 um chain, every pair at or
 # above the 4 um floor, so only its size is refused.
 CHAIN25_POSITIONS = tuple((6.0 * i, 0.0) for i in range(25))
@@ -64,6 +68,13 @@ def graph_b():
 @pytest.fixture(scope="session")
 def chain25():
     return build_unit_disk_graph(CHAIN25_POSITIONS, CHAIN25_RADIUS)
+
+
+def kings_24():
+    """A 5x5 King's lattice at 6 um with the centre site vacant, radius 9 um:
+    n = 24, the exhaustive limit, with 544 maximal independent sets."""
+    sites = [(6.0 * c, 6.0 * r) for r in range(5) for c in range(5) if (r, c) != (2, 2)]
+    return build_unit_disk_graph(sites, 9.0)
 
 
 def save_yaml(path, obj) -> None:
@@ -205,20 +216,25 @@ def diagonal_energy(system: RydbergSystem, delta: float, z: str) -> float:
     return float(energy)
 
 
-def _strang_stage(psi: np.ndarray, system: RydbergSystem, h: float, omega: float, delta: float) -> None:
-    """One self-adjoint split step in place: half diagonal phase, uniform
-    single-atom drive rotation, half diagonal phase."""
+def _strang_stage(
+    psi: np.ndarray, spare: np.ndarray, system: RydbergSystem, h: float, omega: float, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One self-adjoint split step: half diagonal phase, uniform single-atom
+    drive rotation, half diagonal phase. Each atom's rotation is written
+    into the other buffer, so this returns the buffer that holds the state,
+    then the spare one."""
     half_phase = np.exp((-0.5j * h) * system.diagonal(delta))
     psi *= half_phase
     theta = 0.5 * h * omega
     if theta != 0.0:
         c, s = math.cos(theta), math.sin(theta)
         for i in range(system.n):
-            view = psi.reshape(1 << i, 2, -1)
-            top = view[:, 0, :].copy()
-            view[:, 0, :] = c * top - 1j * s * view[:, 1, :]
-            view[:, 1, :] = c * view[:, 1, :] - 1j * s * top
+            view, out = psi.reshape(1 << i, 2, -1), spare.reshape(1 << i, 2, -1)
+            np.multiply(view[:, ::-1, :], -1j * s, out=out)
+            out += c * view
+            psi, spare = spare, psi
     psi *= half_phase
+    return psi, spare
 
 
 def reference_propagate(system: RydbergSystem, schedule: Schedule, step: float) -> QuantumState:
@@ -229,6 +245,7 @@ def reference_propagate(system: RydbergSystem, schedule: Schedule, step: float) 
     n = system.n
     psi = np.zeros(1 << n, dtype=np.complex128)
     psi[0] = 1.0
+    spare = np.empty_like(psi)
     times = schedule.breakpoint_times
     for t0, t1 in zip(times, times[1:]):
         segment = t1 - t0
@@ -239,6 +256,6 @@ def reference_propagate(system: RydbergSystem, schedule: Schedule, step: float) 
             virtual = t
             for w in (_W1, _W0, _W1):
                 tm = virtual + 0.5 * w * h
-                _strang_stage(psi, system, w * h, schedule.omega_at(tm), schedule.delta_at(tm))
+                psi, spare = _strang_stage(psi, spare, system, w * h, schedule.omega_at(tm), schedule.delta_at(tm))
                 virtual += w * h
     return QuantumState(psi)

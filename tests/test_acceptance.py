@@ -24,8 +24,10 @@ import pytest
 from conftest import (
     C_A,
     C_B,
+    GRAPH_A_FILE,
     GRAPH_A_MAXIMUM,
     GRAPH_A_MIS_FAMILY,
+    GRAPH_B_FILE,
     GRAPH_B_MIS_FAMILY,
     SEED,
     apply_hamiltonian,
@@ -41,10 +43,6 @@ from rydnash.game import GameParams, enumerate_specialized_nash
 from rydnash.geometry import build_unit_disk_graph, validate_embedding
 from rydnash.indsets import enumerate_mis, maximum_independent_sets
 from rydnash.schedule import Schedule, default_schedule, validate_schedule
-
-CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-GRAPH_A_FILE = os.path.join(CONFIGS, "graph_a.yaml")
-GRAPH_B_FILE = os.path.join(CONFIGS, "graph_b.yaml")
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bron_kerbosch_mis, brute_force_mis, support_bitstring, unit_disk_layouts
+from conftest import bron_kerbosch_mis, brute_force_mis, kings_24, support_bitstring, unit_disk_layouts
 from rydnash._bits import check_bitstrings, from_bitstring, rule_supports
 from rydnash.errors import InvalidInput
 from rydnash.game import GameParams, enumerate_specialized_nash
@@ -86,12 +86,6 @@ def perfect_matching(n):
     assignment can be ruled out, so the sweep checks all 2**n supports."""
     half = n // 2
     return build_unit_disk_graph([(10.0 * i, 0.0) for i in range(half)] + [(10.0 * i, 1.0) for i in range(half)], 1.5)
-
-
-def kings_24():
-    """A 5x5 King's lattice at 6 um with the centre site vacant, radius 9 um."""
-    sites = [(6.0 * c, 6.0 * r) for r in range(5) for c in range(5) if (r, c) != (2, 2)]
-    return build_unit_disk_graph(sites, 9.0)
 
 
 def kings_21(seed, count):

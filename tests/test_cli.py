@@ -16,11 +16,15 @@ from hypothesis import given, settings
 from conftest import (
     C_A,
     C_B,
+    CONFIGS,
+    GRAPH_A_FILE,
     GRAPH_A_MIS_FAMILY,
     GRAPH_A_RADIUS,
+    GRAPH_B_FILE,
     GRAPH_B_RADIUS,
     OVER_LIMIT,
     child_env,
+    kings_24,
     save_yaml,
     unit_disk_layouts,
 )
@@ -72,10 +76,6 @@ from rydnash.pipeline import (
     run_quantum,
 )
 from rydnash.schedule import Schedule, default_schedule
-
-CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-GRAPH_A_FILE = os.path.join(CONFIGS, "graph_a.yaml")
-GRAPH_B_FILE = os.path.join(CONFIGS, "graph_b.yaml")
 
 
 @pytest.fixture
@@ -282,9 +282,10 @@ class TestValidateCommand:
 
     def test_over_limit_is_an_error(self, chain25_file, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(["validate", "--graph", chain25_file, "--out", str(out)]) == EXIT_ERROR
-        assert capsys.readouterr().err == f"error: {OVER_LIMIT}\n"
-        assert not out.exists()
+        for command in ("validate", "classical"):
+            assert main([command, "--graph", chain25_file, "--out", str(out)]) == EXIT_ERROR
+            assert capsys.readouterr().err == f"error: {OVER_LIMIT}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "classical", "anneal", "all"])
     def test_limit_is_not_an_option(self, command, tmp_path, capsys):
@@ -504,7 +505,8 @@ class TestAnnealCommand:
             yaml.safe_dump({"nodes": [[0.0, 0.0], [3.0, 0.0]], "radius": 4.0}, fh)
         out = str(tmp_path / "out")
         assert main(["anneal", "--graph", graph, "--out", out]) == EXIT_VERDICT
-        assert os.path.exists(os.path.join(out, VALIDATION_REPORT))
+        report = load(os.path.join(out, VALIDATION_REPORT), ValidationReport)
+        assert not report.ok and [(v.kind, v.limit) for v in report.violations] == [("pair_distance", 4.0)]
         assert not os.path.exists(os.path.join(out, ANNEAL_REPORT))
 
     def test_validates_once(self, tmp_path, monkeypatch):
@@ -667,6 +669,7 @@ class TestRefusedBeforeAnnealing:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "--coupling-c" in err
         assert f"radius {radius} um" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("final, radius", [(0.0, 7.0), (7.27, 1.0e60)], ids=["final-detuning-0", "radius-1e60"])
     def test_all_refuses_before_the_sweeps(self, final, radius, tmp_path, capsys, monkeypatch):
@@ -699,8 +702,11 @@ class TestDerivedCoupling:
         assert main(["all", "--graph", path, "--out", out]) == EXIT_OK
         assert capsys.readouterr().err == ""
         assert main(["validate", "--graph", path, "--out", out]) == EXIT_OK
+        assert capsys.readouterr().err == ""
         for name in (ANNEAL_REPORT, VALIDATION_REPORT):
             assert read_report(os.path.join(out, name))["c6"] == 7.27 * radius**6
+        lo, hi = load(os.path.join(out, VALIDATION_REPORT), ValidationReport).window
+        assert lo < 7.27 * radius**6 < hi
 
     def test_explicit_coupling_needs_no_positive_final_detuning(self, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -1269,17 +1275,29 @@ class TestGraphFingerprint:
         assert graph_fingerprint(graph) == _reference_fingerprint(graph)
 
     def test_commands_that_never_sample_leave_openssl_unloaded(self, tmp_path):
-        out = str(tmp_path / "out")
+        # the n = 24 King's layout's classical report also matches one
+        # written in this process, byte for byte
+        out, kings_out, again = (str(tmp_path / name) for name in ("out", "kings", "again"))
+        kings = str(tmp_path / "kings24.yaml")
+        save_yaml(kings, kings_24())
         assert main(["anneal", "--graph", GRAPH_B_FILE, "--coupling-c", str(C_B), "--out", out]) == EXIT_OK
         code = (
             "import sys\n"
             "from rydnash import cli\n"
-            "graph, c6, out = sys.argv[1:]\n"
+            "graph, c6, out, kings, kings_out = sys.argv[1:]\n"
             "runs = [['classical', '--graph', graph, '--out', out],\n"
-            "        ['validate', '--graph', graph, '--coupling-c', c6, '--out', out], ['compare', '--out', out]]\n"
+            "        ['validate', '--graph', graph, '--coupling-c', c6, '--out', out], ['compare', '--out', out],\n"
+            "        ['classical', '--graph', kings, '--out', kings_out]]\n"
             "print([cli.main(argv) for argv in runs], '_hashlib' in sys.modules)\n"
         )
-        assert _fresh_python(code, GRAPH_B_FILE, str(C_B), out) == f"[{EXIT_OK}, {EXIT_OK}, {EXIT_OK}] False"
+        printed = _fresh_python(code, GRAPH_B_FILE, str(C_B), out, kings, kings_out)
+        assert printed == f"[{EXIT_OK}, {EXIT_OK}, {EXIT_OK}, {EXIT_OK}] False"
+        report = load(os.path.join(kings_out, CLASSICAL_REPORT), ClassicalResult)
+        assert len(report.maximal_sets) == 544 and report.nash_equals_mis
+        assert main(["classical", "--graph", kings, "--out", again]) == EXIT_OK
+        written, rewritten = (os.path.join(d, CLASSICAL_REPORT) for d in (kings_out, again))
+        with open(written, "rb") as f1, open(rewritten, "rb") as f2:
+            assert f1.read() == f2.read()
 
     def test_hashlib_fallback_gives_the_same_digest(self):
         code = (
@@ -1320,7 +1338,8 @@ class TestImportFootprint:
 
     def test_sampling_run_leaves_openssl_unloaded(self, tmp_path):
         # numpy.random imports secrets, and with it OpenSSL, unless sample
-        # imports it first; the readout must be the same either way
+        # imports it first; every file the two processes write must be the
+        # same either way
         code = (
             "import os, sys\n"
             "graph, first, out = sys.argv[1:]\n"
@@ -1335,6 +1354,8 @@ class TestImportFootprint:
         alone, numpy_first = str(tmp_path / "alone"), str(tmp_path / "numpy_first")
         assert _fresh_python(code, GRAPH_A_FILE, "rydnash", alone) == f"{EXIT_OK} False secrets.py 8"
         assert _fresh_python(code, GRAPH_A_FILE, "numpy.random", numpy_first).startswith(f"{EXIT_OK} ")
-        for name in (ANNEAL_REPORT, HISTOGRAM_CSV):
+        names = sorted(os.listdir(alone))
+        assert names == sorted(os.listdir(numpy_first)) and len(names) == 4
+        for name in names:
             with open(os.path.join(alone, name), "rb") as f1, open(os.path.join(numpy_first, name), "rb") as f2:
                 assert f1.read() == f2.read(), name

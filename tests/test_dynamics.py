@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from conftest import (
     C_B,
     CHAIN25_POSITIONS,
     CHAIN25_RADIUS,
+    GRAPH_A_FILE,
     GRAPH_A_MAXIMUM,
     GRAPH_A_POSITIONS,
     GRAPH_A_RADIUS,
@@ -687,6 +689,20 @@ class TestCoarsePassWorker:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @staticmethod
+    def fresh_python(code, *args, blas_threads=None):
+        """The words of the last line ``code`` prints in a new interpreter
+        that imports this rydnash, with every BLAS thread count set to
+        ``blas_threads``, or none set."""
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {name: value for name, value in child_env().items() if name not in names}
+        if blas_threads is not None:
+            env.update(dict.fromkeys(names, blas_threads))
+        args = [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *args]
+        result = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        return result.stdout.splitlines()[-1].split()
+
     @pytest.mark.parametrize("layout, c6, duration", EVOLVE_CASES)
     def test_worker_and_inline_give_the_same_bits(self, layout, c6, duration, request, worker, monkeypatch):
         system, schedule = evolve_case(layout, c6, duration, request)
@@ -840,20 +856,10 @@ class TestCoarsePassWorker:
             "release.set()\n"
             "thread.join()\n"
         )
-        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-        def run(blas_threads):
-            env = {name: value for name, value in child_env().items() if name not in names}
-            if blas_threads is not None:
-                env.update(dict.fromkeys(names, blas_threads))
-            result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-            assert result.returncode == 0, result.stderr
-            return result.stdout.split()
-
-        assert run(None) == ["True", "False", "None"]
-        assert run("1") == ["True", "False", "1"]
+        assert self.fresh_python(code) == ["True", "False", "None"]
+        assert self.fresh_python(code, blas_threads="1") == ["True", "False", "1"]
         if len(os.sched_getaffinity(0)) >= 2:
-            assert run("2") == ["False", "False", "2"]
+            assert self.fresh_python(code, blas_threads="2") == ["False", "False", "2"]
 
     def test_sole_thread_without_proc(self, monkeypatch):
         # as on macOS and Windows, where both passes run inline
@@ -875,6 +881,51 @@ class TestCoarsePassWorker:
         assert len(worker) == 1
         assert len(os.listdir("/proc/self/fd")) == descriptors  # no descriptor is left open
         assert np.array_equal(state.amplitudes, expected)
+
+    def test_refused_mapping_runs_inline(self, system_a, worker, monkeypatch):
+        def refused(*args):
+            raise OSError(12, "Cannot allocate memory")
+
+        expected = propagate(*system_a, 5e-4).amplitudes
+        monkeypatch.setattr(mmap, "mmap", refused)
+        state = evolve(*system_a)
+        assert worker == []
+        self.assert_no_child()
+        assert np.array_equal(state.amplitudes, expected)
+
+    def test_default_path_in_a_fresh_interpreter(self, tmp_path):
+        # no patch and no BLAS thread count set: rydnash loads numpy with
+        # BLAS pinned to one thread, so all forks the real worker wherever it
+        # may run on two CPUs (its CPU time shows under RUSAGE_CHILDREN), and
+        # runs the pass inline once the child narrows itself to one CPU, as
+        # under taskset. Either way no child and no descriptor outlives the
+        # run, and multiprocessing is never loaded
+        code = (
+            "import os, resource, sys\n"
+            "graph, out, cpus = sys.argv[1:]\n"
+            "if cpus == 'one':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from rydnash import cli\n"
+            "before = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+            "descriptors = len(os.listdir('/proc/self/fd'))\n"
+            "code = cli.main(['all', '--graph', graph, '--out', out])\n"
+            "after = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+            "if after.ru_utime + after.ru_stime > before.ru_utime + before.ru_stime:\n"
+            "    usage = 'grew'\n"
+            "else:\n"
+            "    usage = 'same' if after == before else 'changed'\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    child = 'left'\n"
+            "except ChildProcessError:\n"
+            "    child = 'none'\n"
+            "print(code, len(os.sched_getaffinity(0)) >= 2, usage, child,\n"
+            "      len(os.listdir('/proc/self/fd')) - descriptors, 'multiprocessing' in sys.modules)\n"
+        )
+        for cpus in ("all", "one"):
+            two = cpus == "all" and len(os.sched_getaffinity(0)) >= 2
+            printed = self.fresh_python(code, GRAPH_A_FILE, str(tmp_path / cpus), cpus)
+            assert printed == ["0", str(two), "grew" if two else "same", "none", "0", "False"], cpus
 
 
 class TestQuantumState:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rydnash.fileio
-from conftest import save_yaml
+from conftest import CONFIGS, save_yaml
 from rydnash.errors import ConfigError
 from rydnash.fileio import (
     MAX_YAML_DEPTH,
@@ -32,7 +32,6 @@ from rydnash.pipeline import BitstringRow, ClassicalResult, ValidationReport
 from rydnash.schedule import Schedule, default_schedule
 
 
-CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 DUMPERS = [yaml.SafeDumper] + ([yaml.CSafeDumper] if yaml.__with_libyaml__ else [])
 
