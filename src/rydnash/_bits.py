@@ -1,5 +1,5 @@
 """Bit conventions and the exhaustive size guard shared by the game, set,
-and dynamics modules.
+and dynamics modules, and the Nash sweep's kernel, :func:`rule_supports`.
 
 Bitstrings are big-endian in node order: node 0 is the leftmost character
 (most significant bit) and '1' marks a contributing agent or Rydberg-excited
@@ -19,9 +19,10 @@ import numpy as np
 
 from .errors import InvalidInput, TooLarge
 
-#: Largest node count for which any 2**n sweep or table is built: the
-#: set sweeps start in :func:`rule_supports` and the Hamiltonian tables in
-#: ``dynamics.RydbergSystem``, and each refuses a larger graph with TooLarge.
+#: Largest node count for which any exhaustive search or 2**n table is built:
+#: :func:`rule_supports` (the Nash sweep), ``indsets.enumerate_mis`` and the
+#: Hamiltonian tables in ``dynamics.RydbergSystem`` each refuse a larger
+#: graph with TooLarge.
 EXHAUSTIVE_LIMIT = 24
 
 
@@ -70,7 +71,10 @@ def rule_supports(neighbors: Sequence[Sequence[int]], rule: np.ndarray) -> tuple
 
     Node ``v`` passes when ``rule[own_v, k_v]`` holds, with ``own_v`` 1 for a
     member and ``k_v`` its neighbors inside the support; ``rule`` is a
-    ``(2, n + 1)`` boolean table.
+    ``(2, n + 1)`` boolean table. ``game.enumerate_specialized_nash`` is the
+    only caller in the package; ``indsets.enumerate_mis`` searches on its
+    own, so a fault here shows as a Nash family that differs from the
+    maximal sets.
 
     Meet in the middle: every index splits into high and low bits,
     ``z = hi * 2**low + lo`` with ``low = n // 2``, and so does each count.

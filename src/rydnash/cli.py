@@ -254,9 +254,16 @@ def cmd_all(args: argparse.Namespace, out: _Outputs) -> int:
     return code if quantum is None else _compare("all", out, classical, quantum)
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(default_outdir: str) -> argparse.ArgumentParser:
+    """``build_parser()``, built once per default output directory: a
+    process that calls :func:`main` repeatedly builds it once, and a new
+    ``$RYDNASH_OUT`` builds a new one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(os.environ.get(OUTDIR_ENV, DEFAULT_OUTDIR)).parse_args(argv)
     try:
         with _Outputs(args.outdir, OUTPUT_SETS[args.command]) as out:
             return args.func(args, out)

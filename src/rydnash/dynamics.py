@@ -474,17 +474,48 @@ def _sole_thread() -> bool:
         return False
 
 
+#: The memory cgroup's limit and usage files, v2 then v1, at the mount root,
+#: where a container sees its own cgroup.
+_CGROUP_MEMORY = (
+    ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current"),
+    ("/sys/fs/cgroup/memory/memory.limit_in_bytes", "/sys/fs/cgroup/memory/memory.usage_in_bytes"),
+)
+#: A cgroup limit at or above this is none: v1 writes "no limit" as 2**63
+#: rounded down to a page.
+_NO_LIMIT = 1 << 62
+
+
+def _read_number(path: str) -> int | None:
+    """The integer a one-number file holds; None when it holds another word,
+    such as v2's ``max``, or cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            return int(fh.read())
+    except (OSError, ValueError):
+        return None
+
+
 def _available_memory() -> int:
-    """The bytes the kernel reports as available (``MemAvailable`` in
-    ``/proc/meminfo``), or 0 where it cannot tell."""
+    """The bytes this process may still take: the kernel's ``MemAvailable``
+    (``/proc/meminfo``), or the memory cgroup's headroom where that is less
+    (v2 ``memory.max`` less ``memory.current``, v1 ``memory.limit_in_bytes``
+    less ``memory.usage_in_bytes``). 0 where ``MemAvailable`` cannot be read.
+    A limit of ``max``, one that cannot be read, or one of 2**62 or more is
+    no limit."""
+    available = 0
     try:
         with open("/proc/meminfo", "rb") as meminfo:
             for line in meminfo:
                 if line.startswith(b"MemAvailable:"):
-                    return int(line.split()[1]) << 10
+                    available = int(line.split()[1]) << 10
+                    break
     except OSError:
         pass
-    return 0
+    for limit_file, usage_file in _CGROUP_MEMORY:
+        limit = _read_number(limit_file)
+        if limit is not None and limit < _NO_LIMIT:
+            available = min(available, max(limit - (_read_number(usage_file) or 0), 0))
+    return available
 
 
 def _first_passes(system: RydbergSystem, schedule: Schedule, h: float) -> tuple[QuantumState, QuantumState]:
@@ -498,7 +529,7 @@ def _first_passes(system: RydbergSystem, schedule: Schedule, h: float) -> tuple[
     one after the other: when another thread runs (``_sole_thread``), when
     this process may run on fewer than two CPUs, when the two passes'
     working sets (``_PASS_BYTES`` per amplitude each) would not fit in the
-    memory the kernel reports as available, or when the mapping or
+    memory ``_available_memory`` reports, or when the mapping or
     ``os.fork`` is refused. The states are the same bits either way. Any
     exception in the fine pass, KeyboardInterrupt included, kills and reaps
     the child before it propagates. If the child's exit status is not 0,

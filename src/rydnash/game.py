@@ -117,7 +117,9 @@ def enumerate_specialized_nash(graph: EmbeddedGraph, params: GameParams) -> tupl
     checks only the surviving combinations, so it visits far fewer than 2**n
     supports when the table rules many out. It assumes nothing about which
     supports qualify, so ties that admit adjacent contributors are kept.
-    Like every 2**n sweep, it raises TooLarge above
+    ``indsets.enumerate_mis`` finds the maximal independent sets by a search
+    that shares no code with this sweep, so the cross-check compares two
+    algorithms. Like every 2**n sweep, it raises TooLarge above
     ``_bits.EXHAUSTIVE_LIMIT`` nodes.
     """
     e = params.e_star

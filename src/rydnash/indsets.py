@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
-from ._bits import from_bitstring, rule_supports
+from ._bits import check_size, from_bitstring, to_bitstring
 from .errors import InvalidInput
 from .geometry import EmbeddedGraph
 
@@ -28,18 +26,52 @@ def is_maximal(graph: EmbeddedGraph, bits: str) -> bool:
 def enumerate_mis(graph: EmbeddedGraph) -> tuple[str, ...]:
     """Every maximal independent set, as bitstrings in canonical order.
 
-    A member with a neighbor inside the subset breaks independence and a
-    non-member without one breaks maximality, so a subset qualifies when,
-    at every node, membership and having a neighbor inside differ. That
-    local rule goes to :func:`~rydnash._bits.rule_supports`, which drops each
-    half of the subset that already breaks it at one of its own nodes (two
-    adjacent members, or a non-member with no neighbor in the subset and
-    none in the other half) and checks only the surviving combinations.
-    Like every 2**n sweep, it raises TooLarge above
-    ``_bits.EXHAUSTIVE_LIMIT`` nodes.
+    The maximal independent sets are the maximal cliques of the complement
+    graph, found by Bron-Kerbosch (Bron & Kerbosch, CACM 16, 1973) with
+    Tomita's pivot (Tomita, Tanaka & Takahashi, TCS 363, 2006) on int
+    bitmasks, node ``v`` at bit ``n - 1 - v`` as in a support's index. A
+    branch holds its members, the candidates that may still join and the
+    excluded nodes that could join but were already tried. The pivot is the
+    candidate or excluded node whose closed neighborhood holds the fewest
+    candidates, and only those are branched on: a set grown from this branch
+    without any of them would leave the pivot free to join, so it would not
+    be maximal, or the pivot's branch has found it already. It
+    works from ``graph.neighbors`` alone and shares no code with the Nash
+    sweep, so the two families check each other. Its work follows the
+    number of maximal sets, not 2**n, but it still raises TooLarge above
+    ``_bits.EXHAUSTIVE_LIMIT`` nodes, as every exhaustive search does.
     """
-    k = np.arange(graph.n + 1)
-    return rule_supports(graph.neighbors, np.stack([k > 0, k == 0]))
+    n = graph.n
+    check_size(n)
+    closed = [0] * n  # by bit position: each node's bit and its neighbors'
+    for v, nbrs in enumerate(graph.neighbors):
+        closed[n - 1 - v] = 1 << (n - 1 - v) | sum(1 << (n - 1 - u) for u in nbrs)
+    found = []
+
+    def expand(members: int, cand: int, excl: int) -> None:
+        if not cand:
+            if not excl:
+                found.append(members)
+            return
+        rest, fewest = cand | excl, n + 1
+        while rest:
+            p = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            k = (cand & closed[p]).bit_count()
+            if k < fewest:
+                fewest, pivot = k, p
+        branch = cand & closed[pivot]
+        while branch:
+            b = branch & -branch
+            branch ^= b
+            near = closed[b.bit_length() - 1]
+            expand(members | b, cand & ~near, excl & ~near)
+            cand ^= b
+            excl |= b
+
+    expand(0, (1 << n) - 1, 0)
+    found.sort()
+    return tuple(to_bitstring(z, n) for z in found)
 
 
 def largest(sets: tuple[str, ...]) -> tuple[str, ...]:

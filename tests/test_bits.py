@@ -41,6 +41,13 @@ def chain(n):
     return build_unit_disk_graph([(1.0 * i, 0.0) for i in range(n)], 1.0)
 
 
+def mis_rule(n):
+    """The maximal-independent-set rule for :func:`rule_supports`: a member
+    has no neighbor inside the support, and a non-member has at least one."""
+    k = np.arange(n + 1)
+    return np.stack([k > 0, k == 0])
+
+
 class TestRuleSupports:
     @settings(max_examples=60, deadline=None)
     @given(g=unit_disk_layouts(n_max=N_MAX), code=st.integers(0, 2 ** (2 * (N_MAX + 1)) - 1))
@@ -105,9 +112,30 @@ def kings_21(seed, count):
 KINGS = {f"kings21-{k}": g for k, g in enumerate(kings_21(1, 3))} | {"kings24": kings_24()}
 
 
+def disjoint_triangles(count):
+    """``count`` triangles far apart: 3**count maximal sets, the most any
+    graph on 3 * count nodes has (Moon & Moser, 1965)."""
+    corners = ((0.0, 0.0), (1.0, 0.0), (0.5, 0.8))
+    return build_unit_disk_graph([(10.0 * t + x, y) for t in range(count) for x, y in corners], 1.5)
+
+
+#: Extremes beside the lattices, each with its number of maximal sets: the
+#: n = 24 worst case for the search, one node, and no edges or all of them
+#: at the exhaustive limit.
+EXTREMES = {
+    "triangles24": (disjoint_triangles(8), 3**8),
+    "single": (chain(1), 1),
+    "edgeless24": (build_unit_disk_graph([(2.0 * i, 0.0) for i in range(24)], 1.0), 1),
+    "complete24": (build_unit_disk_graph([(0.1 * i, 0.0) for i in range(24)], 3.0), 24),
+}
+
+
+#: The production sweeps, and the kernel of the Nash sweep run on the
+#: maximal-set rule as an oracle for ``enumerate_mis``.
 SWEEPS = {
     "nash": lambda g: enumerate_specialized_nash(g, GameParams()),
     "mis": enumerate_mis,
+    "mis-rule": lambda g: rule_supports(g.neighbors, mis_rule(g.n)),
 }
 
 
@@ -163,3 +191,11 @@ class TestAgainstBronKerbosch:
         # both families are the maximal sets, in canonical order
         g = KINGS[layout]
         assert SWEEPS[name](g) == tuple(sorted(support_bitstring(s, g.n) for s in bron_kerbosch_mis(g)))
+
+    @pytest.mark.parametrize("layout", EXTREMES)
+    @pytest.mark.parametrize("name", SWEEPS)
+    def test_extremes(self, name, layout):
+        g, count = EXTREMES[layout]
+        expected = tuple(sorted(support_bitstring(s, g.n) for s in bron_kerbosch_mis(g)))
+        assert len(expected) == count
+        assert SWEEPS[name](g) == expected

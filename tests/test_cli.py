@@ -28,6 +28,7 @@ from conftest import (
     save_yaml,
     unit_disk_layouts,
 )
+import rydnash._bits
 import rydnash.cli
 import rydnash.fileio
 import rydnash.game
@@ -956,6 +957,26 @@ class TestAllCommand:
         assert main(["classical", "--graph", pair_graph_file]) == EXIT_OK
         assert os.listdir(env_dir) == [CLASSICAL_REPORT]
 
+    def test_parser_built_once_per_outdir_default(self, pair_graph_file, tmp_path, monkeypatch):
+        # repeated main calls in one process reuse one parser; a new
+        # $RYDNASH_OUT still sets the default output directory
+        built = []
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(rydnash.cli, "build_parser", counting)
+        monkeypatch.delenv(OUTDIR_ENV, raising=False)
+        rydnash.cli._parser.cache_clear()
+        for name in ("one", "two"):
+            assert main(["classical", "--graph", pair_graph_file, "--out", str(tmp_path / name)]) == EXIT_OK
+        assert len(built) == 1
+        monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "env"))
+        assert main(["classical", "--graph", pair_graph_file]) == EXIT_OK
+        assert os.listdir(tmp_path / "env") == [CLASSICAL_REPORT]
+        assert len(built) == 2
+
     @settings(max_examples=10, deadline=None)
     @given(graph=unit_disk_layouts(n_max=5))
     def test_reruns_write_identical_files(self, graph):
@@ -1051,6 +1072,26 @@ class TestPipelineApi:
         assert main(args) == EXIT_ERROR
         assert capsys.readouterr().err.endswith(f"error: {message}\n")  # after any window warning
         assert not out.exists()
+
+    def test_nash_kernel_fault_is_caught(self, monkeypatch, tmp_path):
+        # a kernel that loses one non-maximum support, wherever rydnash
+        # binds it, loses it from the Nash family only: the maximal sets come
+        # from their own search, so the cross-check fails
+        kernel = rydnash._bits.rule_supports
+        dropped = "010001"
+
+        def faulty(neighbors, rule):
+            return tuple(s for s in kernel(neighbors, rule) if s != dropped)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("rydnash") and getattr(module, "rule_supports", None) is kernel:
+                monkeypatch.setattr(module, "rule_supports", faulty)
+        assert rydnash.game.rule_supports is faulty
+        out = tmp_path / "out"
+        assert main(["all", "--graph", GRAPH_A_FILE, "--out", str(out)]) == EXIT_VERDICT
+        report = read_report(str(out / CLASSICAL_REPORT))
+        assert report["nash_equals_mis"] is False
+        assert dropped in report["maximal_independent_sets"] and dropped not in report["nash_supports"]
 
     def test_run_classical_sweeps_each_family_once(self, monkeypatch):
         calls = {"nash": 0, "mis": 0}

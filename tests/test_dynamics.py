@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import io
 import itertools
 import math
 import mmap
@@ -812,6 +813,36 @@ class TestCoarsePassWorker:
 
         monkeypatch.setattr(rydnash.dynamics, "open", missing, raising=False)
         assert rydnash.dynamics._available_memory() == 0
+
+    @pytest.mark.parametrize(
+        "cgroup, expected",
+        [
+            ({}, 8 << 30),  # no cgroup files
+            ({"memory.max": b"max\n", "memory.current": b"1000\n"}, 8 << 30),
+            ({"memory.max": b"1073741824\n", "memory.current": b"268435456\n"}, 3 << 28),
+            ({"memory.max": b"1073741824\n"}, 1 << 30),  # usage unreadable
+            ({"memory.max": b"100\n", "memory.current": b"300\n"}, 0),  # over its limit
+            ({"memory.max": b"%d\n" % (1 << 62), "memory.current": b"0\n"}, 8 << 30),
+            ({"memory/memory.limit_in_bytes": b"9223372036854771712\n",
+              "memory/memory.usage_in_bytes": b"150220800\n"}, 8 << 30),  # v1, no limit
+            ({"memory/memory.limit_in_bytes": b"2147483648\n",
+              "memory/memory.usage_in_bytes": b"1073741824\n"}, 1 << 30),
+            ({"memory.max": b"%d\n" % (16 << 30), "memory.current": b"0\n"}, 8 << 30),  # above MemAvailable
+        ],
+        ids=["none", "v2-max", "v2", "v2-no-usage", "v2-over", "v2-2**62", "v1-no-limit", "v1", "v2-above"],
+    )
+    def test_available_memory_takes_the_cgroup_headroom(self, cgroup, expected, monkeypatch):
+        # a container's limit below MemAvailable bounds the worker's check
+        files = {"/proc/meminfo": b"MemTotal:       16777216 kB\nMemAvailable:    8388608 kB\n"}
+        files.update({"/sys/fs/cgroup/" + name: data for name, data in cgroup.items()})
+
+        def fake(path, mode="r"):
+            if path not in files:
+                raise FileNotFoundError(path)
+            return io.BytesIO(files[path])
+
+        monkeypatch.setattr(rydnash.dynamics, "open", fake, raising=False)
+        assert rydnash.dynamics._available_memory() == expected
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_failing_fine_pass_kills_the_worker(self, error, system_a, worker, monkeypatch):
