@@ -273,10 +273,6 @@ def load_schedule(path: str) -> Schedule:
     return load(path, Schedule)
 
 
-def _write_yaml(path: str, data: dict) -> None:
-    _write_text(path, _dump(data))
-
-
 def _write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` whole or not at all: into a sibling
     temporary file, which ``os.replace`` then moves over ``path``, so an
@@ -548,7 +544,7 @@ def _scalar(text: str):
 def write_report(path: str, data: dict) -> None:
     """Write a structured report, ``to_mapping`` of a result; keys sorted so
     output is byte-stable."""
-    _write_yaml(path, data)
+    _write_text(path, _dump(data))
 
 
 def _csv_value(value) -> str:

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bron_kerbosch_mis, brute_force_mis, kings_24, support_bitstring, unit_disk_layouts
-from rydnash._bits import check_bitstrings, from_bitstring, rule_supports
+from rydnash._bits import check_bitstrings, from_bitstring
 from rydnash.errors import InvalidInput
-from rydnash.game import GameParams, enumerate_specialized_nash
+from rydnash.game import GameParams, _rule_supports, enumerate_specialized_nash
 from rydnash.geometry import build_unit_disk_graph
 from rydnash.indsets import enumerate_mis
 
@@ -42,7 +42,7 @@ def chain(n):
 
 
 def mis_rule(n):
-    """The maximal-independent-set rule for :func:`rule_supports`: a member
+    """The maximal-independent-set rule for :func:`_rule_supports`: a member
     has no neighbor inside the support, and a non-member has at least one."""
     k = np.arange(n + 1)
     return np.stack([k > 0, k == 0])
@@ -55,11 +55,17 @@ class TestRuleSupports:
     @example(g=chain(2), code=0b010011)
     @example(g=chain(5), code=0b000001_111110)  # the maximal-independent-set rule, odd n
     @example(g=chain(7), code=0b10101010_01010101)
+    # a rule that holds only for a member with all four neighbors inside,
+    # the largest count a node here reaches, and one that holds only for a
+    # non-member at count 0, with no degree into the other half: on the
+    # complete graph only 11111 passes, and on the edgeless one only 00000
+    @example(g=build_unit_disk_graph([(0.1 * i, 0.0) for i in range(5)], 1.0), code=1 << 10)
+    @example(g=build_unit_disk_graph([(2.0 * i, 0.0) for i in range(5)], 1.0), code=1)
     def test_matches_brute_force(self, g, code):
         # Arbitrary tables reach pruning cases no benefit curve produces,
         # such as a count that passes for members and non-members alike.
         for rule in (rule_table(code, g.n), np.ones((2, g.n + 1), bool), np.zeros((2, g.n + 1), bool)):
-            assert rule_supports(g.neighbors, rule) == brute_force_supports(g, rule)
+            assert _rule_supports(g.neighbors, rule) == brute_force_supports(g, rule)
 
 
 class TestCheckBitstrings:
@@ -135,7 +141,7 @@ EXTREMES = {
 SWEEPS = {
     "nash": lambda g: enumerate_specialized_nash(g, GameParams()),
     "mis": enumerate_mis,
-    "mis-rule": lambda g: rule_supports(g.neighbors, mis_rule(g.n)),
+    "mis-rule": lambda g: _rule_supports(g.neighbors, mis_rule(g.n)),
 }
 
 
@@ -153,7 +159,7 @@ class TestSweepMemory:
     @pytest.mark.parametrize("name", SWEEPS)
     def test_unpruned_matching_peak(self, name):
         # one byte for the surviving grid and one for a node's verdict
-        # (2.41 measured); nothing may add a third 2**n-long array
+        # (2.25 measured); nothing may add a third 2**n-long array
         g = perfect_matching(20)
         found, peak = sweep_peak(SWEEPS[name], g)
         assert len(found) == 2**10
@@ -161,7 +167,7 @@ class TestSweepMemory:
 
     @pytest.mark.parametrize("name", SWEEPS)
     def test_kings_24_peak(self, name):
-        # the half tables and the 38 x 38 surviving grid: 0.034 bytes per
+        # the half tables and the 38 x 38 surviving grid: 0.020 bytes per
         # index measured, against 3.0 for a full 2**n sweep
         g = kings_24()
         found, peak = sweep_peak(SWEEPS[name], g)
@@ -170,8 +176,8 @@ class TestSweepMemory:
 
     @pytest.mark.parametrize("name", SWEEPS)
     def test_kings_21_peak(self, name):
-        # the half tables and the pruning test on four nodes at a time:
-        # 0.14 bytes per index measured on each of the three layouts
+        # the half tables and one node's pruning test at a time: 0.064 to
+        # 0.072 bytes per index measured on the three layouts
         for layout in ("kings21-0", "kings21-1", "kings21-2"):
             g = KINGS[layout]
             found, peak = sweep_peak(SWEEPS[name], g)

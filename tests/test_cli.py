@@ -28,7 +28,6 @@ from conftest import (
     save_yaml,
     unit_disk_layouts,
 )
-import rydnash._bits
 import rydnash.cli
 import rydnash.fileio
 import rydnash.game
@@ -923,13 +922,15 @@ class TestAllCommand:
         if not yaml.__with_libyaml__:
             pytest.skip("PyYAML is built without libyaml")
         written = []
-        write_yaml = rydnash.fileio._write_yaml
+        write = rydnash.fileio.write_report
 
         def recording(path, data):
             written.append((path, data))
-            write_yaml(path, data)
+            write(path, data)
 
-        monkeypatch.setattr(rydnash.fileio, "_write_yaml", recording)
+        for module in list(sys.modules.values()):  # wherever rydnash or the tests bind it
+            if getattr(module, "write_report", None) is write:
+                monkeypatch.setattr(module, "write_report", recording)
         if layout == "graph_b":
             args = ["--graph", GRAPH_B_FILE, "--coupling-c", "6e5"]
         else:
@@ -1077,16 +1078,16 @@ class TestPipelineApi:
         # a kernel that loses one non-maximum support, wherever rydnash
         # binds it, loses it from the Nash family only: the maximal sets come
         # from their own search, so the cross-check fails
-        kernel = rydnash._bits.rule_supports
+        kernel = rydnash.game._rule_supports
         dropped = "010001"
 
         def faulty(neighbors, rule):
             return tuple(s for s in kernel(neighbors, rule) if s != dropped)
 
         for module in list(sys.modules.values()):
-            if module.__name__.startswith("rydnash") and getattr(module, "rule_supports", None) is kernel:
-                monkeypatch.setattr(module, "rule_supports", faulty)
-        assert rydnash.game.rule_supports is faulty
+            if module.__name__.startswith("rydnash") and getattr(module, "_rule_supports", None) is kernel:
+                monkeypatch.setattr(module, "_rule_supports", faulty)
+        assert rydnash.game._rule_supports is faulty
         out = tmp_path / "out"
         assert main(["all", "--graph", GRAPH_A_FILE, "--out", str(out)]) == EXIT_VERDICT
         report = read_report(str(out / CLASSICAL_REPORT))
